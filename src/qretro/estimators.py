@@ -125,10 +125,18 @@ def personick_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
     )
 
 
+def _check_povm_dims(rho, x, p: Povm) -> None:
+    if rho.shape[0] != p.dim or x.shape[0] != p.dim:
+        raise ValidationError(
+            "shape", f"rho/x dims {rho.shape[0]}/{x.shape[0]} != POVM dim {p.dim}"
+        )
+
+
 def weak_value(rho, x, p: Povm, y) -> float:
     """Real weak value tr E(y)(ρ∘X) / tr E(y)ρ at outcome y."""
     rho = core.as_density(rho)
     x = core.as_hermitian(x, name="x")
+    _check_povm_dims(rho, x, p)
     e = p.effect(y)
     prob = float(np.trace(e @ rho).real)
     if prob <= WEAKVALUE_FLOOR:
@@ -148,6 +156,8 @@ def classical_conditional_expectation(px, c: ClassicalChannel, xvals):
     xvals = np.asarray(xvals, dtype=float)
     if px.shape != (c.n_in,) or xvals.shape != (c.n_in,):
         raise ValidationError("shape", "px/xvals length must equal channel n_in")
+    if not (np.all(np.isfinite(px)) and np.all(np.isfinite(xvals))):
+        raise ValidationError("finite", "px/xvals contain NaN or Inf entries")
     if px.min() < 0 or abs(px.sum() - 1.0) > 1e-12:
         raise ValidationError("probability", "px must be a probability vector")
     py = c.transition @ px
@@ -180,6 +190,7 @@ def complex_weak_value(rho, x, p: Povm, y) -> complex:
     """Complex weak value tr E(y)Xρ / tr E(y)ρ at outcome y."""
     rho = core.as_density(rho)
     x = core.as_square(x, "x")
+    _check_povm_dims(rho, x, p)
     e = p.effect(y)
     prob = float(np.trace(e @ rho).real)
     if prob <= WEAKVALUE_FLOOR:

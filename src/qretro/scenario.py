@@ -48,17 +48,20 @@ def encode_complex(z: complex):
     return [_f17(z.real), _f17(z.imag)]
 
 
+# The array encoders hand tolist()'s Python floats over unchanged: _f17 is
+# the identity on doubles, so the JSON bytes match a per-element _f17.
+
 def encode_complex_matrix(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
-    return [[encode_complex(complex(v)) for v in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def encode_real_vector(v):
-    return [_f17(float(x)) for x in np.asarray(v, dtype=float)]
+    return np.asarray(v, dtype=float).tolist()
 
 
 def encode_real_matrix(m):
-    return [encode_real_vector(row) for row in np.asarray(m, dtype=float)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def _f17(v: float) -> float:
@@ -87,6 +90,8 @@ def decode_complex_matrix(obj, name: str = "matrix") -> np.ndarray:
 
 
 def _require(scenario: dict, field: str):
+    if not isinstance(scenario, dict):
+        raise ValidationError("parse", f"expected an object holding {field!r}")
     if field not in scenario:
         raise ValidationError("parse", f"missing required field {field!r}")
     return scenario[field]
@@ -106,15 +111,15 @@ def decode_channel(obj) -> QuantumChannel:
         return channel_from_povm(decode_povm(obj["povm"]))
     if "partial_trace" in obj:
         spec = obj["partial_trace"]
-        return partial_trace_channel(spec["dims"], spec["keep"])
+        return partial_trace_channel(_require(spec, "dims"), _require(spec, "keep"))
     if "dilation" in obj:
         spec = obj["dilation"]
         return channel_from_dilation(
-            decode_complex_matrix(spec["u"], "u"),
-            decode_complex_matrix(spec["env"], "env"),
-            spec["dims"],
-            spec["traced"],
-            spec["kept"],
+            decode_complex_matrix(_require(spec, "u"), "u"),
+            decode_complex_matrix(_require(spec, "env"), "env"),
+            _require(spec, "dims"),
+            _require(spec, "traced"),
+            _require(spec, "kept"),
         )
     if "depolarizing" in obj:
         return depolarizing_channel(int(obj["depolarizing"]))
@@ -212,6 +217,10 @@ def _run_weak_value(sc, tol_scale):
     rho = decode_complex_matrix(_require(sc, "rho"), "rho")
     x = decode_complex_matrix(_require(sc, "x"), "x")
     povm = decode_povm(_require(sc, "povm"))
+    if rho.shape != (povm.dim, povm.dim) or x.shape != rho.shape:
+        raise ValidationError(
+            "shape", f"rho/x shapes {rho.shape}/{x.shape} != POVM dim {povm.dim}"
+        )
     hermitian = float(np.abs(x - x.conj().T).max()) <= 1e-10
     outcomes = []
     for label in povm.labels:

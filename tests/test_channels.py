@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import BELL
 from qretro import operator_core as core
@@ -24,6 +26,7 @@ from qretro.sampling import (
     random_hermitian,
     random_povm,
     random_unitary,
+    rng,
 )
 
 SWAP = np.array([[1, 0, 0, 0],
@@ -48,6 +51,51 @@ def test_apply_matches_kraus_sum_oracle(gen):
     expected = sum(k @ h @ k.conj().T for k in chan.kraus)
     np.testing.assert_allclose(apply_channel(chan, h), expected, atol=1e-13)
     assert np.trace(apply_channel(chan, h)) == pytest.approx(np.trace(h), abs=1e-12)
+
+
+def _choi_loop(kraus):
+    # Σ_k |vec K_k⟩⟨vec K_k| with the input index as the slow factor
+    return sum(np.outer(k.T.reshape(-1), k.T.reshape(-1).conj()) for k in kraus)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d_in=st.integers(1, 6), d_out=st.integers(1, 6), n_kraus=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_matches_kraus_loop_property(d_in, d_out, n_kraus, seed):
+    assume(d_out * n_kraus >= d_in)  # room for an isometry
+    gen = rng(seed)
+    chan = random_channel(gen, d_in, d_out, n_kraus=n_kraus)
+    m = gen.standard_normal((d_in, d_in)) + 1j * gen.standard_normal((d_in, d_in))
+    expected = sum(k @ m @ k.conj().T for k in chan.kraus)
+    np.testing.assert_allclose(apply_channel(chan, m), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(chan.choi_matrix(), _choi_loop(chan.kraus), rtol=0,
+                               atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d_in=st.integers(1, 5), d_out=st.integers(1, 5), n_kraus=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_validate_cptp_matches_kraus_loop_property(d_in, d_out, n_kraus, seed):
+    # arbitrary Kraus lists, trace preserving or not
+    gen = rng(seed)
+    kraus = (gen.standard_normal((n_kraus, d_out, d_in))
+             + 1j * gen.standard_normal((n_kraus, d_out, d_in))) / np.sqrt(n_kraus)
+    report = validate_cptp(kraus)
+    tp = np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(d_in)).max()
+    assert report.tp_deviation == pytest.approx(tp, rel=0, abs=1e-12)
+    assert report.choi_min_eigenvalue == pytest.approx(
+        np.linalg.eigvalsh(_choi_loop(kraus)).min(), rel=0, abs=1e-12)
+
+
+def test_depolarizing_kraus_list_order():
+    dim = 3
+    expected = []
+    for i in range(dim):
+        for j in range(dim):
+            k = np.zeros((dim, dim), dtype=complex)
+            k[i, j] = 1.0 / np.sqrt(dim)
+            expected.append(k)
+    np.testing.assert_array_equal(depolarizing_channel(dim).kraus, np.stack(expected))
 
 
 def test_apply_dimension_mismatch(gen):

@@ -9,6 +9,8 @@ from qretro.cli import main
 from qretro.scenario import (
     decode_complex_matrix,
     encode_complex_matrix,
+    encode_real_matrix,
+    encode_real_vector,
     run_scenario,
     serialize_report,
 )
@@ -30,6 +32,26 @@ def test_matrix_round_trip(gen):
     m = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
     encoded = encode_complex_matrix(m)
     np.testing.assert_array_equal(decode_complex_matrix(encoded), m)
+
+
+def _f17_reference(v):
+    return float(f"{v:.17g}")
+
+
+def test_array_encoders_match_per_element_f17(gen):
+    # the per-element encoding the array encoders replace, kept as reference
+    special = np.array([0.0, -0.0, 5e-324, -2.2250738585072e-308, 1.5e-310,
+                        1.7976931348623157e308, -1e300, 1e-300, 1 / 3, -2 / 3])
+    real = np.concatenate([special, gen.standard_normal(30) * 10.0 ** gen.integers(
+        -300, 300, 30)]).reshape(8, 5)
+    cplx = real + 1j * real[::-1]
+    old_complex = [[[_f17_reference(v.real), _f17_reference(v.imag)] for v in row]
+                   for row in cplx]
+    old_matrix = [[_f17_reference(float(v)) for v in row] for row in real]
+    assert json.dumps(encode_complex_matrix(cplx)) == json.dumps(old_complex)
+    assert json.dumps(encode_real_matrix(real)) == json.dumps(old_matrix)
+    assert json.dumps(encode_real_vector(special)) == json.dumps(
+        [_f17_reference(float(v)) for v in special])
 
 
 def test_run_personick_identity():
@@ -176,3 +198,40 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["scenario"]["kind"] == "personick"
+
+
+@pytest.mark.parametrize("channel, field", [
+    ({"partial_trace": {"dims": [2, 1]}}, "keep"),
+    ({"partial_trace": {"keep": [0]}}, "dims"),
+    ({"dilation": {"u": np.eye(2).tolist(), "env": [[1.0]], "dims": [2, 1],
+                   "traced": [1]}}, "kept"),
+    ({"partial_trace": [2, 1]}, "dims"),
+])
+def test_cli_channel_spec_missing_field(tmp_path, capsys, channel, field):
+    sc = personick_scenario()
+    sc["channel"] = channel
+    rc = main(["personick", "--input", _write(tmp_path, sc), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:") and repr(field) in err
+
+
+def test_cli_classical_nan_transition(tmp_path, capsys):
+    sc = {"kind": "classical", "px": [0.5, 0.5], "xvals": [0.0, 1.0],
+          "transition": [[float("nan"), 0.5], [0.5, 0.5]]}
+    rc = main(["classical", "--input", _write(tmp_path, sc), "--quiet"])
+    assert rc == 1
+    assert "error: finite:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho, x", [
+    ((np.eye(3) / 3).tolist(), np.eye(3).tolist()),
+    ((np.eye(2) / 2).tolist(), np.ones((2, 3)).tolist()),
+])
+def test_cli_weak_value_dimension_mismatch(tmp_path, capsys, rho, x):
+    sc = {"kind": "weak-value", "rho": rho, "x": x,
+          "povm": {"effects": [np.diag([1.0, 0.0]).tolist(),
+                               np.diag([0.0, 1.0]).tolist()]}}
+    rc = main(["weak-value", "--input", _write(tmp_path, sc), "--quiet"])
+    assert rc == 1
+    assert "error: shape:" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from qretro.estimators import (
     schrodinger_risk,
     weak_value,
 )
+from qretro.operator_core import ValidationError
 from qretro.sampling import (
     random_channel,
     random_density,
@@ -126,6 +127,26 @@ def test_weak_value_zero_probability_outcome():
     povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["a", "b"])
     with pytest.raises(ZeroProbabilityOutcome):
         weak_value(rho, SZ, povm, "b")
+
+
+def test_weak_values_reject_dimension_mismatch():
+    rho = np.eye(3) / 3
+    with pytest.raises(ValidationError, match="shape"):
+        weak_value(rho, np.eye(3), PROJ_X, "+")
+    with pytest.raises(ValidationError, match="shape"):
+        complex_weak_value(rho, np.eye(3), PROJ_X, "+")
+    with pytest.raises(ValidationError, match="shape"):
+        complex_weak_value(np.eye(2) / 2, np.eye(3), PROJ_X, "+")
+
+
+def test_classical_rejects_non_finite():
+    with pytest.raises(ValidationError, match="finite"):
+        ClassicalChannel([[np.nan, 0.5], [0.5, 0.5]])
+    c = ClassicalChannel(np.eye(2))
+    with pytest.raises(ValidationError, match="finite"):
+        classical_conditional_expectation([np.nan, 0.5], c, [0.0, 1.0])
+    with pytest.raises(ValidationError, match="finite"):
+        classical_conditional_expectation([0.5, 0.5], c, [0.0, np.inf])
 
 
 def test_classical_conditional_expectation_noiseless():
@@ -265,3 +286,23 @@ def test_min_risk_monotone_under_postcomposition(gen):
         r1 = personick_estimator(rho, x, first).min_risk
         r2 = personick_estimator(rho, x, first.then(second)).min_risk
         assert r2 >= r1 - 1e-9
+
+
+def test_personick_at_dimension_256(gen):
+    # the desk-scale claim: a full-rank d=256 solve through 4 Kraus operators
+    d = 256
+    rho = random_density(gen, d)
+    x = random_hermitian(gen, d)
+    chan = random_channel(gen, d, d, n_kraus=4)
+    result = personick_estimator(rho, x, chan)
+    krho = sum(k @ rho @ k.conj().T for k in chan.kraus)
+    rhs = sum(k @ core.jordan_product(rho, x) @ k.conj().T for k in chan.kraus)
+    xopt = result.estimator
+    assert result.support_rank == d
+    residual = np.linalg.norm(core.jordan_product(krho, xopt) - rhs)
+    assert residual <= 1e-9 * np.linalg.norm(rhs)
+    second_moment = np.trace(rho @ x @ x).real
+    expected_risk = second_moment - np.trace(krho @ xopt @ xopt).real
+    assert result.min_risk == pytest.approx(expected_risk, abs=1e-9 * second_moment)
+    variance = second_moment - np.trace(rho @ x).real ** 2
+    assert 0.0 <= result.min_risk <= variance
