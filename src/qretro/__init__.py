@@ -23,7 +23,6 @@ from .channels import (
     validate_cptp,
 )
 from .estimators import (
-    ComplexEstimationResult,
     EstimationResult,
     ZeroProbabilityOutcome,
     classical_conditional_expectation,

@@ -146,11 +146,10 @@ def channel_from_dilation(u, env, dims, traced, kept) -> QuantumChannel:
     if sorted(traced + kept) != list(range(len(dims))):
         raise ValidationError("dims", "traced and kept must partition the factors")
     d_a = dims[0]
-    env = as_density(env, name="env")
+    env, spec = as_density(env, name="env", spectrum=True)
     if env.shape[0] * d_a != d_total:
         raise ValidationError("dims", "env dimension inconsistent with dims")
 
-    spec = eig_hermitian(env)
     kraus = []
     (k_idx,) = kept
     perm = traced + kept  # row-axis order: traced factors first, kept last
@@ -215,10 +214,11 @@ class Povm:
         total = sum(eff)
         if float(np.abs(total - np.eye(dim)).max()) > CPTP_TOL:
             raise ValidationError("completeness", "effects must sum to identity")
-        if labels is None:
-            labels = tuple(range(len(eff)))
+        labels = tuple(range(len(eff))) if labels is None else tuple(labels)
+        if len(labels) != len(eff):
+            raise ValidationError("labels", f"{len(labels)} labels for {len(eff)} effects")
         object.__setattr__(self, "effects", eff)
-        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -248,17 +248,17 @@ def channel_from_classical(c: ClassicalChannel) -> QuantumChannel:
 
 def channel_from_cq_ensemble(states, n_in: int | None = None) -> QuantumChannel:
     """κ(ρ) = Σ_x ρ_x ⟨x|ρ|x⟩ for a classical-quantum ensemble {ρ_x}."""
-    states = [as_density(s, name=f"state {x}") for x, s in enumerate(states)]
+    spectra = [as_density(s, name=f"state {x}", spectrum=True)[1]
+               for x, s in enumerate(states)]
     if n_in is None:
-        n_in = len(states)
-    if n_in != len(states):
-        raise ValidationError("dims", f"expected {n_in} states, got {len(states)}")
-    d_out = states[0].shape[0]
-    if any(s.shape[0] != d_out for s in states):
+        n_in = len(spectra)
+    if n_in != len(spectra):
+        raise ValidationError("dims", f"expected {n_in} states, got {len(spectra)}")
+    d_out = spectra[0].eigenvectors.shape[0]
+    if any(spec.eigenvectors.shape[0] != d_out for spec in spectra):
         raise ValidationError("shape", "ensemble states must share one dimension")
     kraus = []
-    for x, s in enumerate(states):
-        spec = eig_hermitian(s)
+    for x, spec in enumerate(spectra):
         for lam, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
             if lam < 1e-14:
                 continue

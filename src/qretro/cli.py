@@ -70,11 +70,11 @@ def main(argv=None) -> int:
             return EXIT_OK if report["results"]["all_passed"] else EXIT_SELFTEST
 
         scenario = load_scenario(args.input)
-        if scenario.get("kind") != args.command:
+        kind = scenario.get("kind") if isinstance(scenario, dict) else None
+        if kind != args.command:
             raise ValidationError(
                 "parse",
-                f"scenario kind {scenario.get('kind')!r} does not match "
-                f"subcommand {args.command!r}",
+                f"scenario kind {kind!r} does not match subcommand {args.command!r}",
             )
         if args.seed is not None:
             scenario["seed"] = args.seed

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import operator_core as core
 from .channels import ClassicalChannel, Povm, QuantumChannel, apply_channel
-from .operator_core import ValidationError, jordan_product
+from .operator_core import ValidationError
 
 RISK_TOL = 1e-9  # two nested eigendecompositions accumulate error
 WEAKVALUE_FLOOR = 1e-12
@@ -29,10 +29,12 @@ class ZeroProbabilityOutcome(ValueError):
 
 @dataclass(frozen=True)
 class EstimationResult:
-    estimator: np.ndarray  # Hermitian optimum
+    """A minimum-risk estimator: Hermitian (Personick) or complex."""
+
+    estimator: np.ndarray
     min_risk: float
-    residual: float  # ‖κ(ρ)∘X̌ − κ(ρ∘X)‖_F
-    support_rank: int
+    residual: float  # ‖κ(ρ)∘X̌ − κ(ρ∘X)‖_F, or ‖X̌κ(ρ) − κ(Xρ)‖_F for complex
+    support_rank: int  # rank of κ(ρ)
     warning: str | None = None
 
     def __post_init__(self):
@@ -40,20 +42,8 @@ class EstimationResult:
             raise ValidationError("risk", f"negative risk {self.min_risk:.3e}")
 
 
-@dataclass(frozen=True)
-class ComplexEstimationResult:
-    estimator: np.ndarray  # generally non-Hermitian
-    min_risk: float
-    residual: float
-
-    def __post_init__(self):
-        if self.min_risk < -RISK_TOL:
-            raise ValidationError("risk", f"negative risk {self.min_risk:.3e}")
-
-
 def _real(value: complex, what: str, tol: float = 1e-12) -> float:
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > tol * scale:
+    if abs(value.imag) > tol * max(1.0, abs(value)):
         raise ValidationError("real", f"{what} has imaginary part {value.imag:.3e}")
     return float(value.real)
 
@@ -65,11 +55,9 @@ def schrodinger_risk(rho, x, k: QuantumChannel, xcheck) -> float:
     xcheck = core.as_hermitian(xcheck, name="xcheck")
     if rho.shape[0] != k.dim_in or xcheck.shape[0] != k.dim_out:
         raise ValidationError("shape", "operator dimensions inconsistent with channel")
-    value = (
-        np.trace(rho @ x @ x)
-        - 2 * np.trace(xcheck @ apply_channel(k, jordan_product(rho, x)))
-        + np.trace(apply_channel(k, rho) @ xcheck @ xcheck)
-    )
+    value = (np.trace(rho @ x @ x)
+             - 2 * np.trace(xcheck @ apply_channel(k, core._jordan(rho, x)))
+             + np.trace(apply_channel(k, rho) @ xcheck @ xcheck))
     return _real(value, "risk")
 
 
@@ -82,8 +70,7 @@ def heisenberg_risk(rho0, x, xcheck, u, dims, x_factor: int = 0,
     """
     dims = [int(d) for d in dims]
     rho0 = core.as_density(rho0, name="rho0")
-    if xcheck_factor is None:
-        xcheck_factor = len(dims) - 1
+    xcheck_factor = len(dims) - 1 if xcheck_factor is None else xcheck_factor
     d_total = int(np.prod(dims))
     u = core.as_square(u, "u")
     if u.shape[0] != d_total or rho0.shape[0] != d_total:
@@ -107,43 +94,47 @@ def personick_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
     if rho.shape[0] != k.dim_in:
         raise ValidationError("shape", "rho dimension != channel dim_in")
     krho = core.as_hermitian(apply_channel(k, rho))
-    rhs = core.as_hermitian(apply_channel(k, jordan_product(rho, x)))
-    xopt, residual = core.solve_jordan(krho, rhs)
+    spec = core.Spectrum.of(krho)
+    spec.require_psd("kappa(rho)")
+    return _personick(rho, x, k, krho, spec)
+
+
+def _personick(rho, x, k, krho, spec: core.Spectrum) -> EstimationResult:
+    """Kernel of `personick_estimator`: checked ρ, x, κ(ρ) and κ(ρ)'s spectrum."""
+    rhs = core.hermitian_part(apply_channel(k, core._jordan(rho, x)))
+    xopt = spec.solve_jordan(rhs)
+    residual = float(np.linalg.norm(core._jordan(krho, xopt) - rhs))
     min_risk = _real(
         np.trace(rho @ x @ x) - np.trace(krho @ xopt @ xopt), "min risk", tol=1e-9
     )
     warning = None
     if residual > RESIDUAL_WARN:
         warning = f"normal-equation residual {residual:.3e} exceeds {RESIDUAL_WARN:g}"
-        warnings.warn(warning, stacklevel=2)
-    return EstimationResult(
-        estimator=xopt,
-        min_risk=min_risk,
-        residual=residual,
-        support_rank=core.support_rank(krho),
-        warning=warning,
-    )
+        warnings.warn(warning, stacklevel=3)
+    return EstimationResult(xopt, min_risk, residual, spec.rank(), warning)
 
 
-def _check_povm_dims(rho, x, p: Povm) -> None:
+def _outcome(rho, x, p: Povm, y):
+    """E(y) and tr E(y)ρ for checked ρ and x, above the probability floor."""
     if rho.shape[0] != p.dim or x.shape[0] != p.dim:
         raise ValidationError(
             "shape", f"rho/x dims {rho.shape[0]}/{x.shape[0]} != POVM dim {p.dim}"
         )
-
-
-def weak_value(rho, x, p: Povm, y) -> float:
-    """Real weak value tr E(y)(ρ∘X) / tr E(y)ρ at outcome y."""
-    rho = core.as_density(rho)
-    x = core.as_hermitian(x, name="x")
-    _check_povm_dims(rho, x, p)
     e = p.effect(y)
     prob = float(np.trace(e @ rho).real)
     if prob <= WEAKVALUE_FLOOR:
         raise ZeroProbabilityOutcome(
             f"outcome {y!r} has probability {prob:.3e}; conditional undefined"
         )
-    return _real(np.trace(e @ jordan_product(rho, x)), "weak value") / prob
+    return e, prob
+
+
+def weak_value(rho, x, p: Povm, y) -> float:
+    """Real weak value tr E(y)(ρ∘X) / tr E(y)ρ at outcome y."""
+    rho = core.as_density(rho)
+    x = core.as_hermitian(x, name="x")
+    e, prob = _outcome(rho, x, p, y)
+    return _real(np.trace(e @ core._jordan(rho, x)), "weak value") / prob
 
 
 def classical_conditional_expectation(px, c: ClassicalChannel, xvals):
@@ -168,33 +159,26 @@ def classical_conditional_expectation(px, c: ClassicalChannel, xvals):
     return estimates, defined
 
 
-def complex_estimator(rho, x, k: QuantumChannel) -> ComplexEstimationResult:
+def complex_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
     """Unconstrained (possibly non-Hermitian) optimum X̌ κ(ρ) = κ(Xρ)."""
     rho = core.as_density(rho)
     x = core.as_square(x, "x")
     if rho.shape[0] != k.dim_in or x.shape[0] != k.dim_in:
         raise ValidationError("shape", "operator dimensions inconsistent with channel")
     krho = core.as_hermitian(apply_channel(k, rho))
+    spec = core.Spectrum.of(krho)
+    spec.require_psd("input")
     rhs = apply_channel(k, x @ rho)
-    xopt = rhs @ core.pseudo_inverse_psd(krho)
+    xopt = rhs @ spec.pseudo_inverse()
     residual = float(np.linalg.norm(xopt @ krho - rhs))
-    min_risk = _real(
-        np.trace(rho @ x.conj().T @ x) - np.trace(krho @ xopt.conj().T @ xopt),
-        "min risk",
-        tol=1e-9,
-    )
-    return ComplexEstimationResult(estimator=xopt, min_risk=min_risk, residual=residual)
+    min_risk = _real(np.trace(rho @ x.conj().T @ x)
+                     - np.trace(krho @ xopt.conj().T @ xopt), "min risk", tol=1e-9)
+    return EstimationResult(xopt, min_risk, residual, spec.rank())
 
 
 def complex_weak_value(rho, x, p: Povm, y) -> complex:
     """Complex weak value tr E(y)Xρ / tr E(y)ρ at outcome y."""
     rho = core.as_density(rho)
     x = core.as_square(x, "x")
-    _check_povm_dims(rho, x, p)
-    e = p.effect(y)
-    prob = float(np.trace(e @ rho).real)
-    if prob <= WEAKVALUE_FLOOR:
-        raise ZeroProbabilityOutcome(
-            f"outcome {y!r} has probability {prob:.3e}; conditional undefined"
-        )
+    e, prob = _outcome(rho, x, p, y)
     return complex(np.trace(e @ x @ rho)) / prob

@@ -4,6 +4,10 @@ The SLD is a Jordan-product solve ∂ρ/∂θ = ρ∘S, the Fisher information i
 J = tr ρS², and its monotonicity under parameter-independent channels is
 exposed as an executable check whose slack equals the minimum retrodiction
 risk of S itself.
+
+Validation happens where a state enters: `StateFamily.density` and
+`.derivative` check ρ(θ) and ∂ρ(θ).  The kernels (`_sld`, `_qfi`, `_push`)
+take checked arrays and the one `Spectrum` of ρ(θ) or κ(ρ(θ)) they solve in.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ import numpy as np
 
 from . import operator_core as core
 from .channels import QuantumChannel, apply_channel
-from .estimators import personick_estimator
-from .operator_core import ValidationError, jordan_product
+from .estimators import _personick, _real
+from .operator_core import ValidationError
 
 FD_STEP = 1e-5  # central differences; ~1e-10 error suffices vs 1e-8 checks
 
@@ -33,23 +37,39 @@ class StateFamily:
     derivative_at: Optional[Callable[[float], np.ndarray]] = None
     fd_step: float = FD_STEP
 
-    def density(self, theta: float) -> np.ndarray:
-        return core.as_density(self.state_at(theta), name=f"rho({theta})")
+    def density(self, theta: float, spectrum: bool = False):
+        """ρ(θ), checked; with spectrum=True, (ρ(θ), its Spectrum)."""
+        return core.as_density(self.state_at(theta), name=f"rho({theta})",
+                               spectrum=spectrum)
 
     def derivative(self, theta: float) -> np.ndarray:
         if self.derivative_at is not None:
-            d = core.as_hermitian(self.derivative_at(theta), name="drho")
-        else:
-            h = self.fd_step
-            d = core.as_hermitian(
-                (np.asarray(self.state_at(theta + h), dtype=complex)
-                 - np.asarray(self.state_at(theta - h), dtype=complex)) / (2 * h),
-                name="drho",
-            )
-        tr = abs(np.trace(d))
-        if tr > 1e-10 * max(1.0, float(np.abs(d).max())):
-            raise ValidationError("trace", f"∂ρ/∂θ has trace {tr:.3e}, expected 0")
-        return d
+            return _tangent(self.derivative_at(theta))
+        h = self.fd_step
+        up, down = (np.asarray(self.state_at(theta + s), dtype=complex) for s in (h, -h))
+        return _tangent((up - down) / (2 * h))
+
+
+def _tangent(d) -> np.ndarray:
+    """Check a derivative of a state: Hermitian and traceless."""
+    d = core.as_hermitian(d, name="drho")
+    tr = abs(np.trace(d))
+    if tr > 1e-10 * max(1.0, float(np.abs(d).max())):
+        raise ValidationError("trace", f"∂ρ/∂θ has trace {tr:.3e}, expected 0")
+    return d
+
+
+def _sld(rho, spec: core.Spectrum, drho, theta: float) -> np.ndarray:
+    """Kernel of `sld`: checked ρ with its spectrum and checked ∂ρ."""
+    comp = np.eye(rho.shape[0]) - spec.projector()
+    leak = float(np.linalg.norm(comp @ drho @ comp))
+    scale = max(1.0, float(np.linalg.norm(drho)))
+    if leak > 1e-8 * scale:
+        raise RankChangeError(
+            f"derivative has norm {leak:.3e} off the support of rho({theta}); "
+            "the family changes rank at this point"
+        )
+    return spec.solve_jordan(drho)
 
 
 def sld(family: StateFamily, theta: float) -> np.ndarray:
@@ -58,19 +78,12 @@ def sld(family: StateFamily, theta: float) -> np.ndarray:
     Families whose rank changes at θ (derivative leaking off the support)
     are rejected: the SLD does not exist there.
     """
-    rho = family.density(theta)
-    drho = family.derivative(theta)
-    proj = core.support_projector(rho)
-    comp = np.eye(rho.shape[0]) - proj
-    leak = float(np.linalg.norm(comp @ drho @ comp))
-    scale = max(1.0, float(np.linalg.norm(drho)))
-    if leak > 1e-8 * scale:
-        raise RankChangeError(
-            f"derivative has norm {leak:.3e} off the support of rho({theta}); "
-            "the family changes rank at this point"
-        )
-    s, _residual = core.solve_jordan(rho, drho)
-    return s
+    rho, spec = family.density(theta, spectrum=True)
+    return _sld(rho, spec, family.derivative(theta), theta)
+
+
+def _qfi(rho, s) -> float:
+    return _real(np.trace(rho @ s @ s), "J")
 
 
 def qfi(rho, s) -> float:
@@ -79,23 +92,18 @@ def qfi(rho, s) -> float:
     s = core.as_hermitian(s, name="s")
     if rho.shape != s.shape:
         raise ValidationError("shape", "rho and s dimensions differ")
-    value = np.trace(rho @ s @ s)
-    if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
-        raise ValidationError("real", f"J has imaginary part {value.imag:.3e}")
-    return float(value.real)
+    return _qfi(rho, s)
 
 
 def qfi_at(family: StateFamily, theta: float) -> float:
-    return qfi(family.density(theta), sld(family, theta))
+    rho, spec = family.density(theta, spectrum=True)
+    return _qfi(rho, _sld(rho, spec, family.derivative(theta), theta))
 
 
 def push_family(family: StateFamily, k: QuantumChannel) -> StateFamily:
     """The image family θ ↦ κ(ρ(θ)); the derivative pushes through κ linearly."""
-    return StateFamily(
-        state_at=lambda t: apply_channel(k, family.density(t)),
-        derivative_at=lambda t: apply_channel(k, family.derivative(t)),
-        fd_step=family.fd_step,
-    )
+    return StateFamily(lambda t: apply_channel(k, family.density(t)),
+                       lambda t: apply_channel(k, family.derivative(t)), family.fd_step)
 
 
 @dataclass(frozen=True)
@@ -117,40 +125,34 @@ class MonotonicityReport:
     support_rank: int
 
 
+def _push(family: StateFamily, k: QuantumChannel, theta: float):
+    """ρ, S_ρ, κ(ρ), S_κ(ρ) and the Personick estimate of S_ρ at θ, solved in
+    one `eigh` of ρ and one of κ(ρ)."""
+    rho, spec = family.density(theta, spectrum=True)
+    drho = family.derivative(theta)
+    s_in = _sld(rho, spec, drho, theta)
+    krho, kspec = core.as_density(apply_channel(k, rho), name=f"kappa(rho({theta}))",
+                                  spectrum=True)
+    s_out = _sld(krho, kspec, _tangent(apply_channel(k, drho)), theta)
+    return rho, s_in, krho, s_out, _personick(rho, s_in, k, krho, kspec)
+
+
 def sld_pushforward_check(family: StateFamily, k: QuantumChannel,
                           theta: float) -> PushforwardReport:
     """Verify that the output SLD is the conditional expectation of the input SLD."""
-    s_in = sld(family, theta)
-    pushed = push_family(family, k)
-    s_out = sld(pushed, theta)
-    krho = core.as_hermitian(apply_channel(k, family.density(theta)))
-    lhs = jordan_product(krho, s_out)
-    rhs = core.as_hermitian(apply_channel(k, jordan_product(family.density(theta), s_in)))
-    est = personick_estimator(family.density(theta), s_in, k).estimator
-    return PushforwardReport(
-        lhs=lhs,
-        rhs=rhs,
-        gap=float(np.linalg.norm(lhs - rhs)),
-        estimator_gap=float(np.linalg.norm(s_out - est)),
-    )
+    rho, s_in, krho, s_out, est = _push(family, k, theta)
+    lhs = core._jordan(krho, s_out)
+    rhs = core.hermitian_part(apply_channel(k, core._jordan(rho, s_in)))
+    return PushforwardReport(lhs, rhs, float(np.linalg.norm(lhs - rhs)),
+                             float(np.linalg.norm(s_out - est.estimator)))
 
 
 def monotonicity_check(family: StateFamily, k: QuantumChannel,
                        theta: float) -> MonotonicityReport:
     """J(ρ) − J(κ(ρ)) ≥ 0, with the slack equal to a Personick minimum risk."""
-    rho = family.density(theta)
-    s_in = sld(family, theta)
-    j_in = qfi(rho, s_in)
-    pushed = push_family(family, k)
-    j_out = qfi(pushed.density(theta), sld(pushed, theta))
-    result = personick_estimator(rho, s_in, k)
-    return MonotonicityReport(
-        j_in=j_in,
-        j_out=j_out,
-        slack=j_in - j_out,
-        personick_risk=result.min_risk,
-        support_rank=result.support_rank,
-    )
+    rho, s_in, krho, s_out, est = _push(family, k, theta)
+    j_in, j_out = _qfi(rho, s_in), _qfi(krho, s_out)
+    return MonotonicityReport(j_in, j_out, j_in - j_out, est.min_risk, est.support_rank)
 
 
 # --- named family constructors (reproducible fixtures) ---------------------
@@ -161,10 +163,8 @@ def diagonal_line_family(p0, slope) -> StateFamily:
     slope = np.asarray(slope, dtype=float)
     if abs(slope.sum()) > 1e-12:
         raise ValidationError("trace", "slope must sum to zero")
-    return StateFamily(
-        state_at=lambda t: np.diag((p0 + t * slope).astype(complex)),
-        derivative_at=lambda t: np.diag(slope.astype(complex)),
-    )
+    return StateFamily(lambda t: np.diag((p0 + t * slope).astype(complex)),
+                       lambda t: np.diag(slope.astype(complex)))
 
 
 def diagonal_exponential_family(p0, weights) -> StateFamily:
@@ -180,17 +180,14 @@ def diagonal_exponential_family(p0, weights) -> StateFamily:
         p = probs(t)
         return np.diag((p * (weights - p @ weights)).astype(complex))
 
-    return StateFamily(
-        state_at=lambda t: np.diag(probs(t).astype(complex)),
-        derivative_at=deriv,
-    )
+    return StateFamily(lambda t: np.diag(probs(t).astype(complex)), deriv)
 
 
 def unitary_rotation_family(rho0, h) -> StateFamily:
     """ρ(θ) = e^{−iθH} ρ₀ e^{iθH} with analytic derivative −i[H, ρ(θ)]."""
     rho0 = core.as_density(rho0, name="rho0")
     h = core.as_hermitian(h, name="h")
-    spec = core.eig_hermitian(h)
+    spec = core.Spectrum.of(h)
 
     def state(t):
         u = (spec.eigenvectors * np.exp(-1j * t * spec.eigenvalues)) @ \

@@ -5,6 +5,11 @@ and the Jordan-product linear solve that every estimator in this package
 reduces to.  Everything here is a pure function of dense numpy arrays;
 matrices are small (desk scale, dims up to a few hundred), so no sparse
 path is provided.
+
+Validation happens once, where an operator enters the public functions,
+through `as_square`, `as_hermitian` and `as_density`.  A `Spectrum` is one
+`eigh` of a checked operator; its methods (Jordan solve, support, rank,
+pseudo-inverse) are the kernels, which never validate again.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 SUPPORT_TOL = 1e-12  # relative to the largest eigenvalue
-SOLVE_TOL = 1e-10
 CPTP_TOL = 1e-10
 
 
@@ -40,7 +44,7 @@ def as_square(m, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("shape", f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError("finite", f"{name} contains NaN or Inf entries")
     return m
 
@@ -67,24 +71,32 @@ def as_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "operator") -> np.
 
 
 def as_density(m, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL,
-               name: str = "state") -> np.ndarray:
-    """Validate a density operator: Hermitian, PSD, unit trace."""
+               name: str = "state", spectrum: bool = False):
+    """Validate a density operator: Hermitian, PSD, unit trace.
+
+    spectrum=True returns (ρ, its Spectrum); the PSD test reads that `eigh`.
+    """
     rho = as_hermitian(m, name=name)
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError("trace", f"{name} has trace {tr!r}, expected 1")
-    wmin = float(np.linalg.eigvalsh(rho).min())
+    spec = Spectrum.of(rho) if spectrum else None
+    wmin = float((spec.eigenvalues if spectrum else np.linalg.eigvalsh(rho)).min())
     if wmin < -psd_tol:
         raise ValidationError("psd", f"{name} has eigenvalue {wmin:.3e} < 0")
-    return rho
+    return (rho, spec) if spectrum else rho
 
 
 def jordan_product(a, b) -> np.ndarray:
     """Symmetrized product (ab + ba)/2; Hermitian for Hermitian a, b."""
-    a = as_square(a, "a")
-    b = as_square(b, "b")
+    a, b = as_square(a, "a"), as_square(b, "b")
     if a.shape != b.shape:
         raise ValidationError("shape", f"dimension mismatch {a.shape} vs {b.shape}")
+    return _jordan(a, b)
+
+
+def _jordan(a, b) -> np.ndarray:
+    """Kernel of `jordan_product` for arrays already checked."""
     return (a @ b + b @ a) / 2
 
 
@@ -131,15 +143,11 @@ def partial_trace(m, dims, keep) -> np.ndarray:
         raise ValidationError("keep", "empty keep set")
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise ValidationError("keep", f"keep indices {keep} out of range")
+    # row index i, column index n+i; a traced factor shares one index
     n = len(dims)
-    t = m.reshape(dims + dims)
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [chr(ord("a") + n + i) for i in range(n)]
-    for i in range(n):
-        if i not in keep:
-            col[i] = row[i]
-    sub_out = "".join(row[i] for i in keep) + "".join(chr(ord("a") + n + i) for i in keep)
-    out = np.einsum("".join(row) + "".join(col) + "->" + sub_out, t)
+    col = [n + i if i in keep else i for i in range(n)]
+    out = np.einsum(m.reshape(dims + dims), list(range(n)) + col,
+                    keep + [n + i for i in keep])
     dk = int(np.prod([dims[i] for i in keep]))
     return out.reshape(dk, dk)
 
@@ -151,78 +159,88 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # orthonormal columns
 
+    @classmethod
+    def of(cls, h) -> "Spectrum":
+        """One `eigh` of an array already checked Hermitian."""
+        try:
+            return cls(*np.linalg.eigh(h))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from exc
+
+    @property
+    def wmax(self) -> float:
+        return float(self.eigenvalues.max()) if self.eigenvalues.size else 0.0
+
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
+    def require_psd(self, name: str) -> None:
+        """Reject eigenvalues below −PSD_TOL × max(1, λ_max)."""
+        wmin = float(self.eigenvalues.min())
+        if wmin < -PSD_TOL * max(1.0, self.wmax):
+            raise ValidationError("psd", f"{name} has eigenvalue {wmin:.3e} < 0")
+
+    def support(self, tol: float = SUPPORT_TOL) -> np.ndarray:
+        """Mask of the eigenvalues above tol × λ_max (none if λ_max ≤ 0)."""
+        w, wmax = self.eigenvalues, self.wmax
+        return w > tol * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
+
+    def rank(self, tol: float = SUPPORT_TOL) -> int:
+        return int(np.count_nonzero(self.support(tol)))
+
+    def projector(self, tol: float = SUPPORT_TOL) -> np.ndarray:
+        vs = self.eigenvectors[:, self.support(tol)]
+        return hermitian_part(vs @ vs.conj().T)
+
+    def pseudo_inverse(self, tol: float = SUPPORT_TOL) -> np.ndarray:
+        w, v, mask = self.eigenvalues, self.eigenvectors, self.support(tol)
+        winv = np.divide(1.0, w, out=np.zeros_like(w), where=mask)
+        return hermitian_part((v * winv) @ v.conj().T)
+
+    def solve_jordan(self, b, support_tol: float = SUPPORT_TOL) -> np.ndarray:
+        """Solve a∘x = b, a this operator: in its eigenbasis x'_ij = 2 b'_ij /
+        (λ_i + λ_j) where λ_i + λ_j > support_tol × λ_max, else 0 (canonical:
+        any value on the kernel of a leaves the risk unchanged)."""
+        w, v, wmax = self.eigenvalues, self.eigenvectors, self.wmax
+        bp = v.conj().T @ b @ v
+        denom = w[:, None] + w[None, :]
+        keep = denom > support_tol * wmax if wmax > 0 else False
+        xp = np.divide(2 * bp, denom, out=np.zeros_like(bp), where=keep)
+        return hermitian_part(v @ xp @ v.conj().T)
+
 
 def eig_hermitian(h) -> Spectrum:
-    h = as_hermitian(h)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from exc
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    return Spectrum.of(as_hermitian(h))
 
 
 def solve_jordan(a, b, support_tol: float = SUPPORT_TOL):
-    """Solve a ∘ x = b for Hermitian x, with a PSD.
-
-    Works in the eigenbasis of a: x'_ij = 2 b'_ij / (λ_i + λ_j) where the
-    denominator is above support_tol × λ_max, zero elsewhere (any value on
-    the kernel of a leaves the risk unchanged; zero is canonical).
+    """Solve a ∘ x = b for Hermitian x, with a PSD (see Spectrum.solve_jordan).
 
     Returns (x, residual) with residual = ‖a∘x − b‖_F; for full-rank a and
     Hermitian b this is the unique Hermitian solution and the residual is
     at rounding level.
     """
-    a = as_hermitian(a, name="a")
-    b = as_hermitian(b, name="b")
+    a, b = as_hermitian(a, name="a"), as_hermitian(b, name="b")
     if a.shape != b.shape:
         raise ValidationError("shape", f"dimension mismatch {a.shape} vs {b.shape}")
-    spec = eig_hermitian(a)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    wmax = float(w.max()) if w.size else 0.0
-    if float(w.min()) < -PSD_TOL * max(1.0, wmax):
-        raise ValidationError("psd", f"a has eigenvalue {w.min():.3e} < 0")
-    bp = v.conj().T @ b @ v
-    denom = w[:, None] + w[None, :]
-    xp = np.zeros_like(bp)
-    if wmax > 0:
-        mask = denom > support_tol * wmax
-        xp[mask] = 2 * bp[mask] / denom[mask]
-    x = hermitian_part(v @ xp @ v.conj().T)
-    residual = float(np.linalg.norm(jordan_product(a, x) - b))
-    return x, residual
+    spec = Spectrum.of(a)
+    spec.require_psd("a")
+    x = spec.solve_jordan(b, support_tol)
+    return x, float(np.linalg.norm(_jordan(a, x) - b))
 
 
 def support_projector(h, tol: float = SUPPORT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with λ > tol × λ_max."""
-    spec = eig_hermitian(h)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    wmax = float(w.max()) if w.size else 0.0
-    mask = w > tol * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
-    vs = v[:, mask]
-    return hermitian_part(vs @ vs.conj().T)
+    return eig_hermitian(h).projector(tol)
 
 
 def support_rank(h, tol: float = SUPPORT_TOL) -> int:
-    w = eig_hermitian(h).eigenvalues
-    wmax = float(w.max()) if w.size else 0.0
-    if wmax <= 0:
-        return 0
-    return int(np.count_nonzero(w > tol * wmax))
+    return eig_hermitian(h).rank(tol)
 
 
 def pseudo_inverse_psd(h, tol: float = SUPPORT_TOL) -> np.ndarray:
     """Moore–Penrose inverse of a PSD matrix via eigendecomposition."""
     spec = eig_hermitian(h)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    wmax = float(w.max()) if w.size else 0.0
-    if float(w.min()) < -PSD_TOL * max(1.0, wmax):
-        raise ValidationError("psd", f"input has eigenvalue {w.min():.3e} < 0")
-    winv = np.zeros_like(w)
-    if wmax > 0:
-        mask = w > tol * wmax
-        winv[mask] = 1.0 / w[mask]
-    return hermitian_part((v * winv) @ v.conj().T)
+    spec.require_psd("input")
+    return spec.pseudo_inverse(tol)

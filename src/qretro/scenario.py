@@ -10,6 +10,7 @@ doubles, so serialization is byte-deterministic), and list diagnostics.
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 
@@ -28,6 +29,7 @@ from .channels import (
     partial_trace_channel,
 )
 from .estimators import (
+    WEAKVALUE_FLOOR,
     classical_conditional_expectation,
     complex_estimator,
     complex_weak_value,
@@ -35,7 +37,7 @@ from .estimators import (
     schrodinger_risk,
     weak_value,
 )
-from .operator_core import ValidationError
+from .operator_core import HERMITICITY_TOL, ValidationError
 from .sampling import random_channel, random_density, random_hermitian, rng
 
 KINDS = ("personick", "complex", "weak-value", "classical", "qfi-mono",
@@ -97,16 +99,44 @@ def _require(scenario: dict, field: str):
     return scenario[field]
 
 
+def _list(obj, name: str) -> list:
+    if not isinstance(obj, list):
+        raise ValidationError("parse", f"field {name!r} must be a list, got {obj!r}")
+    return obj
+
+
+def _int(obj, name: str, minimum: int = 1) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int) or obj < minimum:
+        raise ValidationError(
+            "parse", f"field {name!r} must be an integer >= {minimum}, got {obj!r}"
+        )
+    return obj
+
+
+def _number(obj, name: str) -> float:
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ValidationError("parse", f"field {name!r} must be a number, got {obj!r}")
+    return float(obj)
+
+
+def _reals(obj: dict, field: str) -> np.ndarray:
+    """A required field holding a number or nested lists of numbers."""
+    value = _require(obj, field)
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("parse", f"field {field!r}: {exc}") from exc
+
+
 def decode_channel(obj) -> QuantumChannel:
     if not isinstance(obj, dict):
         raise ValidationError("parse", "channel must be an object")
     if "kraus" in obj:
-        kraus = [decode_complex_matrix(k, "kraus") for k in obj["kraus"]]
-        return QuantumChannel(kraus, labels=obj.get("labels"))
+        kraus = [decode_complex_matrix(k, "kraus")
+                 for k in _list(obj["kraus"], "kraus")]
+        return QuantumChannel(kraus, labels=_labels(obj))
     if "classical" in obj:
-        return channel_from_classical(
-            ClassicalChannel(np.asarray(obj["classical"], dtype=float))
-        )
+        return channel_from_classical(ClassicalChannel(_reals(obj, "classical")))
     if "povm" in obj:
         return channel_from_povm(decode_povm(obj["povm"]))
     if "partial_trace" in obj:
@@ -122,31 +152,38 @@ def decode_channel(obj) -> QuantumChannel:
             _require(spec, "kept"),
         )
     if "depolarizing" in obj:
-        return depolarizing_channel(int(obj["depolarizing"]))
+        return depolarizing_channel(_int(obj["depolarizing"], "depolarizing"))
     if "identity" in obj:
-        return identity_channel(int(obj["identity"]))
+        return identity_channel(_int(obj["identity"], "identity"))
     raise ValidationError("parse", f"unrecognized channel spec: {sorted(obj)}")
 
 
+def _labels(obj):
+    labels = obj.get("labels")
+    return None if labels is None else _list(labels, "labels")
+
+
 def decode_povm(obj) -> Povm:
-    effects = [decode_complex_matrix(e, "effect") for e in _require(obj, "effects")]
-    return Povm(effects, labels=obj.get("labels"))
+    effects = [decode_complex_matrix(e, "effect")
+               for e in _list(_require(obj, "effects"), "effects")]
+    return Povm(effects, labels=_labels(obj))
 
 
 def decode_family(obj) -> fisher.StateFamily:
     kind = _require(obj, "type")
     if kind == "diagonal_line":
-        return fisher.diagonal_line_family(obj["p0"], obj["slope"])
+        return fisher.diagonal_line_family(_reals(obj, "p0"), _reals(obj, "slope"))
     if kind == "diagonal_exponential":
-        return fisher.diagonal_exponential_family(obj["p0"], obj["weights"])
+        return fisher.diagonal_exponential_family(_reals(obj, "p0"),
+                                                  _reals(obj, "weights"))
     if kind == "unitary_rotation":
         return fisher.unitary_rotation_family(
-            decode_complex_matrix(obj["rho0"], "rho0"),
-            decode_complex_matrix(obj["h"], "h"),
+            decode_complex_matrix(_require(obj, "rho0"), "rho0"),
+            decode_complex_matrix(_require(obj, "h"), "h"),
         )
     if kind == "depolarizing_mixture":
         return fisher.depolarizing_mixture_family(
-            decode_family(obj["base"]), float(obj["p"])
+            decode_family(_require(obj, "base")), _number(_require(obj, "p"), "p")
         )
     raise ValidationError("parse", f"unknown family type {kind!r}")
 
@@ -154,7 +191,10 @@ def decode_family(obj) -> fisher.StateFamily:
 # --- dispatch ---------------------------------------------------------------
 
 def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
-    """Execute one scenario and return its report as a plain dict."""
+    """Execute one scenario and return its report as a plain dict.
+
+    `tol_scale` scales the monotonicity threshold of a `qfi-mono` sweep.
+    """
     if not isinstance(scenario, dict):
         raise ValidationError("parse", "scenario must be a JSON object")
     kind = _require(scenario, "kind")
@@ -164,7 +204,10 @@ def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
     caught: list[str] = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        results = _DISPATCH[kind](scenario, tol_scale)
+        if kind == "qfi-mono" and "sweep" in scenario:
+            results = _run_qfi_sweep(scenario, tol_scale)
+        else:
+            results = _DISPATCH[kind](scenario)
         caught = [str(w.message) for w in wlist]
     elapsed = time.perf_counter() - start
     return {
@@ -174,7 +217,7 @@ def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
     }
 
 
-def _run_risk(sc, tol_scale):
+def _run_risk(sc):
     k = decode_channel(_require(sc, "channel"))
     value = schrodinger_risk(
         decode_complex_matrix(_require(sc, "rho"), "rho"),
@@ -185,7 +228,7 @@ def _run_risk(sc, tol_scale):
     return {"risk": _f17(value)}
 
 
-def _run_personick(sc, tol_scale):
+def _run_personick(sc):
     result = personick_estimator(
         decode_complex_matrix(_require(sc, "rho"), "rho"),
         decode_complex_matrix(_require(sc, "x"), "x"),
@@ -200,7 +243,7 @@ def _run_personick(sc, tol_scale):
     }
 
 
-def _run_complex(sc, tol_scale):
+def _run_complex(sc):
     result = complex_estimator(
         decode_complex_matrix(_require(sc, "rho"), "rho"),
         decode_complex_matrix(_require(sc, "x"), "x"),
@@ -213,7 +256,7 @@ def _run_complex(sc, tol_scale):
     }
 
 
-def _run_weak_value(sc, tol_scale):
+def _run_weak_value(sc):
     rho = decode_complex_matrix(_require(sc, "rho"), "rho")
     x = decode_complex_matrix(_require(sc, "x"), "x")
     povm = decode_povm(_require(sc, "povm"))
@@ -221,12 +264,12 @@ def _run_weak_value(sc, tol_scale):
         raise ValidationError(
             "shape", f"rho/x shapes {rho.shape}/{x.shape} != POVM dim {povm.dim}"
         )
-    hermitian = float(np.abs(x - x.conj().T).max()) <= 1e-10
+    hermitian = float(np.abs(x - x.conj().T).max()) <= HERMITICITY_TOL
     outcomes = []
     for label in povm.labels:
         prob = float(np.trace(povm.effect(label) @ rho).real)
         entry = {"label": label, "probability": _f17(prob)}
-        if prob > 1e-12:
+        if prob > WEAKVALUE_FLOOR:
             if hermitian:
                 entry["weak_value"] = _f17(weak_value(rho, x, povm, label))
             entry["complex_weak_value"] = encode_complex(
@@ -238,23 +281,21 @@ def _run_weak_value(sc, tol_scale):
     return {"outcomes": outcomes}
 
 
-def _run_classical(sc, tol_scale):
-    chan = ClassicalChannel(np.asarray(_require(sc, "transition"), dtype=float))
-    estimates, defined = classical_conditional_expectation(
-        _require(sc, "px"), chan, _require(sc, "xvals")
-    )
+def _run_classical(sc):
+    chan = ClassicalChannel(_reals(sc, "transition"))
+    estimates, defined = classical_conditional_expectation(_reals(sc, "px"), chan,
+                                                           _reals(sc, "xvals"))
     return {
         "estimates": [(_f17(v) if ok else None) for v, ok in zip(estimates, defined)],
         "defined": [bool(b) for b in defined],
     }
 
 
-def _run_qfi_mono(sc, tol_scale):
-    if "sweep" in sc:
-        return _run_qfi_sweep(sc, tol_scale)
+def _run_qfi_mono(sc):
     family = decode_family(_require(sc, "family"))
     k = decode_channel(_require(sc, "channel"))
-    report = fisher.monotonicity_check(family, k, float(sc.get("theta", 0.0)))
+    theta = _number(sc.get("theta", 0.0), "theta")
+    report = fisher.monotonicity_check(family, k, theta)
     return {
         "j_in": _f17(report.j_in),
         "j_out": _f17(report.j_out),
@@ -266,9 +307,13 @@ def _run_qfi_mono(sc, tol_scale):
 
 def _run_qfi_sweep(sc, tol_scale):
     spec = sc["sweep"]
-    count = int(spec.get("count", 200))
-    dims = [int(d) for d in spec.get("dims", [2, 3, 4])]
-    gen = rng(int(sc.get("seed", 0)))
+    if not isinstance(spec, dict):
+        raise ValidationError("parse", f"field 'sweep' must be an object, got {spec!r}")
+    count = _int(spec.get("count", 200), "count")
+    dims = [_int(d, "dims") for d in _list(spec.get("dims", [2, 3, 4]), "dims")]
+    if not dims:
+        raise ValidationError("parse", "field 'dims' must not be empty")
+    gen = rng(_int(sc.get("seed", 0), "seed", minimum=0))
     slack_tol = 1e-8 * tol_scale
     rows = []
     worst_slack = np.inf
@@ -299,21 +344,21 @@ def _run_qfi_sweep(sc, tol_scale):
     }
 
 
-def _decode_gaussian(obj, name) -> gaussian.GaussianWigner:
+def _decode_gaussian(obj) -> gaussian.GaussianWigner:
     return gaussian.GaussianWigner(
-        mean=np.asarray(_require(obj, "mean"), dtype=float),
-        covariance=np.asarray(_require(obj, "covariance"), dtype=float),
-        weight=float(obj.get("weight", 1.0)),
+        mean=_reals(obj, "mean"),
+        covariance=_reals(obj, "covariance"),
+        weight=_number(obj.get("weight", 1.0), "weight"),
     )
 
 
-def _run_gaussian(sc, tol_scale):
-    wr = _decode_gaussian(_require(sc, "state"), "state")
-    we = _decode_gaussian(_require(sc, "effect"), "effect")
+def _run_gaussian(sc):
+    wr = _decode_gaussian(_require(sc, "state"))
+    we = _decode_gaussian(_require(sc, "effect"))
     xspec = _require(sc, "x")
     x = gaussian.LinearQuadrature(
-        coeffs=np.asarray(_require(xspec, "coeffs"), dtype=float),
-        offset=float(xspec.get("offset", 0.0)),
+        coeffs=_reals(xspec, "coeffs"),
+        offset=_number(xspec.get("offset", 0.0), "offset"),
     )
     product = gaussian.gaussian_product(wr, we)
     estimate = gaussian.quadrature_estimator(wr, we, x)
@@ -362,6 +407,4 @@ def write_report(report: dict, path) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         fh.write(serialize_report(report) + "\n")
-    import os
-
     os.replace(tmp, path)

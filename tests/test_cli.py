@@ -235,3 +235,58 @@ def test_cli_weak_value_dimension_mismatch(tmp_path, capsys, rho, x):
     rc = main(["weak-value", "--input", _write(tmp_path, sc), "--quiet"])
     assert rc == 1
     assert "error: shape:" in capsys.readouterr().err
+
+
+POVM_EFFECTS = [np.diag([1.0, 0.0]).tolist(), np.diag([0.0, 1.0]).tolist()]
+
+
+@pytest.mark.parametrize("channel, message", [
+    ({"classical": "abc"}, "'classical'"),
+    ({"depolarizing": [2]}, "'depolarizing'"),
+    ({"identity": "x"}, "'identity'"),
+    ({"kraus": 5}, "'kraus'"),
+    ({"povm": {"effects": POVM_EFFECTS, "labels": 3}}, "'labels'"),
+])
+def test_cli_channel_spec_wrong_type(tmp_path, capsys, channel, message):
+    sc = personick_scenario()
+    sc["channel"] = channel
+    rc = main(["personick", "--input", _write(tmp_path, sc), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:") and message in err
+
+
+def test_cli_classical_non_numeric_xvals(tmp_path, capsys):
+    sc = {"kind": "classical", "px": [0.5, 0.5], "xvals": ["a", 1.0],
+          "transition": [[0.5, 0.5], [0.5, 0.5]]}
+    rc = main(["classical", "--input", _write(tmp_path, sc), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:") and "'xvals'" in err
+
+
+@pytest.mark.parametrize("sweep, message", [
+    (5, "'sweep'"),
+    ({"count": "x"}, "'count'"),
+    ({"count": 0}, "'count'"),
+    ({"dims": [0]}, "'dims'"),
+    ({"dims": []}, "'dims'"),
+    ({"dims": 3}, "'dims'"),
+])
+def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
+    sc = {"kind": "qfi-mono", "seed": 1, "sweep": sweep}
+    rc = main(["qfi-mono", "--input", _write(tmp_path, sc), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:") and message in err
+
+
+def test_cli_scenario_not_an_object(tmp_path, capsys):
+    rc = main(["personick", "--input", _write(tmp_path, [1, 2]), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: parse:")
+
+
+def test_complex_results_keys():
+    sc = dict(personick_scenario(), kind="complex")
+    assert sorted(run_scenario(sc)["results"]) == ["estimator", "min_risk", "residual"]

@@ -210,6 +210,22 @@ def test_complex_estimator_depolarizing(gen):
                                np.trace(x @ rho) * np.eye(2), atol=1e-10)
 
 
+def test_complex_estimator_support_rank_matches_personick(gen):
+    rho = random_density(gen, 3)
+    x = random_hermitian(gen, 3)
+    for chan in (random_channel(gen, 3, 2), depolarizing_channel(3),
+                 channel_from_povm(Povm([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])]))):
+        cplx = complex_estimator(rho, x, chan)
+        herm = personick_estimator(rho, x, chan)
+        assert cplx.support_rank == herm.support_rank
+        assert cplx.warning is None
+
+
+def test_povm_label_count_must_match_effects():
+    with pytest.raises(ValidationError, match="labels"):
+        Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["only"])
+
+
 def test_complex_estimator_matches_complex_weak_values(gen):
     rho = random_density(gen, 2)
     x = SX + 1j * SY

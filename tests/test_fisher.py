@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SZ
 from qretro import fisher
 from qretro.channels import depolarizing_channel, identity_channel
+from qretro.estimators import complex_estimator, personick_estimator
 from qretro.fisher import (
     RankChangeError,
     StateFamily,
@@ -11,6 +14,7 @@ from qretro.fisher import (
     diagonal_exponential_family,
     diagonal_line_family,
     monotonicity_check,
+    push_family,
     qfi,
     qfi_at,
     sld,
@@ -18,7 +22,7 @@ from qretro.fisher import (
     unitary_rotation_family,
 )
 from qretro.operator_core import jordan_product
-from qretro.sampling import random_channel, random_density, random_hermitian
+from qretro.sampling import random_channel, random_density, random_hermitian, rng
 
 QUBIT_LINE = diagonal_line_family([0.5, 0.5], [0.5, -0.5])
 
@@ -158,3 +162,62 @@ def test_derivative_trace_check():
     family = StateFamily(state_at=lambda t: np.diag([0.5 + t, 0.5]).astype(complex))
     with pytest.raises(Exception):
         family.derivative(0.0)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Counts calls of np.linalg.eigh and np.linalg.eigvalsh."""
+    count = {"n": 0}
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            count["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return count
+
+
+def test_eigensolve_budget(gen, eigensolves):
+    # one eigh of rho and one of kappa(rho) per check; the SLD alone needs one
+    family = unitary_rotation_family(random_density(gen, 3), random_hermitian(gen, 3))
+    chan = random_channel(gen, 3, 4)
+    rho, x = random_density(gen, 3), random_hermitian(gen, 3)
+    for call, budget in [
+        (lambda: monotonicity_check(family, chan, 0.2), 2),
+        (lambda: sld_pushforward_check(family, chan, 0.2), 2),
+        (lambda: personick_estimator(rho, x, chan), 2),
+        (lambda: complex_estimator(rho, x, chan), 2),
+        (lambda: sld(family, 0.2), 1),
+        (lambda: qfi_at(family, 0.2), 1),
+    ]:
+        eigensolves["n"] = 0
+        call()
+        assert eigensolves["n"] == budget
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d_in=st.sampled_from([2, 3, 4]), d_out=st.sampled_from([2, 3, 4]),
+       seed=st.integers(0, 2**32 - 1), theta=st.floats(-0.5, 0.5))
+def test_monotonicity_matches_public_composition(d_in, d_out, seed, theta):
+    # J(rho) - J(kappa(rho)) is the Personick risk of the SLD (Braunstein-Caves),
+    # and the check agrees with sld, qfi and personick_estimator composed
+    gen = rng(seed)
+    family = unitary_rotation_family(random_density(gen, d_in),
+                                     random_hermitian(gen, d_in))
+    chan = random_channel(gen, d_in, d_out)
+    report = monotonicity_check(family, chan, theta)
+    assert report.slack >= -1e-8
+    assert abs(report.slack - report.personick_risk) <= 1e-8
+
+    s_in = sld(family, theta)
+    pushed = push_family(family, chan)
+    j_in = qfi(family.density(theta), s_in)
+    j_out = qfi(pushed.density(theta), sld(pushed, theta))
+    est = personick_estimator(family.density(theta), s_in, chan)
+    assert report.j_in == pytest.approx(j_in, rel=0, abs=1e-12)
+    assert report.j_out == pytest.approx(j_out, rel=0, abs=1e-12)
+    assert report.slack == pytest.approx(j_in - j_out, rel=0, abs=1e-12)
+    assert report.personick_risk == pytest.approx(est.min_risk, rel=0, abs=1e-12)
+    assert report.support_rank == est.support_rank
