@@ -18,7 +18,7 @@ from .operator_core import (
     CPTP_TOL,
     PSD_TOL,
     ValidationError,
-    as_density,
+    _density_with_spectrum,
     as_hermitian,
     as_square,
     eig_hermitian,
@@ -146,7 +146,7 @@ def channel_from_dilation(u, env, dims, traced, kept) -> QuantumChannel:
     if sorted(traced + kept) != list(range(len(dims))):
         raise ValidationError("dims", "traced and kept must partition the factors")
     d_a = dims[0]
-    env, spec = as_density(env, name="env", spectrum=True)
+    env, spec = _density_with_spectrum(env, name="env")
     if env.shape[0] * d_a != d_total:
         raise ValidationError("dims", "env dimension inconsistent with dims")
 
@@ -248,7 +248,7 @@ def channel_from_classical(c: ClassicalChannel) -> QuantumChannel:
 
 def channel_from_cq_ensemble(states, n_in: int | None = None) -> QuantumChannel:
     """κ(ρ) = Σ_x ρ_x ⟨x|ρ|x⟩ for a classical-quantum ensemble {ρ_x}."""
-    spectra = [as_density(s, name=f"state {x}", spectrum=True)[1]
+    spectra = [_density_with_spectrum(s, name=f"state {x}")[1]
                for x, s in enumerate(states)]
     if n_in is None:
         n_in = len(spectra)

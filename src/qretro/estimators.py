@@ -16,7 +16,7 @@ import numpy as np
 
 from . import operator_core as core
 from .channels import ClassicalChannel, Povm, QuantumChannel, apply_channel
-from .operator_core import ValidationError
+from .operator_core import ValidationError, jordan_product
 
 RISK_TOL = 1e-9  # two nested eigendecompositions accumulate error
 WEAKVALUE_FLOOR = 1e-12
@@ -43,7 +43,8 @@ class EstimationResult:
 
 
 def _real(value: complex, what: str, tol: float = 1e-12) -> float:
-    if abs(value.imag) > tol * max(1.0, abs(value)):
+    scale = max(1.0, abs(value))
+    if abs(value.imag) > tol * scale:
         raise ValidationError("real", f"{what} has imaginary part {value.imag:.3e}")
     return float(value.real)
 
@@ -55,9 +56,11 @@ def schrodinger_risk(rho, x, k: QuantumChannel, xcheck) -> float:
     xcheck = core.as_hermitian(xcheck, name="xcheck")
     if rho.shape[0] != k.dim_in or xcheck.shape[0] != k.dim_out:
         raise ValidationError("shape", "operator dimensions inconsistent with channel")
-    value = (np.trace(rho @ x @ x)
-             - 2 * np.trace(xcheck @ apply_channel(k, core._jordan(rho, x)))
-             + np.trace(apply_channel(k, rho) @ xcheck @ xcheck))
+    value = (
+        np.trace(rho @ x @ x)
+        - 2 * np.trace(xcheck @ apply_channel(k, jordan_product(rho, x)))
+        + np.trace(apply_channel(k, rho) @ xcheck @ xcheck)
+    )
     return _real(value, "risk")
 
 
@@ -70,7 +73,8 @@ def heisenberg_risk(rho0, x, xcheck, u, dims, x_factor: int = 0,
     """
     dims = [int(d) for d in dims]
     rho0 = core.as_density(rho0, name="rho0")
-    xcheck_factor = len(dims) - 1 if xcheck_factor is None else xcheck_factor
+    if xcheck_factor is None:
+        xcheck_factor = len(dims) - 1
     d_total = int(np.prod(dims))
     u = core.as_square(u, "u")
     if u.shape[0] != d_total or rho0.shape[0] != d_total:
@@ -83,35 +87,39 @@ def heisenberg_risk(rho0, x, xcheck, u, dims, x_factor: int = 0,
     return _real(np.trace(rho0 @ diff @ diff), "risk")
 
 
-def personick_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
+def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationResult:
     """Optimal Hermitian estimator of x through κ and its minimum risk.
 
     Solves κ(ρ)∘X̌ = κ(ρ∘X) on the support of κ(ρ) (zero on the kernel)
-    and evaluates the minimum risk tr ρX² − tr κ(ρ)X̌².
+    and evaluates the minimum risk tr ρX² − tr κ(ρ)X̌².  A caller that has
+    checked ρ, x and κ(ρ) already passes `image` = (κ(ρ), its Spectrum);
+    nothing is then validated, pushed through κ or decomposed again.
     """
-    rho = core.as_density(rho)
-    x = core.as_hermitian(x, name="x")
-    if rho.shape[0] != k.dim_in:
-        raise ValidationError("shape", "rho dimension != channel dim_in")
-    krho = core.as_hermitian(apply_channel(k, rho))
-    spec = core.Spectrum.of(krho)
-    spec.require_psd("kappa(rho)")
-    return _personick(rho, x, k, krho, spec)
-
-
-def _personick(rho, x, k, krho, spec: core.Spectrum) -> EstimationResult:
-    """Kernel of `personick_estimator`: checked ρ, x, κ(ρ) and κ(ρ)'s spectrum."""
+    if image is None:
+        rho = core.as_density(rho)
+        x = core.as_hermitian(x, name="x")
+        if rho.shape[0] != k.dim_in:
+            raise ValidationError("shape", "rho dimension != channel dim_in")
+        krho = core.as_hermitian(apply_channel(k, rho))
+        image = krho, core.Spectrum.of(krho)
+        image[1].require_psd("kappa(rho)")
+    krho, spec = image
     rhs = core.hermitian_part(apply_channel(k, core._jordan(rho, x)))
-    xopt = spec.solve_jordan(rhs)
-    residual = float(np.linalg.norm(core._jordan(krho, xopt) - rhs))
+    xopt, residual = core.solve_jordan(krho, rhs, spectrum=spec)
     min_risk = _real(
         np.trace(rho @ x @ x) - np.trace(krho @ xopt @ xopt), "min risk", tol=1e-9
     )
     warning = None
     if residual > RESIDUAL_WARN:
         warning = f"normal-equation residual {residual:.3e} exceeds {RESIDUAL_WARN:g}"
-        warnings.warn(warning, stacklevel=3)
-    return EstimationResult(xopt, min_risk, residual, spec.rank(), warning)
+        warnings.warn(warning, stacklevel=2)
+    return EstimationResult(
+        estimator=xopt,
+        min_risk=min_risk,
+        residual=residual,
+        support_rank=spec.rank(),
+        warning=warning,
+    )
 
 
 def _outcome(rho, x, p: Povm, y):
@@ -169,11 +177,16 @@ def complex_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
     spec = core.Spectrum.of(krho)
     spec.require_psd("input")
     rhs = apply_channel(k, x @ rho)
-    xopt = rhs @ spec.pseudo_inverse()
+    xopt = rhs @ core.pseudo_inverse_psd(krho, spectrum=spec)
     residual = float(np.linalg.norm(xopt @ krho - rhs))
-    min_risk = _real(np.trace(rho @ x.conj().T @ x)
-                     - np.trace(krho @ xopt.conj().T @ xopt), "min risk", tol=1e-9)
-    return EstimationResult(xopt, min_risk, residual, spec.rank())
+    min_risk = _real(
+        np.trace(rho @ x.conj().T @ x) - np.trace(krho @ xopt.conj().T @ xopt),
+        "min risk",
+        tol=1e-9,
+    )
+    return EstimationResult(
+        estimator=xopt, min_risk=min_risk, residual=residual, support_rank=spec.rank()
+    )
 
 
 def complex_weak_value(rho, x, p: Povm, y) -> complex:

@@ -5,9 +5,10 @@ J = tr ρS², and its monotonicity under parameter-independent channels is
 exposed as an executable check whose slack equals the minimum retrodiction
 risk of S itself.
 
-Validation happens where a state enters: `StateFamily.density` and
-`.derivative` check ρ(θ) and ∂ρ(θ).  The kernels (`_sld`, `_qfi`, `_push`)
-take checked arrays and the one `Spectrum` of ρ(θ) or κ(ρ(θ)) they solve in.
+Validation happens where a state enters: ρ(θ) and ∂ρ(θ) are checked once
+per evaluation of a family, ρ(θ) together with its one `eigh`.  `sld`,
+`solve_jordan` and `personick_estimator` take those checked arrays and the
+`Spectrum` of ρ(θ) or κ(ρ(θ)) from a caller that has them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import operator_core as core
 from .channels import QuantumChannel, apply_channel
-from .estimators import _personick, _real
+from .estimators import _real, personick_estimator
 from .operator_core import ValidationError
 
 FD_STEP = 1e-5  # central differences; ~1e-10 error suffices vs 1e-8 checks
@@ -37,17 +38,17 @@ class StateFamily:
     derivative_at: Optional[Callable[[float], np.ndarray]] = None
     fd_step: float = FD_STEP
 
-    def density(self, theta: float, spectrum: bool = False):
-        """ρ(θ), checked; with spectrum=True, (ρ(θ), its Spectrum)."""
-        return core.as_density(self.state_at(theta), name=f"rho({theta})",
-                               spectrum=spectrum)
+    def density(self, theta: float) -> np.ndarray:
+        return core.as_density(self.state_at(theta), name=f"rho({theta})")
 
     def derivative(self, theta: float) -> np.ndarray:
         if self.derivative_at is not None:
             return _tangent(self.derivative_at(theta))
         h = self.fd_step
-        up, down = (np.asarray(self.state_at(theta + s), dtype=complex) for s in (h, -h))
-        return _tangent((up - down) / (2 * h))
+        return _tangent(
+            (np.asarray(self.state_at(theta + h), dtype=complex)
+             - np.asarray(self.state_at(theta - h), dtype=complex)) / (2 * h)
+        )
 
 
 def _tangent(d) -> np.ndarray:
@@ -59,8 +60,22 @@ def _tangent(d) -> np.ndarray:
     return d
 
 
-def _sld(rho, spec: core.Spectrum, drho, theta: float) -> np.ndarray:
-    """Kernel of `sld`: checked ρ with its spectrum and checked ∂ρ."""
+def _evaluate(family: StateFamily, theta: float):
+    """(ρ(θ), its Spectrum, ∂ρ(θ)), each checked once."""
+    rho, spec = core._density_with_spectrum(family.state_at(theta),
+                                            name=f"rho({theta})")
+    return rho, spec, family.derivative(theta)
+
+
+def sld(family: StateFamily, theta: float, *, at=None) -> np.ndarray:
+    """Hermitian S with ρ∘S = ∂ρ/∂θ, defined on the support of ρ.
+
+    Families whose rank changes at θ (derivative leaking off the support)
+    are rejected: the SLD does not exist there.  A caller that has already
+    evaluated the family at θ passes `at` = (ρ(θ), its Spectrum, ∂ρ(θ)),
+    checked, and the family is not evaluated again.
+    """
+    rho, spec, drho = at or _evaluate(family, theta)
     comp = np.eye(rho.shape[0]) - spec.projector()
     leak = float(np.linalg.norm(comp @ drho @ comp))
     scale = max(1.0, float(np.linalg.norm(drho)))
@@ -69,17 +84,8 @@ def _sld(rho, spec: core.Spectrum, drho, theta: float) -> np.ndarray:
             f"derivative has norm {leak:.3e} off the support of rho({theta}); "
             "the family changes rank at this point"
         )
-    return spec.solve_jordan(drho)
-
-
-def sld(family: StateFamily, theta: float) -> np.ndarray:
-    """Hermitian S with ρ∘S = ∂ρ/∂θ, defined on the support of ρ.
-
-    Families whose rank changes at θ (derivative leaking off the support)
-    are rejected: the SLD does not exist there.
-    """
-    rho, spec = family.density(theta, spectrum=True)
-    return _sld(rho, spec, family.derivative(theta), theta)
+    s, _residual = core.solve_jordan(rho, drho, spectrum=spec)
+    return s
 
 
 def _qfi(rho, s) -> float:
@@ -96,14 +102,17 @@ def qfi(rho, s) -> float:
 
 
 def qfi_at(family: StateFamily, theta: float) -> float:
-    rho, spec = family.density(theta, spectrum=True)
-    return _qfi(rho, _sld(rho, spec, family.derivative(theta), theta))
+    at = _evaluate(family, theta)
+    return _qfi(at[0], sld(family, theta, at=at))
 
 
 def push_family(family: StateFamily, k: QuantumChannel) -> StateFamily:
     """The image family θ ↦ κ(ρ(θ)); the derivative pushes through κ linearly."""
-    return StateFamily(lambda t: apply_channel(k, family.density(t)),
-                       lambda t: apply_channel(k, family.derivative(t)), family.fd_step)
+    return StateFamily(
+        state_at=lambda t: apply_channel(k, family.density(t)),
+        derivative_at=lambda t: apply_channel(k, family.derivative(t)),
+        fd_step=family.fd_step,
+    )
 
 
 @dataclass(frozen=True)
@@ -126,15 +135,17 @@ class MonotonicityReport:
 
 
 def _push(family: StateFamily, k: QuantumChannel, theta: float):
-    """ρ, S_ρ, κ(ρ), S_κ(ρ) and the Personick estimate of S_ρ at θ, solved in
-    one `eigh` of ρ and one of κ(ρ)."""
-    rho, spec = family.density(theta, spectrum=True)
-    drho = family.derivative(theta)
-    s_in = _sld(rho, spec, drho, theta)
-    krho, kspec = core.as_density(apply_channel(k, rho), name=f"kappa(rho({theta}))",
-                                  spectrum=True)
-    s_out = _sld(krho, kspec, _tangent(apply_channel(k, drho)), theta)
-    return rho, s_in, krho, s_out, _personick(rho, s_in, k, krho, kspec)
+    """ρ, S_ρ, κ(ρ), S_κ(ρ) and the Personick estimate of S_ρ at θ: the family
+    evaluated once, pushed through κ once, solved in one `eigh` of ρ and one
+    of κ(ρ)."""
+    rho, _, drho = at = _evaluate(family, theta)
+    s_in = sld(family, theta, at=at)
+    krho, kspec = core._density_with_spectrum(apply_channel(k, rho),
+                                              name=f"kappa(rho({theta}))")
+    kat = krho, kspec, _tangent(apply_channel(k, drho))
+    s_out = sld(push_family(family, k), theta, at=kat)
+    est = personick_estimator(rho, s_in, k, image=(krho, kspec))
+    return rho, s_in, krho, s_out, est
 
 
 def sld_pushforward_check(family: StateFamily, k: QuantumChannel,
@@ -143,8 +154,12 @@ def sld_pushforward_check(family: StateFamily, k: QuantumChannel,
     rho, s_in, krho, s_out, est = _push(family, k, theta)
     lhs = core._jordan(krho, s_out)
     rhs = core.hermitian_part(apply_channel(k, core._jordan(rho, s_in)))
-    return PushforwardReport(lhs, rhs, float(np.linalg.norm(lhs - rhs)),
-                             float(np.linalg.norm(s_out - est.estimator)))
+    return PushforwardReport(
+        lhs=lhs,
+        rhs=rhs,
+        gap=float(np.linalg.norm(lhs - rhs)),
+        estimator_gap=float(np.linalg.norm(s_out - est.estimator)),
+    )
 
 
 def monotonicity_check(family: StateFamily, k: QuantumChannel,
@@ -152,7 +167,13 @@ def monotonicity_check(family: StateFamily, k: QuantumChannel,
     """J(ρ) − J(κ(ρ)) ≥ 0, with the slack equal to a Personick minimum risk."""
     rho, s_in, krho, s_out, est = _push(family, k, theta)
     j_in, j_out = _qfi(rho, s_in), _qfi(krho, s_out)
-    return MonotonicityReport(j_in, j_out, j_in - j_out, est.min_risk, est.support_rank)
+    return MonotonicityReport(
+        j_in=j_in,
+        j_out=j_out,
+        slack=j_in - j_out,
+        personick_risk=est.min_risk,
+        support_rank=est.support_rank,
+    )
 
 
 # --- named family constructors (reproducible fixtures) ---------------------
@@ -163,8 +184,10 @@ def diagonal_line_family(p0, slope) -> StateFamily:
     slope = np.asarray(slope, dtype=float)
     if abs(slope.sum()) > 1e-12:
         raise ValidationError("trace", "slope must sum to zero")
-    return StateFamily(lambda t: np.diag((p0 + t * slope).astype(complex)),
-                       lambda t: np.diag(slope.astype(complex)))
+    return StateFamily(
+        state_at=lambda t: np.diag((p0 + t * slope).astype(complex)),
+        derivative_at=lambda t: np.diag(slope.astype(complex)),
+    )
 
 
 def diagonal_exponential_family(p0, weights) -> StateFamily:
@@ -180,7 +203,10 @@ def diagonal_exponential_family(p0, weights) -> StateFamily:
         p = probs(t)
         return np.diag((p * (weights - p @ weights)).astype(complex))
 
-    return StateFamily(lambda t: np.diag(probs(t).astype(complex)), deriv)
+    return StateFamily(
+        state_at=lambda t: np.diag(probs(t).astype(complex)),
+        derivative_at=deriv,
+    )
 
 
 def unitary_rotation_family(rho0, h) -> StateFamily:

@@ -6,10 +6,11 @@ reduces to.  Everything here is a pure function of dense numpy arrays;
 matrices are small (desk scale, dims up to a few hundred), so no sparse
 path is provided.
 
-Validation happens once, where an operator enters the public functions,
+Validation happens once, where an operator enters a public function,
 through `as_square`, `as_hermitian` and `as_density`.  A `Spectrum` is one
-`eigh` of a checked operator; its methods (Jordan solve, support, rank,
-pseudo-inverse) are the kernels, which never validate again.
+`eigh` of a checked operator.  `solve_jordan` and `pseudo_inverse_psd`
+accept the `Spectrum` of an operator their caller has already checked and
+decomposed; they then neither validate nor decompose again.
 """
 
 from __future__ import annotations
@@ -71,25 +72,35 @@ def as_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "operator") -> np.
 
 
 def as_density(m, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL,
-               name: str = "state", spectrum: bool = False):
-    """Validate a density operator: Hermitian, PSD, unit trace.
-
-    spectrum=True returns (ρ, its Spectrum); the PSD test reads that `eigh`.
-    """
+               name: str = "state") -> np.ndarray:
+    """Validate a density operator: Hermitian, PSD, unit trace."""
     rho = as_hermitian(m, name=name)
+    _require_state(rho, np.linalg.eigvalsh(rho), psd_tol, trace_tol, name)
+    return rho
+
+
+def _density_with_spectrum(m, name: str = "state"):
+    """`as_density`'s checks, the PSD test reading one `eigh`: (ρ, its Spectrum)."""
+    rho = as_hermitian(m, name=name)
+    spec = Spectrum.of(rho)
+    _require_state(rho, spec.eigenvalues, PSD_TOL, TRACE_TOL, name)
+    return rho, spec
+
+
+def _require_state(rho, w, psd_tol: float, trace_tol: float, name: str) -> None:
+    """Unit trace, and no eigenvalue w of ρ below −psd_tol."""
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError("trace", f"{name} has trace {tr!r}, expected 1")
-    spec = Spectrum.of(rho) if spectrum else None
-    wmin = float((spec.eigenvalues if spectrum else np.linalg.eigvalsh(rho)).min())
+    wmin = float(w.min())
     if wmin < -psd_tol:
         raise ValidationError("psd", f"{name} has eigenvalue {wmin:.3e} < 0")
-    return (rho, spec) if spectrum else rho
 
 
 def jordan_product(a, b) -> np.ndarray:
     """Symmetrized product (ab + ba)/2; Hermitian for Hermitian a, b."""
-    a, b = as_square(a, "a"), as_square(b, "b")
+    a = as_square(a, "a")
+    b = as_square(b, "b")
     if a.shape != b.shape:
         raise ValidationError("shape", f"dimension mismatch {a.shape} vs {b.shape}")
     return _jordan(a, b)
@@ -193,41 +204,38 @@ class Spectrum:
         vs = self.eigenvectors[:, self.support(tol)]
         return hermitian_part(vs @ vs.conj().T)
 
-    def pseudo_inverse(self, tol: float = SUPPORT_TOL) -> np.ndarray:
-        w, v, mask = self.eigenvalues, self.eigenvectors, self.support(tol)
-        winv = np.divide(1.0, w, out=np.zeros_like(w), where=mask)
-        return hermitian_part((v * winv) @ v.conj().T)
-
-    def solve_jordan(self, b, support_tol: float = SUPPORT_TOL) -> np.ndarray:
-        """Solve a∘x = b, a this operator: in its eigenbasis x'_ij = 2 b'_ij /
-        (λ_i + λ_j) where λ_i + λ_j > support_tol × λ_max, else 0 (canonical:
-        any value on the kernel of a leaves the risk unchanged)."""
-        w, v, wmax = self.eigenvalues, self.eigenvectors, self.wmax
-        bp = v.conj().T @ b @ v
-        denom = w[:, None] + w[None, :]
-        keep = denom > support_tol * wmax if wmax > 0 else False
-        xp = np.divide(2 * bp, denom, out=np.zeros_like(bp), where=keep)
-        return hermitian_part(v @ xp @ v.conj().T)
-
 
 def eig_hermitian(h) -> Spectrum:
     return Spectrum.of(as_hermitian(h))
 
 
-def solve_jordan(a, b, support_tol: float = SUPPORT_TOL):
-    """Solve a ∘ x = b for Hermitian x, with a PSD (see Spectrum.solve_jordan).
+def solve_jordan(a, b, support_tol: float = SUPPORT_TOL, *,
+                 spectrum: Spectrum | None = None):
+    """Solve a ∘ x = b for Hermitian x, with a PSD.
+
+    Works in the eigenbasis of a: x'_ij = 2 b'_ij / (λ_i + λ_j) where the
+    denominator is above support_tol × λ_max, zero elsewhere (any value on
+    the kernel of a leaves the risk unchanged; zero is canonical).
 
     Returns (x, residual) with residual = ‖a∘x − b‖_F; for full-rank a and
     Hermitian b this is the unique Hermitian solution and the residual is
-    at rounding level.
+    at rounding level.  A caller that has checked a and b already passes
+    a's `spectrum`; nothing is then validated or decomposed again.
     """
-    a, b = as_hermitian(a, name="a"), as_hermitian(b, name="b")
-    if a.shape != b.shape:
-        raise ValidationError("shape", f"dimension mismatch {a.shape} vs {b.shape}")
-    spec = Spectrum.of(a)
-    spec.require_psd("a")
-    x = spec.solve_jordan(b, support_tol)
-    return x, float(np.linalg.norm(_jordan(a, x) - b))
+    if spectrum is None:
+        a, b = as_hermitian(a, name="a"), as_hermitian(b, name="b")
+        if a.shape != b.shape:
+            raise ValidationError("shape", f"dimension mismatch {a.shape} vs {b.shape}")
+        spectrum = Spectrum.of(a)
+        spectrum.require_psd("a")
+    w, v, wmax = spectrum.eigenvalues, spectrum.eigenvectors, spectrum.wmax
+    bp = v.conj().T @ b @ v
+    denom = w[:, None] + w[None, :]
+    keep = denom > support_tol * wmax if wmax > 0 else False
+    xp = np.divide(2 * bp, denom, out=np.zeros_like(bp), where=keep)
+    x = hermitian_part(v @ xp @ v.conj().T)
+    residual = float(np.linalg.norm(_jordan(a, x) - b))
+    return x, residual
 
 
 def support_projector(h, tol: float = SUPPORT_TOL) -> np.ndarray:
@@ -239,8 +247,15 @@ def support_rank(h, tol: float = SUPPORT_TOL) -> int:
     return eig_hermitian(h).rank(tol)
 
 
-def pseudo_inverse_psd(h, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Moore–Penrose inverse of a PSD matrix via eigendecomposition."""
-    spec = eig_hermitian(h)
-    spec.require_psd("input")
-    return spec.pseudo_inverse(tol)
+def pseudo_inverse_psd(h, tol: float = SUPPORT_TOL, *,
+                       spectrum: Spectrum | None = None) -> np.ndarray:
+    """Moore–Penrose inverse of a PSD matrix via eigendecomposition.
+
+    A caller that has checked h already passes its `spectrum`.
+    """
+    if spectrum is None:
+        spectrum = eig_hermitian(h)
+        spectrum.require_psd("input")
+    w, v, mask = spectrum.eigenvalues, spectrum.eigenvectors, spectrum.support(tol)
+    winv = np.divide(1.0, w, out=np.zeros_like(w), where=mask)
+    return hermitian_part((v * winv) @ v.conj().T)

@@ -322,3 +322,16 @@ def test_personick_at_dimension_256(gen):
     assert result.min_risk == pytest.approx(expected_risk, abs=1e-9 * second_moment)
     variance = second_moment - np.trace(rho @ x).real ** 2
     assert 0.0 <= result.min_risk <= variance
+
+
+def test_personick_with_handed_image_matches_its_own(gen):
+    # a caller that holds kappa(rho) and its Spectrum gets the same bytes
+    rho = core.as_density(random_density(gen, 3, rank=2))
+    x = core.as_hermitian(random_hermitian(gen, 3))
+    chan = random_channel(gen, 3, 4)
+    plain = personick_estimator(rho, x, chan)
+    krho = core.as_hermitian(chan(rho))
+    handed = personick_estimator(rho, x, chan, image=(krho, core.eig_hermitian(krho)))
+    assert np.array_equal(plain.estimator, handed.estimator)
+    assert (plain.min_risk, plain.residual, plain.support_rank) == \
+        (handed.min_risk, handed.residual, handed.support_rank)

@@ -197,6 +197,26 @@ def test_eigensolve_budget(gen, eigensolves):
         assert eigensolves["n"] == budget
 
 
+def test_check_goes_through_the_public_solvers(gen, monkeypatch):
+    # the check solves S_in, S_out and the Personick estimate through sld,
+    # solve_jordan and personick_estimator, not through a second path
+    from qretro import operator_core
+
+    calls = {}
+    for owner, name in [(fisher, "sld"), (operator_core, "solve_jordan"),
+                        (fisher, "personick_estimator")]:
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    family = unitary_rotation_family(random_density(gen, 3), random_hermitian(gen, 3))
+    monotonicity_check(family, random_channel(gen, 3, 2), 0.4)
+    assert calls == {"sld": 2, "solve_jordan": 3, "personick_estimator": 1}
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(d_in=st.sampled_from([2, 3, 4]), d_out=st.sampled_from([2, 3, 4]),
        seed=st.integers(0, 2**32 - 1), theta=st.floats(-0.5, 0.5))

@@ -176,6 +176,41 @@ def test_pseudo_inverse_cases(gen):
     np.testing.assert_allclose(h @ hplus, core.support_projector(h), atol=1e-10)
 
 
+def test_handed_spectrum_skips_the_eigensolve(gen, monkeypatch):
+    # a caller's Spectrum gives the same bytes as the function's own eigh
+    a = random_psd(gen, 4, rank=3)
+    b = random_hermitian(gen, 4)
+    spec = core.eig_hermitian(a)
+    x, residual = core.solve_jordan(a, b)
+    hplus = core.pseudo_inverse_psd(a)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    x2, residual2 = core.solve_jordan(a, core.hermitian_part(b), spectrum=spec)
+    assert np.array_equal(x, x2) and residual == residual2
+    assert np.array_equal(hplus, core.pseudo_inverse_psd(a, spectrum=spec))
+
+
+@pytest.mark.parametrize("m", [np.diag([0.6, 0.6]), np.diag([1.2, -0.2]),
+                               np.array([[0.5, 0.1], [0.0, 0.5]])])
+def test_density_with_spectrum_checks_as_as_density(m):
+    with pytest.raises(ValidationError) as plain:
+        core.as_density(m)
+    with pytest.raises(ValidationError) as spectral:
+        core._density_with_spectrum(m)
+    assert spectral.value.invariant == plain.value.invariant
+
+
+def test_density_with_spectrum_returns_the_checked_state(gen):
+    m = random_density(gen, 3)
+    rho, spec = core._density_with_spectrum(m)
+    assert np.array_equal(rho, core.as_density(m))
+    np.testing.assert_allclose(spec.reconstruct(), rho, atol=1e-14)
+
+
 def test_as_hermitian_repairs_small_asymmetry(gen):
     h = random_hermitian(gen, 3)
     noisy = h + 1e-13 * (np.triu(np.ones((3, 3)), 1))
