@@ -21,6 +21,11 @@ import numpy as np
 from .operator_core import ValidationError
 
 OVERLAP_FLOOR = 1e-12
+# grid points per tile of the quadrature oracle (a tile stays in cache) and
+# its least number of axis-0 rows (fewer rows make the matrix products slower)
+_TILE_POINTS, _TILE_ROWS = 1 << 15, 8
+# oracle exponents are floored here (e^-700 ≈ 1e-304): exp is ~20× slower below -708
+_EXP_FLOOR = -700.0
 
 
 class NegligibleOverlap(ValueError):
@@ -57,15 +62,6 @@ class GaussianWigner:
     def n_modes(self) -> int:
         return self.mean.size // 2
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at points of shape (..., 2n)."""
-        dim = self.mean.size
-        delta = np.asarray(points, dtype=float) - self.mean
-        prec = np.linalg.inv(self.covariance)
-        expo = -0.5 * np.einsum("...i,ij,...j->...", delta, prec, delta)
-        norm = (2 * np.pi) ** (dim / 2) * np.sqrt(np.linalg.det(self.covariance))
-        return self.weight * np.exp(expo) / norm
-
 
 @dataclass(frozen=True)
 class LinearQuadrature:
@@ -82,9 +78,6 @@ class LinearQuadrature:
             raise ValidationError("finite", "offset must be finite")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "offset", float(self.offset))
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.coeffs + self.offset
 
 
 def gaussian_product(wr: GaussianWigner, we: GaussianWigner) -> GaussianWigner:
@@ -136,7 +129,8 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
 
     Supported for 1–2 modes.  The grid spans the union of each Gaussian's
     ±half_width_sigmas interval per axis; trapezoid quadrature converges
-    spectrally for Gaussians, so modest point counts reach ~1e-8.
+    spectrally for Gaussians, so modest point counts reach ~1e-8.  Each
+    grid point costs one exp, one floor and a share of two matrix products.
     """
     w_list = list(w_list)
     if not w_list:
@@ -147,29 +141,23 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     if n_modes > 2:
         raise ValidationError("modes", "grid oracle supports 1-2 modes only")
     dim = 2 * n_modes
-    if points_per_axis is None:
-        points_per_axis = 801 if n_modes == 1 else 81
+    if x is not None and x.coeffs.size != dim:
+        raise ValidationError("shape", "quadrature coefficient length != 2n")
+    n = points_per_axis or (801 if n_modes == 1 else 81)
+    if n < 2:
+        raise ValidationError("grid", f"need at least 2 points per axis, got {n}")
 
-    axes, steps = [], []
+    axes, axis_w = [], []
     for i in range(dim):
-        los, his = [], []
-        for w in w_list:
-            sig = np.sqrt(w.covariance[i, i])
-            los.append(w.mean[i] - half_width_sigmas * sig)
-            his.append(w.mean[i] + half_width_sigmas * sig)
-        grid = np.linspace(min(los), max(his), points_per_axis)
+        half = [half_width_sigmas * np.sqrt(w.covariance[i, i]) for w in w_list]
+        grid = np.linspace(min(w.mean[i] - h for w, h in zip(w_list, half)),
+                           max(w.mean[i] + h for w, h in zip(w_list, half)), n)
+        wvec = np.full(n, grid[1] - grid[0])  # trapezoid weights
+        wvec[[0, -1]] /= 2
         axes.append(grid)
-        steps.append(grid[1] - grid[0])
-
-    # trapezoid weights per axis
-    axis_w = []
-    for h in steps:
-        wvec = np.full(points_per_axis, h)
-        wvec[0] = wvec[-1] = h / 2
         axis_w.append(wvec)
 
-    # fold the Gaussian factors into one quadratic form so each grid slice
-    # costs a single einsum
+    # fold the Gaussian factors into one quadratic form
     prec = np.zeros((dim, dim))
     lin = np.zeros(dim)
     log_const = 0.0
@@ -183,50 +171,61 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
             - 0.5 * (dim * np.log(2 * np.pi) + np.log(np.linalg.det(w.covariance)))
         )
 
-    def integrand(points):
-        pts = np.asarray(points, dtype=float)
-        expo = (-0.5 * np.einsum("...i,ij,...j->...", pts, prec, pts)
-                + pts @ lin + log_const)
-        val = np.exp(expo)
-        if x is not None:
-            val = val * x(pts)
-        return val
+    # the exponent over axis-0 rows x₀ × inner points y (axes 1..dim-1) is the
+    # product [x₀, 1, s(x₀)]·[slope(y), base(y), 1]; the y terms, the weights
+    # and the faces of the inner grid are built as per-axis outer sums
+    shape = (n,) * (dim - 1)
+    ys = [a.reshape((n,) + (1,) * (dim - 2 - k)) for k, a in enumerate(axes[1:])]
+    inner = np.multiply.outer([lin[0], log_const, 1.0], np.ones(shape))
+    slope, base = inner[0], inner[1]  # views, completed below
+    weight, on_face = np.ones(shape), np.zeros(shape, dtype=bool)
+    for k, y in enumerate(ys, start=1):
+        base += (lin[k] - 0.5 * prec[k, k] * y) * y
+        for j in range(k + 1, dim):
+            base -= prec[k, j] * y * ys[j - 1]
+        slope -= prec[0, k] * y
+        weight *= axis_w[k].reshape(y.shape)
+        on_face |= np.isin(np.arange(n), [0, n - 1]).reshape(y.shape)
+    inner, weight, faces = inner.reshape(3, -1), weight.ravel(), np.flatnonzero(on_face)
+    x0 = axes[0]
+    outer = np.stack([x0, np.ones(n), -0.5 * prec[0, 0] * x0 * x0], axis=1)
+    # X = c0·x₀ + aff(y), and X ≡ 1 without a quadrature; if c0 = 0, weight·aff
+    # alone sums X, else the weight column adds the c0·x₀ part
+    c0, aff = (0.0, np.ones(weight.size)) if x is None else (
+        x.coeffs[0], np.ravel(x.offset + sum(c * y for c, y in zip(x.coeffs[1:], ys))))
+    wmat = np.stack([weight * aff] + ([weight] if c0 else []), axis=1)
 
-    if dim == 2:
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vals = integrand(pts)
-        total = float(np.einsum("ij,i,j->", vals, axis_w[0], axis_w[1]))
-        edge = float(np.abs(np.concatenate([vals[0], vals[-1], vals[:, 0],
-                                            vals[:, -1]])).max())
-    else:
-        # 4-D grid, chunked over axis 0; everything not involving the axis-0
-        # coordinate is precomputed on the inner 3-D grid once
-        total = 0.0
-        edge = 0.0
-        inner = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1)
-        inner_w = np.einsum("i,j,k->ijk", axis_w[1], axis_w[2], axis_w[3])
-        q_inner = np.einsum("...i,ij,...j->...", inner, prec[1:, 1:], inner)
-        base = -0.5 * q_inner + inner @ lin[1:] + log_const
-        cross = inner @ prec[0, 1:]
-        lin_inner = inner @ x.coeffs[1:] + x.offset if x is not None else None
-        for idx, x0 in enumerate(axes[0]):
-            expo = base + x0 * (lin[0] - cross) - 0.5 * prec[0, 0] * x0 * x0
-            vals = np.exp(expo)
-            if x is not None:
-                vals = vals * (lin_inner + x.coeffs[0] * x0)
-            total += axis_w[0][idx] * float(np.sum(vals * inner_w))
-            if idx in (0, len(axes[0]) - 1):
-                edge = max(edge, float(np.abs(vals).max()))
-            else:
-                edge = max(edge, float(np.abs(vals[0]).max()),
-                           float(np.abs(vals[-1]).max()),
-                           float(np.abs(vals[:, 0]).max()),
-                           float(np.abs(vals[:, -1]).max()))
+    # tiles of axis-0 rows × a chunk of the inner grid; the truncation
+    # estimate is the largest |integrand| over all 2·dim faces of the grid
+    m = weight.size
+    cols = max(1, min(m, _TILE_POINTS // _TILE_ROWS))
+    rows = max(1, _TILE_POINTS // cols)
+    buf = np.empty((rows, cols))
+    sums = np.zeros((n, wmat.shape[1]))
+    edge = 0.0
+    for lo in range(0, m, cols):
+        c = slice(lo, min(lo + cols, m))
+        face = faces[np.searchsorted(faces, c.start):np.searchsorted(faces, c.stop)]
+        at_face, face_col = np.empty((n, face.size)), face - lo
+        for r0 in range(0, n, rows):
+            r = slice(r0, min(r0 + rows, n))
+            t = buf[:r.stop - r0, :c.stop - lo]
+            np.matmul(outer[r], inner[:, c], out=t)
+            np.maximum(t, _EXP_FLOOR, out=t)
+            np.exp(t, out=t)
+            sums[r] += t @ wmat[c]
+            np.take(t, face_col, axis=1, out=at_face[r])
+            for i in {0, n - 1} & {r0, r.stop - 1}:  # the axis-0 faces
+                edge = max(edge, float((t[i - r0] * np.abs(c0 * x0[i] + aff[c])).max()))
+        at_face *= np.abs(c0 * x0[:, None] + aff[face])
+        edge = max(edge, float(at_face.max(initial=0.0)))
+    total = float(axis_w[0] @ (sums[:, 0] + c0 * x0 * sums[:, -1]))
 
+    cell = float(np.prod([a[1] - a[0] for a in axes]))
     scale = max(abs(total), max(w.weight for w in w_list) * 1e-30)
-    if edge * float(np.prod(steps)) > 1e-9 * scale:
+    if edge * cell > 1e-9 * scale:
         warnings.warn(
-            f"grid truncation error estimate {edge * float(np.prod(steps)):.3e} "
+            f"grid truncation error estimate {edge * cell:.3e} "
             f"is large relative to the integral {total:.3e}",
             stacklevel=2,
         )

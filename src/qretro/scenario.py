@@ -352,9 +352,24 @@ def _decode_gaussian(obj) -> gaussian.GaussianWigner:
     )
 
 
+def _require_uncertainty(w: gaussian.GaussianWigner, name: str) -> None:
+    # V + iΩ/2 ≥ 0 (ħ = 1, vacuum I/2); a positive Gaussian effect is a
+    # multiple of a Gaussian state, so it obeys the relation too
+    n = w.n_modes
+    omega = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n))
+    lam = float(np.linalg.eigvalsh(w.covariance + 0.5j * omega)[0])
+    if lam < -1e-12 * max(1.0, float(np.linalg.norm(w.covariance, 2))):
+        raise ValidationError(
+            "uncertainty",
+            f"{name} covariance violates V + iΩ/2 ≥ 0: smallest eigenvalue {lam:.3e}",
+        )
+
+
 def _run_gaussian(sc):
     wr = _decode_gaussian(_require(sc, "state"))
     we = _decode_gaussian(_require(sc, "effect"))
+    _require_uncertainty(wr, "state")
+    _require_uncertainty(we, "effect")
     xspec = _require(sc, "x")
     x = gaussian.LinearQuadrature(
         coeffs=_reals(xspec, "coeffs"),

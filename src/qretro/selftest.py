@@ -33,7 +33,7 @@ from .estimators import (
 from .scenario import _f17
 
 
-def _check_jordan_hermitian(gen, tol):
+def _check_jordan_hermitian(gen):
     worst = 0.0
     for _ in range(50):
         d = int(gen.integers(2, 9))
@@ -45,7 +45,7 @@ def _check_jordan_hermitian(gen, tol):
     return worst, 1e-13
 
 
-def _check_jordan_trace_identity(gen, tol):
+def _check_jordan_trace_identity(gen):
     worst = 0.0
     for _ in range(200):
         d = int(gen.integers(2, 9))
@@ -55,7 +55,7 @@ def _check_jordan_trace_identity(gen, tol):
     return worst, 1e-12
 
 
-def _check_partial_trace(gen, tol):
+def _check_partial_trace(gen):
     worst = 0.0
     for _ in range(20):
         da, db = int(gen.integers(2, 4)), int(gen.integers(2, 4))
@@ -72,7 +72,7 @@ def _check_partial_trace(gen, tol):
     return float(worst), 1e-12
 
 
-def _check_solve_jordan(gen, tol):
+def _check_solve_jordan(gen):
     worst = 0.0
     for _ in range(20):
         d = int(gen.integers(2, 7))
@@ -84,7 +84,7 @@ def _check_solve_jordan(gen, tol):
     return worst, 1e-10
 
 
-def _check_penrose(gen, tol):
+def _check_penrose(gen):
     worst = 0.0
     for _ in range(20):
         d = int(gen.integers(3, 7))
@@ -108,7 +108,7 @@ def _random_channels(gen):
     yield d, depolarizing_channel(d)
 
 
-def _check_channel_cptp(gen, tol):
+def _check_channel_cptp(gen):
     worst = 0.0
     for _ in range(5):
         for dim_in, chan in _random_channels(gen):
@@ -122,7 +122,7 @@ def _check_channel_cptp(gen, tol):
     return float(worst), 1e-10
 
 
-def _check_dilation_bridge(gen, tol):
+def _check_dilation_bridge(gen):
     worst = 0.0
     for _ in range(20):
         da, db = int(gen.integers(2, 4)), int(gen.integers(2, 4))
@@ -146,7 +146,7 @@ def _check_dilation_bridge(gen, tol):
     return worst, 1e-10
 
 
-def _check_personick_optimality(gen, tol):
+def _check_personick_optimality(gen):
     worst = 0.0
     for _ in range(20):
         d_in, d_out = int(gen.integers(2, 5)), int(gen.integers(2, 5))
@@ -164,7 +164,7 @@ def _check_personick_optimality(gen, tol):
     return worst, 1e-9
 
 
-def _check_classical_reduction(gen, tol):
+def _check_classical_reduction(gen):
     worst = 0.0
     for _ in range(10):
         n = int(gen.integers(2, 7))
@@ -182,7 +182,7 @@ def _check_classical_reduction(gen, tol):
     return worst, 1e-10
 
 
-def _check_weak_values(gen, tol):
+def _check_weak_values(gen):
     worst = 0.0
     for _ in range(20):
         d = int(gen.integers(2, 4))
@@ -200,7 +200,7 @@ def _check_weak_values(gen, tol):
     return worst, 1.0
 
 
-def _check_complex_vs_hermitian(gen, tol):
+def _check_complex_vs_hermitian(gen):
     worst = 0.0
     for _ in range(20):
         d_in, d_out = int(gen.integers(2, 5)), int(gen.integers(2, 5))
@@ -213,7 +213,7 @@ def _check_complex_vs_hermitian(gen, tol):
     return worst, 1e-9
 
 
-def _check_postcomposition(gen, tol):
+def _check_postcomposition(gen):
     worst = 0.0
     for _ in range(20):
         d = int(gen.integers(2, 4))
@@ -227,7 +227,7 @@ def _check_postcomposition(gen, tol):
     return worst, 1e-9
 
 
-def _check_qfi_monotonicity(gen, tol):
+def _check_qfi_monotonicity(gen):
     worst = 0.0
     for _ in range(50):
         d_in = int(gen.integers(2, 5))
@@ -240,7 +240,7 @@ def _check_qfi_monotonicity(gen, tol):
     return worst, 1e-8
 
 
-def _check_gaussian_oracle(gen, tol):
+def _check_gaussian_oracle(gen):
     worst = 0.0
     for _ in range(5):
         wr = sampling.random_gaussian_wigner(gen, 1)
@@ -282,7 +282,7 @@ def run_selftest(seed: int = 0, tol_scale: float = 1.0) -> dict:
     for index, (name, fn) in enumerate(CHECKS):
         # one deterministic substream per check, stable across processes
         gen = sampling.rng((seed << 16) + index)
-        worst, threshold = fn(gen, tol_scale)
+        worst, threshold = fn(gen)
         threshold = threshold * tol_scale
         passed = bool(worst <= threshold)
         all_passed = all_passed and passed

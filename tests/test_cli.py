@@ -115,6 +115,35 @@ def test_run_gaussian_scenario():
     assert report["results"]["numeric_gap"] <= 1e-6
 
 
+def gaussian_scenario(state_cov, effect_cov):
+    return {
+        "kind": "gaussian",
+        "state": {"mean": [0.0, 0.0], "covariance": state_cov},
+        "effect": {"mean": [1.0, 0.0], "covariance": effect_cov},
+        "x": {"coeffs": [1.0, 0.0]},
+    }
+
+
+VACUUM = [[0.5, 0.0], [0.0, 0.5]]
+SUB_VACUUM = [[0.01, 0.0], [0.0, 0.01]]
+
+
+@pytest.mark.parametrize("state_cov, effect_cov", [(SUB_VACUUM, VACUUM),
+                                                   (VACUUM, SUB_VACUUM)])
+def test_gaussian_scenario_rejects_sub_vacuum_covariance(tmp_path, capsys,
+                                                         state_cov, effect_cov):
+    sc = gaussian_scenario(state_cov, effect_cov)
+    rc = main(["gaussian", "--input", _write(tmp_path, sc), "--quiet"])
+    assert rc == 1
+    assert "error: uncertainty:" in capsys.readouterr().err
+
+
+def test_gaussian_scenario_accepts_vacuum():
+    # V + iΩ/2 has smallest eigenvalue exactly 0 at the vacuum I/2
+    report = run_scenario(gaussian_scenario(VACUUM, VACUUM))
+    assert report["results"]["estimate"] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_run_risk_scenario():
     sc = personick_scenario()
     sc["kind"] = "risk"

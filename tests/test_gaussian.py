@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qretro import gaussian
 from qretro.gaussian import (
     GaussianWigner,
     LinearQuadrature,
@@ -10,7 +15,7 @@ from qretro.gaussian import (
     quadrature_estimator,
 )
 from qretro.operator_core import ValidationError
-from qretro.sampling import random_gaussian_wigner, random_linear_quadrature
+from qretro.sampling import random_gaussian_wigner, random_linear_quadrature, rng
 
 
 def unit(mean=(0.0, 0.0), cov=None, weight=1.0):
@@ -157,3 +162,105 @@ def test_gaussian_validation():
     with pytest.raises(ValidationError):
         GaussianWigner(mean=np.zeros(2),
                        covariance=np.array([[1.0, 0.5], [0.1, 1.0]]))
+
+
+def test_numeric_integral_rejects_malformed_input():
+    one, two = unit(), GaussianWigner(mean=np.zeros(4), covariance=np.eye(4))
+    with pytest.raises(ValidationError):
+        numeric_wigner_integral([])
+    with pytest.raises(ValidationError):
+        numeric_wigner_integral([one, two])
+    with pytest.raises(ValidationError):
+        numeric_wigner_integral([two], LinearQuadrature(coeffs=np.ones(2)))
+    with pytest.raises(ValidationError):
+        numeric_wigner_integral([one], points_per_axis=1)
+
+
+# --- the grid oracle against a brute-force reference -------------------------
+
+def brute_force_integral(w_list, x, points_per_axis, half_width_sigmas=8.0):
+    """Trapezoid rule over the stacked (..., 2n) grid points, one density at a time.
+
+    Returns the integral and the integral of its absolute value.
+    """
+    dim = w_list[0].mean.size
+    axes = []
+    for i in range(dim):
+        half = [half_width_sigmas * np.sqrt(w.covariance[i, i]) for w in w_list]
+        axes.append(np.linspace(min(w.mean[i] - h for w, h in zip(w_list, half)),
+                                max(w.mean[i] + h for w, h in zip(w_list, half)),
+                                points_per_axis))
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    vals = np.ones(pts.shape[:-1])
+    for w in w_list:
+        delta = pts - w.mean
+        expo = -0.5 * np.einsum("...i,ij,...j->...", delta,
+                                np.linalg.inv(w.covariance), delta)
+        norm = (2 * np.pi) ** (dim / 2) * np.sqrt(np.linalg.det(w.covariance))
+        vals = vals * w.weight * np.exp(expo) / norm
+    if x is not None:
+        vals = vals * (pts @ x.coeffs + x.offset)
+    total, magnitude = vals, np.abs(vals)
+    for axis in reversed(axes):
+        total = np.trapezoid(total, axis, axis=-1)
+        magnitude = np.trapezoid(magnitude, axis, axis=-1)
+    return float(total), float(magnitude)
+
+
+def _oracle(*args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return numeric_wigner_integral(*args, **kwargs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_modes=st.sampled_from([1, 2]),
+       count=st.integers(1, 3), with_x=st.booleans(),
+       points=st.integers(9, 31), half_width=st.floats(2.0, 8.0))
+def test_numeric_integral_matches_brute_force(seed, n_modes, count, with_x,
+                                              points, half_width):
+    gen = rng(seed)
+    w_list = [random_gaussian_wigner(gen, n_modes, weight=float(gen.uniform(0.3, 2.0)))
+              for _ in range(count)]
+    x = random_linear_quadrature(gen, n_modes) if with_x else None
+    total, magnitude = brute_force_integral(w_list, x, points, half_width)
+    assert abs(_oracle(w_list, x, points, half_width) - total) <= 1e-12 * magnitude
+
+
+@pytest.mark.parametrize("tile_points, tile_rows", [(5, 1), (64, 8), (1000, 8)])
+@pytest.mark.parametrize("n_modes, points", [(1, 13), (2, 9)])
+def test_numeric_integral_uneven_tiles(monkeypatch, gen, tile_points, tile_rows,
+                                       n_modes, points):
+    # tiles that split the grid's rows or its inner points unevenly
+    monkeypatch.setattr(gaussian, "_TILE_POINTS", tile_points)
+    monkeypatch.setattr(gaussian, "_TILE_ROWS", tile_rows)
+    w_list = [random_gaussian_wigner(gen, n_modes), random_gaussian_wigner(gen, n_modes)]
+    x = random_linear_quadrature(gen, n_modes)
+    for xx in (x, None):
+        total, magnitude = brute_force_integral(w_list, xx, points)
+        assert abs(_oracle(w_list, xx, points) - total) <= 1e-12 * magnitude
+
+
+def test_numeric_integral_default_tiles_uneven(gen):
+    # the default one-mode grid, 801 rows of 801 points, fills the default
+    # tiles of whole rows unevenly
+    assert 801 % (gaussian._TILE_POINTS // 801) and gaussian._TILE_POINTS // 801 > 1
+    wr = random_gaussian_wigner(gen, 1)
+    x = random_linear_quadrature(gen, 1)
+    total, magnitude = brute_force_integral([wr], x, 801)
+    assert abs(numeric_wigner_integral([wr], x) - total) <= 1e-12 * magnitude
+
+
+@pytest.mark.parametrize("axis", range(4))
+def test_truncation_warning_on_every_face(axis):
+    # a steep linear factor along one axis lifts the integrand on that
+    # axis's two faces above the truncation threshold
+    g = GaussianWigner(mean=np.zeros(4), covariance=np.eye(4))
+    x = LinearQuadrature(coeffs=10.0 * np.eye(4)[axis], offset=1.0)
+    for half_width in (5.3, 5.45, 5.6):
+        with pytest.warns(UserWarning, match="truncation"):
+            numeric_wigner_integral([g], x, points_per_axis=41,
+                                    half_width_sigmas=half_width)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        numeric_wigner_integral([g], x, points_per_axis=41, half_width_sigmas=8.0)
