@@ -17,11 +17,11 @@ import numpy as np
 from .operator_core import (
     CPTP_TOL,
     PSD_TOL,
+    Spectrum,
     ValidationError,
     _density_with_spectrum,
     as_hermitian,
     as_square,
-    eig_hermitian,
     hermitian_part,
 )
 
@@ -40,11 +40,9 @@ class QuantumChannel:
 
     Non-trace-preserving Kraus lists are rejected at construction; pass a
     list to :func:`validate_cptp` instead to diagnose a broken map.
-    Optional outcome `labels` are carried for measurement channels so weak
-    values can be reported per outcome.
     """
 
-    def __init__(self, kraus, labels=None):
+    def __init__(self, kraus):
         ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise ValidationError("kraus", "empty Kraus list")
@@ -53,7 +51,6 @@ class QuantumChannel:
             raise ValidationError("kraus", "Kraus operators must share one 2-D shape")
         self.kraus = np.stack(ops)
         self.dim_out, self.dim_in = shape
-        self.labels = list(labels) if labels is not None else None
         dev = _tp_deviation(self.kraus)
         if dev > CPTP_TOL:
             raise ValidationError(
@@ -195,10 +192,14 @@ class ClassicalChannel:
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operator-valued measure: PSD effects summing to identity."""
+    """Positive operator-valued measure: PSD effects summing to identity.
+
+    `spectra` holds the one `eigh` of each effect that the PSD check reads.
+    """
 
     effects: tuple
     labels: tuple
+    spectra: tuple
 
     def __init__(self, effects, labels=None):
         eff = tuple(as_hermitian(e, name="effect") for e in effects)
@@ -207,8 +208,9 @@ class Povm:
         dim = eff[0].shape[0]
         if any(e.shape[0] != dim for e in eff):
             raise ValidationError("shape", "effects must share one dimension")
-        for i, e in enumerate(eff):
-            wmin = float(np.linalg.eigvalsh(e).min())
+        spectra = tuple(Spectrum.of(e) for e in eff)
+        for i, spec in enumerate(spectra):
+            wmin = float(spec.eigenvalues.min())
             if wmin < -PSD_TOL:
                 raise ValidationError("psd", f"effect {i} has eigenvalue {wmin:.3e}")
         total = sum(eff)
@@ -219,6 +221,7 @@ class Povm:
             raise ValidationError("labels", f"{len(labels)} labels for {len(eff)} effects")
         object.__setattr__(self, "effects", eff)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "spectra", spectra)
 
     @property
     def dim(self) -> int:
@@ -246,14 +249,11 @@ def channel_from_classical(c: ClassicalChannel) -> QuantumChannel:
     return QuantumChannel(kraus)
 
 
-def channel_from_cq_ensemble(states, n_in: int | None = None) -> QuantumChannel:
+def channel_from_cq_ensemble(states) -> QuantumChannel:
     """κ(ρ) = Σ_x ρ_x ⟨x|ρ|x⟩ for a classical-quantum ensemble {ρ_x}."""
     spectra = [_density_with_spectrum(s, name=f"state {x}")[1]
                for x, s in enumerate(states)]
-    if n_in is None:
-        n_in = len(spectra)
-    if n_in != len(spectra):
-        raise ValidationError("dims", f"expected {n_in} states, got {len(spectra)}")
+    n_in = len(spectra)
     d_out = spectra[0].eigenvectors.shape[0]
     if any(spec.eigenvectors.shape[0] != d_out for spec in spectra):
         raise ValidationError("shape", "ensemble states must share one dimension")
@@ -269,18 +269,17 @@ def channel_from_cq_ensemble(states, n_in: int | None = None) -> QuantumChannel:
 
 
 def channel_from_povm(p: Povm) -> QuantumChannel:
-    """Measurement map κ(ρ) = Σ_y [tr E(y)ρ] |y⟩⟨y|."""
+    """Measurement map κ(ρ) = Σ_y [tr E(y)ρ] |y⟩⟨y|, from the effects' spectra."""
     n_out = len(p.effects)
     kraus = []
-    for y, e in enumerate(p.effects):
-        spec = eig_hermitian(e)
+    for y, spec in enumerate(p.spectra):
         for lam, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
             if lam < 1e-14:
                 continue
             k = np.zeros((n_out, p.dim), dtype=complex)
             k[y, :] = np.sqrt(lam) * vec.conj()
             kraus.append(k)
-    return QuantumChannel(kraus, labels=p.labels)
+    return QuantumChannel(kraus)
 
 
 def partial_trace_channel(dims, keep) -> QuantumChannel:

@@ -1,8 +1,8 @@
 """Command-line batch driver.
 
     qretro <kind> --input scenario.json [--output report.json]
-                  [--seed N] [--tol-scale F] [--quiet]
-    qretro selftest [--seed N] [--tol-scale F] [--quiet]
+                  [--seed N] [--quiet]
+    qretro selftest [--seed N] [--quiet]
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure,
 3 invariant failure in selftest.
@@ -43,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write the report JSON here")
     p.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
-    p.add_argument("--tol-scale", type=float, default=1.0,
-                   help="scale factor applied to check tolerances")
     p.add_argument("--quiet", action="store_true", help="suppress stdout report")
 
 
@@ -59,8 +57,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            report = run_selftest(seed=args.seed if args.seed is not None else 0,
-                                  tol_scale=args.tol_scale)
+            report = run_selftest(seed=args.seed if args.seed is not None else 0)
             _emit(report, args)
             if not args.quiet:
                 for check in report["results"]["checks"]:
@@ -78,7 +75,7 @@ def main(argv=None) -> int:
             )
         if args.seed is not None:
             scenario["seed"] = args.seed
-        report = run_scenario(scenario, tol_scale=args.tol_scale)
+        report = run_scenario(scenario)
         _emit(report, args)
         return EXIT_OK
     except (ValidationError, FileNotFoundError) as exc:

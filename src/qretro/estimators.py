@@ -35,7 +35,6 @@ class EstimationResult:
     min_risk: float
     residual: float  # ‖κ(ρ)∘X̌ − κ(ρ∘X)‖_F, or ‖X̌κ(ρ) − κ(Xρ)‖_F for complex
     support_rank: int  # rank of κ(ρ)
-    warning: str | None = None
 
     def __post_init__(self):
         if self.min_risk < -RISK_TOL:
@@ -109,16 +108,14 @@ def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationR
     min_risk = _real(
         np.trace(rho @ x @ x) - np.trace(krho @ xopt @ xopt), "min risk", tol=1e-9
     )
-    warning = None
     if residual > RESIDUAL_WARN:
-        warning = f"normal-equation residual {residual:.3e} exceeds {RESIDUAL_WARN:g}"
-        warnings.warn(warning, stacklevel=2)
+        msg = f"normal-equation residual {residual:.3e} exceeds {RESIDUAL_WARN:g}"
+        warnings.warn(msg, stacklevel=2)
     return EstimationResult(
         estimator=xopt,
         min_risk=min_risk,
         residual=residual,
         support_rank=spec.rank(),
-        warning=warning,
     )
 
 

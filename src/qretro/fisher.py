@@ -36,7 +36,6 @@ class StateFamily:
 
     state_at: Callable[[float], np.ndarray]
     derivative_at: Optional[Callable[[float], np.ndarray]] = None
-    fd_step: float = FD_STEP
 
     def density(self, theta: float) -> np.ndarray:
         return core.as_density(self.state_at(theta), name=f"rho({theta})")
@@ -44,7 +43,7 @@ class StateFamily:
     def derivative(self, theta: float) -> np.ndarray:
         if self.derivative_at is not None:
             return _tangent(self.derivative_at(theta))
-        h = self.fd_step
+        h = FD_STEP
         return _tangent(
             (np.asarray(self.state_at(theta + h), dtype=complex)
              - np.asarray(self.state_at(theta - h), dtype=complex)) / (2 * h)
@@ -111,7 +110,6 @@ def push_family(family: StateFamily, k: QuantumChannel) -> StateFamily:
     return StateFamily(
         state_at=lambda t: apply_channel(k, family.density(t)),
         derivative_at=lambda t: apply_channel(k, family.derivative(t)),
-        fd_step=family.fd_step,
     )
 
 
@@ -239,4 +237,4 @@ def depolarizing_mixture_family(family: StateFamily, p: float) -> StateFamily:
     def deriv(t):
         return (1 - p) * family.derivative(t)
 
-    return StateFamily(state_at=state, derivative_at=deriv, fd_step=family.fd_step)
+    return StateFamily(state_at=state, derivative_at=deriv)

@@ -47,6 +47,9 @@ class GaussianWigner:
             raise ValidationError("shape", "mean must have even positive length 2n")
         if cov.shape != (mean.size, mean.size):
             raise ValidationError("shape", "covariance shape inconsistent with mean")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()
+                and np.isfinite(self.weight)):
+            raise ValidationError("finite", "mean, covariance and weight must be finite")
         if float(np.abs(cov - cov.T).max()) > 1e-12 * max(1.0, float(np.abs(cov).max())):
             raise ValidationError("symmetry", "covariance must be symmetric")
         cov = (cov + cov.T) / 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default tolerances.  Double-precision eigensolvers at desk-scale
+# Tolerances, one home each.  Double-precision eigensolvers at desk-scale
 # dimensions achieve these comfortably.
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -55,27 +55,26 @@ def hermitian_part(m) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def as_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "operator") -> np.ndarray:
+def as_hermitian(m, name: str = "operator") -> np.ndarray:
     """Validate hermiticity and return the symmetrized matrix.
 
-    Asymmetry below `tol` (scaled by the matrix magnitude) is silently
-    repaired by storing (M + M†)/2; anything larger is an error.
+    Asymmetry below HERMITICITY_TOL (scaled by the matrix magnitude) is
+    silently repaired by storing (M + M†)/2; anything larger is an error.
     """
     m = as_square(m, name)
     scale = max(1.0, float(np.abs(m).max()))
     asym = float(np.abs(m - m.conj().T).max())
-    if asym > tol * scale:
+    if asym > HERMITICITY_TOL * scale:
         raise ValidationError(
             "hermiticity", f"{name} deviates from Hermitian by {asym:.3e}"
         )
     return hermitian_part(m)
 
 
-def as_density(m, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL,
-               name: str = "state") -> np.ndarray:
+def as_density(m, name: str = "state") -> np.ndarray:
     """Validate a density operator: Hermitian, PSD, unit trace."""
     rho = as_hermitian(m, name=name)
-    _require_state(rho, np.linalg.eigvalsh(rho), psd_tol, trace_tol, name)
+    _require_state(rho, np.linalg.eigvalsh(rho), name)
     return rho
 
 
@@ -83,17 +82,17 @@ def _density_with_spectrum(m, name: str = "state"):
     """`as_density`'s checks, the PSD test reading one `eigh`: (ρ, its Spectrum)."""
     rho = as_hermitian(m, name=name)
     spec = Spectrum.of(rho)
-    _require_state(rho, spec.eigenvalues, PSD_TOL, TRACE_TOL, name)
+    _require_state(rho, spec.eigenvalues, name)
     return rho, spec
 
 
-def _require_state(rho, w, psd_tol: float, trace_tol: float, name: str) -> None:
-    """Unit trace, and no eigenvalue w of ρ below −psd_tol."""
+def _require_state(rho, w, name: str) -> None:
+    """Unit trace, and no eigenvalue w of ρ below −PSD_TOL."""
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError("trace", f"{name} has trace {tr!r}, expected 1")
     wmin = float(w.min())
-    if wmin < -psd_tol:
+    if wmin < -PSD_TOL:
         raise ValidationError("psd", f"{name} has eigenvalue {wmin:.3e} < 0")
 
 
@@ -192,16 +191,16 @@ class Spectrum:
         if wmin < -PSD_TOL * max(1.0, self.wmax):
             raise ValidationError("psd", f"{name} has eigenvalue {wmin:.3e} < 0")
 
-    def support(self, tol: float = SUPPORT_TOL) -> np.ndarray:
-        """Mask of the eigenvalues above tol × λ_max (none if λ_max ≤ 0)."""
+    def support(self) -> np.ndarray:
+        """Mask of eigenvalues above SUPPORT_TOL × λ_max (none if λ_max ≤ 0)."""
         w, wmax = self.eigenvalues, self.wmax
-        return w > tol * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
+        return w > SUPPORT_TOL * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
 
-    def rank(self, tol: float = SUPPORT_TOL) -> int:
-        return int(np.count_nonzero(self.support(tol)))
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.support()))
 
-    def projector(self, tol: float = SUPPORT_TOL) -> np.ndarray:
-        vs = self.eigenvectors[:, self.support(tol)]
+    def projector(self) -> np.ndarray:
+        vs = self.eigenvectors[:, self.support()]
         return hermitian_part(vs @ vs.conj().T)
 
 
@@ -209,12 +208,11 @@ def eig_hermitian(h) -> Spectrum:
     return Spectrum.of(as_hermitian(h))
 
 
-def solve_jordan(a, b, support_tol: float = SUPPORT_TOL, *,
-                 spectrum: Spectrum | None = None):
+def solve_jordan(a, b, *, spectrum: Spectrum | None = None):
     """Solve a ∘ x = b for Hermitian x, with a PSD.
 
     Works in the eigenbasis of a: x'_ij = 2 b'_ij / (λ_i + λ_j) where the
-    denominator is above support_tol × λ_max, zero elsewhere (any value on
+    denominator is above SUPPORT_TOL × λ_max, zero elsewhere (any value on
     the kernel of a leaves the risk unchanged; zero is canonical).
 
     Returns (x, residual) with residual = ‖a∘x − b‖_F; for full-rank a and
@@ -231,24 +229,23 @@ def solve_jordan(a, b, support_tol: float = SUPPORT_TOL, *,
     w, v, wmax = spectrum.eigenvalues, spectrum.eigenvectors, spectrum.wmax
     bp = v.conj().T @ b @ v
     denom = w[:, None] + w[None, :]
-    keep = denom > support_tol * wmax if wmax > 0 else False
+    keep = denom > SUPPORT_TOL * wmax if wmax > 0 else False
     xp = np.divide(2 * bp, denom, out=np.zeros_like(bp), where=keep)
     x = hermitian_part(v @ xp @ v.conj().T)
     residual = float(np.linalg.norm(_jordan(a, x) - b))
     return x, residual
 
 
-def support_projector(h, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors with λ > tol × λ_max."""
-    return eig_hermitian(h).projector(tol)
+def support_projector(h) -> np.ndarray:
+    """Orthogonal projector onto the eigenvectors with λ > SUPPORT_TOL × λ_max."""
+    return eig_hermitian(h).projector()
 
 
-def support_rank(h, tol: float = SUPPORT_TOL) -> int:
-    return eig_hermitian(h).rank(tol)
+def support_rank(h) -> int:
+    return eig_hermitian(h).rank()
 
 
-def pseudo_inverse_psd(h, tol: float = SUPPORT_TOL, *,
-                       spectrum: Spectrum | None = None) -> np.ndarray:
+def pseudo_inverse_psd(h, *, spectrum: Spectrum | None = None) -> np.ndarray:
     """Moore–Penrose inverse of a PSD matrix via eigendecomposition.
 
     A caller that has checked h already passes its `spectrum`.
@@ -256,6 +253,6 @@ def pseudo_inverse_psd(h, tol: float = SUPPORT_TOL, *,
     if spectrum is None:
         spectrum = eig_hermitian(h)
         spectrum.require_psd("input")
-    w, v, mask = spectrum.eigenvalues, spectrum.eigenvectors, spectrum.support(tol)
+    w, v, mask = spectrum.eigenvalues, spectrum.eigenvectors, spectrum.support()
     winv = np.divide(1.0, w, out=np.zeros_like(w), where=mask)
     return hermitian_part((v * winv) @ v.conj().T)

@@ -3,8 +3,9 @@
 A scenario is a single JSON document with a `kind` field naming the
 computation.  Complex numbers are two-element [re, im] arrays; matrices are
 row-major nested arrays.  Reports echo the scenario, carry the computed
-quantities with every float fixed to 17 significant digits (lossless for
-doubles, so serialization is byte-deterministic), and list diagnostics.
+quantities with every float in shortest round-trip float form (Python's
+`repr`, lossless for doubles, so serialization is byte-deterministic), and
+list diagnostics.
 """
 
 from __future__ import annotations
@@ -47,11 +48,8 @@ KINDS = ("personick", "complex", "weak-value", "classical", "qfi-mono",
 # --- encoding ---------------------------------------------------------------
 
 def encode_complex(z: complex):
-    return [_f17(z.real), _f17(z.imag)]
+    return [z.real, z.imag]
 
-
-# The array encoders hand tolist()'s Python floats over unchanged: _f17 is
-# the identity on doubles, so the JSON bytes match a per-element _f17.
 
 def encode_complex_matrix(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
@@ -64,11 +62,6 @@ def encode_real_vector(v):
 
 def encode_real_matrix(m):
     return np.asarray(m, dtype=float).tolist()
-
-
-def _f17(v: float) -> float:
-    # 17 significant digits round-trip doubles exactly
-    return float(f"{v:.17g}")
 
 
 def decode_complex_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -134,7 +127,7 @@ def decode_channel(obj) -> QuantumChannel:
     if "kraus" in obj:
         kraus = [decode_complex_matrix(k, "kraus")
                  for k in _list(obj["kraus"], "kraus")]
-        return QuantumChannel(kraus, labels=_labels(obj))
+        return QuantumChannel(kraus)
     if "classical" in obj:
         return channel_from_classical(ClassicalChannel(_reals(obj, "classical")))
     if "povm" in obj:
@@ -190,11 +183,8 @@ def decode_family(obj) -> fisher.StateFamily:
 
 # --- dispatch ---------------------------------------------------------------
 
-def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
-    """Execute one scenario and return its report as a plain dict.
-
-    `tol_scale` scales the monotonicity threshold of a `qfi-mono` sweep.
-    """
+def run_scenario(scenario: dict) -> dict:
+    """Execute one scenario and return its report as a plain dict."""
     if not isinstance(scenario, dict):
         raise ValidationError("parse", "scenario must be a JSON object")
     kind = _require(scenario, "kind")
@@ -205,7 +195,7 @@ def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
         if kind == "qfi-mono" and "sweep" in scenario:
-            results = _run_qfi_sweep(scenario, tol_scale)
+            results = _run_qfi_sweep(scenario)
         else:
             results = _DISPATCH[kind](scenario)
         caught = [str(w.message) for w in wlist]
@@ -213,7 +203,7 @@ def run_scenario(scenario: dict, tol_scale: float = 1.0) -> dict:
     return {
         "scenario": scenario,
         "results": results,
-        "diagnostics": {"warnings": caught, "elapsed_s": _f17(elapsed)},
+        "diagnostics": {"warnings": caught, "elapsed_s": elapsed},
     }
 
 
@@ -225,7 +215,7 @@ def _run_risk(sc):
         k,
         decode_complex_matrix(_require(sc, "xcheck"), "xcheck"),
     )
-    return {"risk": _f17(value)}
+    return {"risk": value}
 
 
 def _run_personick(sc):
@@ -236,10 +226,9 @@ def _run_personick(sc):
     )
     return {
         "estimator": encode_complex_matrix(result.estimator),
-        "min_risk": _f17(result.min_risk),
-        "residual": _f17(result.residual),
+        "min_risk": result.min_risk,
+        "residual": result.residual,
         "support_rank": result.support_rank,
-        "warning": result.warning,
     }
 
 
@@ -251,8 +240,8 @@ def _run_complex(sc):
     )
     return {
         "estimator": encode_complex_matrix(result.estimator),
-        "min_risk": _f17(result.min_risk),
-        "residual": _f17(result.residual),
+        "min_risk": result.min_risk,
+        "residual": result.residual,
     }
 
 
@@ -268,10 +257,10 @@ def _run_weak_value(sc):
     outcomes = []
     for label in povm.labels:
         prob = float(np.trace(povm.effect(label) @ rho).real)
-        entry = {"label": label, "probability": _f17(prob)}
+        entry = {"label": label, "probability": prob}
         if prob > WEAKVALUE_FLOOR:
             if hermitian:
-                entry["weak_value"] = _f17(weak_value(rho, x, povm, label))
+                entry["weak_value"] = weak_value(rho, x, povm, label)
             entry["complex_weak_value"] = encode_complex(
                 complex_weak_value(rho, x, povm, label)
             )
@@ -286,7 +275,7 @@ def _run_classical(sc):
     estimates, defined = classical_conditional_expectation(_reals(sc, "px"), chan,
                                                            _reals(sc, "xvals"))
     return {
-        "estimates": [(_f17(v) if ok else None) for v, ok in zip(estimates, defined)],
+        "estimates": [(float(v) if ok else None) for v, ok in zip(estimates, defined)],
         "defined": [bool(b) for b in defined],
     }
 
@@ -297,15 +286,15 @@ def _run_qfi_mono(sc):
     theta = _number(sc.get("theta", 0.0), "theta")
     report = fisher.monotonicity_check(family, k, theta)
     return {
-        "j_in": _f17(report.j_in),
-        "j_out": _f17(report.j_out),
-        "slack": _f17(report.slack),
-        "personick_risk": _f17(report.personick_risk),
+        "j_in": report.j_in,
+        "j_out": report.j_out,
+        "slack": report.slack,
+        "personick_risk": report.personick_risk,
         "support_rank": report.support_rank,
     }
 
 
-def _run_qfi_sweep(sc, tol_scale):
+def _run_qfi_sweep(sc):
     spec = sc["sweep"]
     if not isinstance(spec, dict):
         raise ValidationError("parse", f"field 'sweep' must be an object, got {spec!r}")
@@ -314,7 +303,6 @@ def _run_qfi_sweep(sc, tol_scale):
     if not dims:
         raise ValidationError("parse", "field 'dims' must not be empty")
     gen = rng(_int(sc.get("seed", 0), "seed", minimum=0))
-    slack_tol = 1e-8 * tol_scale
     rows = []
     worst_slack = np.inf
     worst_gap = 0.0
@@ -331,15 +319,15 @@ def _run_qfi_sweep(sc, tol_scale):
         worst_slack = min(worst_slack, rep.slack)
         worst_gap = max(worst_gap, gap)
         rows.append({
-            "j_in": _f17(rep.j_in),
-            "j_out": _f17(rep.j_out),
-            "slack": _f17(rep.slack),
+            "j_in": rep.j_in,
+            "j_out": rep.j_out,
+            "slack": rep.slack,
         })
     return {
         "count": count,
-        "min_slack": _f17(worst_slack),
-        "max_risk_gap": _f17(worst_gap),
-        "all_monotone": bool(worst_slack >= -slack_tol),
+        "min_slack": worst_slack,
+        "max_risk_gap": worst_gap,
+        "all_monotone": bool(worst_slack >= -1e-8),
         "rows": rows,
     }
 
@@ -378,18 +366,18 @@ def _run_gaussian(sc):
     product = gaussian.gaussian_product(wr, we)
     estimate = gaussian.quadrature_estimator(wr, we, x)
     results = {
-        "estimate": _f17(estimate),
+        "estimate": estimate,
         "product": {
             "mean": encode_real_vector(product.mean),
             "covariance": encode_real_matrix(product.covariance),
-            "weight": _f17(product.weight),
+            "weight": product.weight,
         },
     }
     if sc.get("numeric_check"):
         numer = gaussian.numeric_wigner_integral([wr, we], x)
         denom = gaussian.numeric_wigner_integral([wr, we])
-        results["numeric_estimate"] = _f17(numer / denom)
-        results["numeric_gap"] = _f17(abs(numer / denom - estimate))
+        results["numeric_estimate"] = numer / denom
+        results["numeric_gap"] = abs(numer / denom - estimate)
     return results
 
 

@@ -30,8 +30,6 @@ from .estimators import (
     schrodinger_risk,
     weak_value,
 )
-from .scenario import _f17
-
 
 def _check_jordan_hermitian(gen):
     worst = 0.0
@@ -274,7 +272,7 @@ CHECKS = [
 ]
 
 
-def run_selftest(seed: int = 0, tol_scale: float = 1.0) -> dict:
+def run_selftest(seed: int = 0) -> dict:
     """Run every invariant check with one seed; failures are the output."""
     start = time.perf_counter()
     checks = []
@@ -283,20 +281,19 @@ def run_selftest(seed: int = 0, tol_scale: float = 1.0) -> dict:
         # one deterministic substream per check, stable across processes
         gen = sampling.rng((seed << 16) + index)
         worst, threshold = fn(gen)
-        threshold = threshold * tol_scale
         passed = bool(worst <= threshold)
         all_passed = all_passed and passed
         checks.append({
             "name": name,
             "passed": passed,
-            "worst": _f17(float(worst)),
-            "threshold": _f17(float(threshold)),
+            "worst": float(worst),
+            "threshold": threshold,
         })
     return {
-        "scenario": {"kind": "selftest", "seed": seed, "tol_scale": tol_scale},
+        "scenario": {"kind": "selftest", "seed": seed},
         "results": {"checks": checks, "all_passed": all_passed},
         "diagnostics": {
             "warnings": [],
-            "elapsed_s": _f17(time.perf_counter() - start),
+            "elapsed_s": time.perf_counter() - start,
         },
     }

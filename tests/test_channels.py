@@ -221,6 +221,27 @@ def test_povm_validation():
         Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # negative effect
 
 
+def test_channel_from_povm_reads_the_povm_spectra(gen, monkeypatch):
+    # a Povm makes one eigh per effect; channel_from_povm makes none
+    effects = random_povm(gen, 3, 4).effects
+    count = {"n": 0}
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            count["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    povm = Povm(effects)
+    assert count["n"] == 4
+    chan = channel_from_povm(povm)
+    assert count["n"] == 4
+    rho = random_density(gen, 3)
+    expected = np.diag([np.trace(e @ rho) for e in povm.effects])
+    np.testing.assert_allclose(chan(rho), expected, atol=1e-12)
+
+
 def test_partial_trace_channel_trivial(gen):
     chan = partial_trace_channel([2], {0})
     rho = random_density(gen, 2)

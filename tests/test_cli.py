@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from qretro import estimators
 from qretro.cli import main
 from qretro.scenario import (
+    decode_channel,
     decode_complex_matrix,
     encode_complex_matrix,
     encode_real_matrix,
@@ -136,6 +139,19 @@ def test_gaussian_scenario_rejects_sub_vacuum_covariance(tmp_path, capsys,
     rc = main(["gaussian", "--input", _write(tmp_path, sc), "--quiet"])
     assert rc == 1
     assert "error: uncertainty:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part, field, value", [
+    ("state", "mean", [float("nan"), 0.0]),
+    ("effect", "weight", float("inf")),
+])
+def test_gaussian_scenario_rejects_non_finite_input(tmp_path, capsys, part, field,
+                                                    value):
+    sc = gaussian_scenario(VACUUM, VACUUM)
+    sc[part][field] = value
+    rc = main(["gaussian", "--input", _write(tmp_path, sc), "--quiet"])
+    assert rc == 1
+    assert "error: finite:" in capsys.readouterr().err
 
 
 def test_gaussian_scenario_accepts_vacuum():
@@ -308,6 +324,29 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: parse:") and message in err
+
+
+def test_cli_has_no_tolerance_scale_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--tol-scale", "2"])
+    assert exc.value.code == 2
+
+
+def test_residual_warning_is_recorded_once(monkeypatch):
+    # warnings.warn is the one path: the estimator warns once, the report
+    # lists the message once, and results carry no copy of it
+    monkeypatch.setattr(estimators, "RESIDUAL_WARN", -1.0)
+    sc = personick_scenario()
+    args = (decode_complex_matrix(sc["rho"]), decode_complex_matrix(sc["x"]),
+            decode_channel(sc["channel"]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimators.personick_estimator(*args)
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith("normal-equation residual")
+    report = run_scenario(sc)
+    assert report["diagnostics"]["warnings"] == [str(caught[0].message)]
+    assert "warning" not in report["results"]
 
 
 def test_cli_scenario_not_an_object(tmp_path, capsys):

@@ -218,7 +218,6 @@ def test_complex_estimator_support_rank_matches_personick(gen):
         cplx = complex_estimator(rho, x, chan)
         herm = personick_estimator(rho, x, chan)
         assert cplx.support_rank == herm.support_rank
-        assert cplx.warning is None
 
 
 def test_povm_label_count_must_match_effects():

@@ -164,6 +164,20 @@ def test_gaussian_validation():
                        covariance=np.array([[1.0, 0.5], [0.1, 1.0]]))
 
 
+@pytest.mark.parametrize("mean, cov, weight", [
+    ([np.nan, 0.0], np.eye(2), 1.0),
+    ([np.inf, 0.0], np.eye(2), 1.0),
+    ([0.0, -np.inf], np.eye(2), 1.0),
+    ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]], 1.0),
+    ([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], 1.0),
+    ([0.0, 0.0], np.eye(2), np.inf),
+    ([0.0, 0.0], np.eye(2), np.nan),
+])
+def test_gaussian_rejects_non_finite_input(mean, cov, weight):
+    with pytest.raises(ValidationError, match="^finite:"):
+        GaussianWigner(mean=mean, covariance=cov, weight=weight)
+
+
 def test_numeric_integral_rejects_malformed_input():
     one, two = unit(), GaussianWigner(mean=np.zeros(4), covariance=np.eye(4))
     with pytest.raises(ValidationError):
