@@ -162,7 +162,7 @@ def channel_from_dilation(u, env, dims, traced, kept) -> QuantumChannel:
     return QuantumChannel(kraus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalChannel:
     """Column-stochastic transition matrix P(y|x), columns indexed by x."""
 
@@ -190,7 +190,7 @@ class ClassicalChannel:
         return self.transition.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Positive operator-valued measure: PSD effects summing to identity.
 

@@ -208,21 +208,23 @@ def diagonal_exponential_family(p0, weights) -> StateFamily:
 
 
 def unitary_rotation_family(rho0, h) -> StateFamily:
-    """ρ(θ) = e^{−iθH} ρ₀ e^{iθH} with analytic derivative −i[H, ρ(θ)]."""
+    """ρ(θ) = e^{−iθH} ρ₀ e^{iθH} with analytic derivative −i[H, ρ(θ)].
+
+    H commutes with U(θ) = e^{−iθH}, so −i[H, ρ(θ)] = U(θ) D₀ U(θ)† with
+    D₀ = −i[H, ρ₀] computed once here.
+    """
     rho0 = core.as_density(rho0, name="rho0")
     h = core.as_hermitian(h, name="h")
     spec = core.Spectrum.of(h)
+    d0 = -1j * (h @ rho0 - rho0 @ h)
 
-    def state(t):
+    def rotate(m, t):
         u = (spec.eigenvectors * np.exp(-1j * t * spec.eigenvalues)) @ \
             spec.eigenvectors.conj().T
-        return u @ rho0 @ u.conj().T
+        return u @ m @ u.conj().T
 
-    def deriv(t):
-        r = state(t)
-        return -1j * (h @ r - r @ h)
-
-    return StateFamily(state_at=state, derivative_at=deriv)
+    return StateFamily(state_at=lambda t: rotate(rho0, t),
+                       derivative_at=lambda t: rotate(d0, t))
 
 
 def depolarizing_mixture_family(family: StateFamily, p: float) -> StateFamily:

@@ -32,7 +32,7 @@ class NegligibleOverlap(ValueError):
     """The retrodictive effect barely overlaps the state; the conditional is undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianWigner:
     """weight × Gaussian density over 2n-dimensional quadrature phase space."""
 
@@ -66,7 +66,7 @@ class GaussianWigner:
         return self.mean.size // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearQuadrature:
     """Affine observable coeffs · (q, p) + offset."""
 

@@ -2,16 +2,17 @@
 
 A scenario is a single JSON document with a `kind` field naming the
 computation.  Complex numbers are two-element [re, im] arrays; matrices are
-row-major nested arrays.  Reports echo the scenario, carry the computed
-quantities with every float in shortest round-trip float form (Python's
-`repr`, lossless for doubles, so serialization is byte-deterministic), and
-list diagnostics.
+row-major nested arrays.  Reports are one line of compact JSON with sorted
+keys: they echo the scenario, carry the computed quantities with every float
+in shortest round-trip float form (Python's `repr`, lossless for doubles, so
+serialization is byte-deterministic), and list diagnostics.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import warnings
 
@@ -203,7 +204,19 @@ def run_scenario(scenario: dict) -> dict:
     return {
         "scenario": scenario,
         "results": results,
-        "diagnostics": {"warnings": caught, "elapsed_s": elapsed},
+        "diagnostics": {"warnings": caught, "elapsed_s": elapsed,
+                        "provenance": provenance()},
+    }
+
+
+def provenance() -> dict:
+    """The qretro, numpy and Python versions that produced a report."""
+    from . import __version__  # set once the package has finished importing
+
+    return {
+        "qretro": __version__,
+        "numpy": np.__version__,
+        "python": "%d.%d.%d" % sys.version_info[:3],
     }
 
 
@@ -403,7 +416,12 @@ def load_scenario(path) -> dict:
 
 
 def serialize_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """One line of compact JSON; `python -m json.tool` pretty-prints it.
+
+    Without an indent, `json.dumps` runs on CPython's C encoder: a d=64
+    report encodes about twice as fast and half as large as with one.
+    """
+    return json.dumps(report, sort_keys=True)
 
 
 def write_report(report: dict, path) -> None:

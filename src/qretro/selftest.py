@@ -30,6 +30,7 @@ from .estimators import (
     schrodinger_risk,
     weak_value,
 )
+from .scenario import provenance
 
 def _check_jordan_hermitian(gen):
     worst = 0.0
@@ -276,11 +277,14 @@ def run_selftest(seed: int = 0) -> dict:
     """Run every invariant check with one seed; failures are the output."""
     start = time.perf_counter()
     checks = []
+    check_elapsed = {}
     all_passed = True
     for index, (name, fn) in enumerate(CHECKS):
         # one deterministic substream per check, stable across processes
         gen = sampling.rng((seed << 16) + index)
+        check_start = time.perf_counter()
         worst, threshold = fn(gen)
+        check_elapsed[name] = time.perf_counter() - check_start
         passed = bool(worst <= threshold)
         all_passed = all_passed and passed
         checks.append({
@@ -295,5 +299,7 @@ def run_selftest(seed: int = 0) -> dict:
         "diagnostics": {
             "warnings": [],
             "elapsed_s": time.perf_counter() - start,
+            "check_elapsed_s": check_elapsed,
+            "provenance": provenance(),
         },
     }

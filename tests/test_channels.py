@@ -304,3 +304,13 @@ def test_composition(gen):
     b = random_channel(gen, 3, 2)
     rho = random_density(gen, 2)
     np.testing.assert_allclose(a.then(b)(rho), b(a(rho)), atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Povm([np.eye(2) / 2, np.eye(2) / 2]),
+    lambda: ClassicalChannel(np.array([[0.8, 0.2], [0.2, 0.8]])),
+])
+def test_array_dataclasses_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and {a, b} == {a, b}

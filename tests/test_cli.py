@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qretro
 from qretro import estimators
 from qretro.cli import main
 from qretro.scenario import (
@@ -358,3 +360,50 @@ def test_cli_scenario_not_an_object(tmp_path, capsys):
 def test_complex_results_keys():
     sc = dict(personick_scenario(), kind="complex")
     assert sorted(run_scenario(sc)["results"]) == ["estimator", "min_risk", "residual"]
+
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_report_file_is_one_line_of_strict_json(tmp_path, path):
+    kind = json.loads(path.read_text())["kind"]
+    texts = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert main([kind, "--input", str(path), "--output", str(out), "--quiet"]) == 0
+        texts.append(out.read_text())
+    reports = []
+    for text in texts:
+        assert text.endswith("\n") and text.count("\n") == 1
+        report = json.loads(text, parse_constant=_reject_constant)
+        assert serialize_report(report) + "\n" == text
+        assert report["scenario"] == json.loads(path.read_text())
+        reports.append(report)
+    first, second = (json.dumps(r["results"], sort_keys=True) for r in reports)
+    assert first == second
+    assert all(r["diagnostics"]["elapsed_s"] >= 0 for r in reports)
+
+
+PROVENANCE = {"qretro": qretro.__version__, "numpy": np.__version__,
+              "python": "%d.%d.%d" % sys.version_info[:3]}
+
+
+def test_scenario_reports_record_provenance():
+    assert run_scenario(personick_scenario())["diagnostics"]["provenance"] == PROVENANCE
+
+
+def test_selftest_diagnostics_time_each_check():
+    report = run_selftest(seed=1)
+    diagnostics = report["diagnostics"]
+    assert diagnostics["provenance"] == PROVENANCE
+    names = [check["name"] for check in report["results"]["checks"]]
+    elapsed = diagnostics["check_elapsed_s"]
+    assert list(elapsed) == names
+    assert all(t >= 0 for t in elapsed.values())
+    assert sum(elapsed.values()) <= diagnostics["elapsed_s"]
+    assert "elapsed" not in json.dumps(report["results"])

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,3 +243,24 @@ def test_monotonicity_matches_public_composition(d_in, d_out, seed, theta):
     assert report.slack == pytest.approx(j_in - j_out, rel=0, abs=1e-12)
     assert report.personick_risk == pytest.approx(est.min_risk, rel=0, abs=1e-12)
     assert report.support_rank == est.support_rank
+
+
+def test_unitary_rotation_derivative_is_the_commutator(gen):
+    rho0 = random_density(gen, 4)
+    h = random_hermitian(gen, 4)
+    family = unitary_rotation_family(rho0, h)
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code)
+
+    for theta in (-0.4, 0.0, 0.3, 1.7):
+        sys.setprofile(profile)
+        try:
+            drho = family.derivative_at(theta)
+        finally:
+            sys.setprofile(None)
+        assert entered and family.state_at.__code__ not in entered
+        rho = family.state_at(theta)
+        np.testing.assert_allclose(drho, -1j * (h @ rho - rho @ h), rtol=0, atol=1e-12)

@@ -278,3 +278,13 @@ def test_truncation_warning_on_every_face(axis):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         numeric_wigner_integral([g], x, points_per_axis=41, half_width_sigmas=8.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: unit(),
+    lambda: LinearQuadrature(coeffs=np.array([1.0, 0.0]), offset=0.5),
+])
+def test_array_dataclasses_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and {a, b} == {a, b}
