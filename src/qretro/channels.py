@@ -22,7 +22,9 @@ from .operator_core import (
     _density_with_spectrum,
     as_hermitian,
     as_square,
+    dagger,
     hermitian_part,
+    require,
 )
 
 
@@ -38,24 +40,25 @@ class CptpReport:
 class QuantumChannel:
     """A CPTP map κ stored as a list of Kraus operators.
 
-    Non-trace-preserving Kraus lists are rejected at construction; pass a
-    list to :func:`validate_cptp` instead to diagnose a broken map.
+    `kraus` is a (K, d_out, d_in) array, or (…, K, d_out, d_in) for a stack
+    of channels with one Kraus count, which `apply_channel` applies to a
+    stack of operators element by element.  Non-trace-preserving Kraus lists
+    are rejected at construction; pass a list to :func:`validate_cptp`
+    instead to diagnose a broken map.
     """
 
     def __init__(self, kraus):
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops:
+        if not len(kraus):
             raise ValidationError("kraus", "empty Kraus list")
-        shape = ops[0].shape
-        if len(shape) != 2 or any(k.shape != shape for k in ops):
+        try:
+            self.kraus = np.asarray(kraus, dtype=complex)
+        except ValueError:  # ragged: the operators differ in shape
+            self.kraus = None
+        if self.kraus is None or self.kraus.ndim < 3:
             raise ValidationError("kraus", "Kraus operators must share one 2-D shape")
-        self.kraus = np.stack(ops)
-        self.dim_out, self.dim_in = shape
+        self.dim_out, self.dim_in = self.kraus.shape[-2:]
         dev = _tp_deviation(self.kraus)
-        if dev > CPTP_TOL:
-            raise ValidationError(
-                "cptp", f"Σ K†K deviates from identity by {dev:.3e}"
-            )
+        require(dev > CPTP_TOL, "cptp", "Σ K†K", "deviates from identity by {:.3e}", dev)
 
     def __call__(self, rho) -> np.ndarray:
         return apply_channel(self, rho)
@@ -66,8 +69,9 @@ class QuantumChannel:
             raise ValidationError(
                 "shape", f"cannot compose: {other.dim_in} != {self.dim_out}"
             )
-        kraus = [b @ a for b in other.kraus for a in self.kraus]
-        return QuantumChannel(kraus)
+        # every product B_b A_a, ordered with b the slow index
+        prod = other.kraus[..., :, None, :, :] @ self.kraus[..., None, :, :, :]
+        return QuantumChannel(prod.reshape(*prod.shape[:-4], -1, *prod.shape[-2:]))
 
     def choi_matrix(self) -> np.ndarray:
         return _choi(self.kraus)
@@ -75,31 +79,43 @@ class QuantumChannel:
 
 def _choi(kraus: np.ndarray) -> np.ndarray:
     # Choi matrix (id ⊗ κ)(|Ω⟩⟨Ω|) with the input index as the slow factor.
+    if kraus.ndim != 3:
+        raise ValidationError("kraus", "a Choi matrix is of one channel, not a stack")
     vecs = kraus.transpose(0, 2, 1).reshape(len(kraus), -1)
     return vecs.T @ vecs.conj()
 
 
-def _tp_deviation(kraus: np.ndarray) -> float:
+def _tp_deviation(kraus: np.ndarray):
     # Σ K†K = M†M with the Kraus operators stacked as M, (K·d_out, d_in)
-    n, dim_out, dim_in = kraus.shape
-    m = kraus.reshape(n * dim_out, dim_in)
-    return float(np.abs(m.conj().T @ m - np.eye(dim_in)).max())
+    *lead, n, dim_out, dim_in = kraus.shape
+    m = kraus.reshape(*lead, n * dim_out, dim_in)
+    return np.abs(dagger(m) @ m - np.eye(dim_in)).max(axis=(-2, -1))
 
 
 def apply_channel(k: QuantumChannel, rho) -> np.ndarray:
-    """κ(ρ) = Σ K ρ K†.  The input need not be a density operator."""
+    """κ(ρ) = Σ K ρ K†.  The input need not be a density operator.
+
+    A stack of channels, of operators, or both is applied element by
+    element over the broadcast leading axes.
+    """
     rho = as_square(rho, "rho")
-    if rho.shape[0] != k.dim_in:
+    if rho.shape[-1] != k.dim_in:
         raise ValidationError(
-            "shape", f"input dim {rho.shape[0]} != channel dim_in {k.dim_in}"
+            "shape", f"input dim {rho.shape[-1]} != channel dim_in {k.dim_in}"
         )
+    *lead, n, dim_out, dim_in = k.kraus.shape
+    try:
+        stack = np.broadcast_shapes(tuple(lead), rho.shape[:-2])
+    except ValueError:
+        raise ValidationError(
+            "shape", f"channel stack {tuple(lead)} != operator stack {rho.shape[:-2]}"
+        ) from None
     # A = [K_1 … K_K] as (d_out, K·d_in), so κ(ρ) = A (I_K ⊗ ρ) A†: the
     # (d_out·K, d_in) view of A times ρ is A (I_K ⊗ ρ), read back as
     # (d_out, K·d_in), then one product with A†.
-    n = k.kraus.shape[0]
-    a = k.kraus.transpose(1, 0, 2).reshape(k.dim_out, n * k.dim_in)
-    t = (a.reshape(k.dim_out * n, k.dim_in) @ rho).reshape(k.dim_out, n * k.dim_in)
-    return t @ a.conj().T
+    a = k.kraus.swapaxes(-3, -2).reshape(*lead, dim_out, n * dim_in)
+    t = (a.reshape(*lead, dim_out * n, dim_in) @ rho).reshape(*stack, dim_out, n * dim_in)
+    return t @ dagger(a)
 
 
 def validate_cptp(k) -> CptpReport:
@@ -111,8 +127,8 @@ def validate_cptp(k) -> CptpReport:
         kraus = k.kraus
     else:
         kraus = np.stack([np.asarray(m, dtype=complex) for m in k])
-    dev = _tp_deviation(kraus)
     choi = _choi(kraus)
+    dev = float(_tp_deviation(kraus))
     wmin = float(np.linalg.eigvalsh(hermitian_part(choi)).min())
     return CptpReport(
         tp_deviation=dev,
@@ -132,8 +148,8 @@ def channel_from_dilation(u, env, dims, traced, kept) -> QuantumChannel:
     dims = [int(d) for d in dims]
     u = as_square(u, "u")
     d_total = int(np.prod(dims))
-    if u.shape[0] != d_total:
-        raise ValidationError("dims", f"U dim {u.shape[0]} != prod(dims) {d_total}")
+    if u.shape != (d_total, d_total):
+        raise ValidationError("dims", f"U shape {u.shape} != prod(dims) {d_total}")
     if float(np.abs(u.conj().T @ u - np.eye(d_total)).max()) > 1e-10:
         raise ValidationError("unitary", "U is not unitary within 1e-10")
     traced = sorted(set(int(i) for i in traced))
@@ -144,7 +160,7 @@ def channel_from_dilation(u, env, dims, traced, kept) -> QuantumChannel:
         raise ValidationError("dims", "traced and kept must partition the factors")
     d_a = dims[0]
     env, spec = _density_with_spectrum(env, name="env")
-    if env.shape[0] * d_a != d_total:
+    if env.ndim != 2 or env.shape[0] * d_a != d_total:
         raise ValidationError("dims", "env dimension inconsistent with dims")
 
     kraus = []
@@ -205,8 +221,8 @@ class Povm:
         eff = tuple(as_hermitian(e, name="effect") for e in effects)
         if not eff:
             raise ValidationError("povm", "empty effect list")
-        dim = eff[0].shape[0]
-        if any(e.shape[0] != dim for e in eff):
+        dim = eff[0].shape[-1]
+        if any(e.shape != (dim, dim) for e in eff):
             raise ValidationError("shape", "effects must share one dimension")
         spectra = tuple(Spectrum.of(e) for e in eff)
         for i, spec in enumerate(spectra):
@@ -254,8 +270,8 @@ def channel_from_cq_ensemble(states) -> QuantumChannel:
     spectra = [_density_with_spectrum(s, name=f"state {x}")[1]
                for x, s in enumerate(states)]
     n_in = len(spectra)
-    d_out = spectra[0].eigenvectors.shape[0]
-    if any(spec.eigenvectors.shape[0] != d_out for spec in spectra):
+    d_out = spectra[0].eigenvectors.shape[-1]
+    if any(spec.eigenvectors.shape != (d_out, d_out) for spec in spectra):
         raise ValidationError("shape", "ensemble states must share one dimension")
     kraus = []
     for x, spec in enumerate(spectra):

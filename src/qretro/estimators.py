@@ -29,7 +29,7 @@ class ZeroProbabilityOutcome(ValueError):
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """A minimum-risk estimator: Hermitian (Personick) or complex."""
+    """A minimum-risk estimator, Hermitian (Personick) or complex, or a stack of them."""
 
     estimator: np.ndarray
     min_risk: float
@@ -37,15 +37,15 @@ class EstimationResult:
     support_rank: int  # rank of κ(ρ)
 
     def __post_init__(self):
-        if self.min_risk < -RISK_TOL:
-            raise ValidationError("risk", f"negative risk {self.min_risk:.3e}")
+        risk = np.asarray(self.min_risk)
+        core.require(risk < -RISK_TOL, "risk", "negative risk", "{:.3e}", risk)
 
 
-def _real(value: complex, what: str, tol: float = 1e-12) -> float:
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > tol * scale:
-        raise ValidationError("real", f"{what} has imaginary part {value.imag:.3e}")
-    return float(value.real)
+def _real(value, what: str, tol: float = 1e-12):
+    value = np.asarray(value)
+    core.require(abs(value.imag) > tol * np.maximum(1.0, abs(value)), "real", what,
+                 "has imaginary part {:.3e}", value.imag)
+    return core.scalar(value.real)
 
 
 def schrodinger_risk(rho, x, k: QuantumChannel, xcheck) -> float:
@@ -53,7 +53,8 @@ def schrodinger_risk(rho, x, k: QuantumChannel, xcheck) -> float:
     rho = core.as_density(rho)
     x = core.as_hermitian(x, name="x")
     xcheck = core.as_hermitian(xcheck, name="xcheck")
-    if rho.shape[0] != k.dim_in or xcheck.shape[0] != k.dim_out:
+    if (rho.shape != (k.dim_in,) * 2 or x.shape != rho.shape
+            or xcheck.shape != (k.dim_out,) * 2):
         raise ValidationError("shape", "operator dimensions inconsistent with channel")
     value = (
         np.trace(rho @ x @ x)
@@ -76,7 +77,7 @@ def heisenberg_risk(rho0, x, xcheck, u, dims, x_factor: int = 0,
         xcheck_factor = len(dims) - 1
     d_total = int(np.prod(dims))
     u = core.as_square(u, "u")
-    if u.shape[0] != d_total or rho0.shape[0] != d_total:
+    if u.shape != (d_total, d_total) or rho0.shape != u.shape:
         raise ValidationError("dims", "rho0/U inconsistent with dims")
     if float(np.abs(u.conj().T @ u - np.eye(d_total)).max()) > 1e-10:
         raise ValidationError("unitary", "U is not unitary within 1e-10")
@@ -90,14 +91,15 @@ def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationR
     """Optimal Hermitian estimator of x through κ and its minimum risk.
 
     Solves κ(ρ)∘X̌ = κ(ρ∘X) on the support of κ(ρ) (zero on the kernel)
-    and evaluates the minimum risk tr ρX² − tr κ(ρ)X̌².  A caller that has
-    checked ρ, x and κ(ρ) already passes `image` = (κ(ρ), its Spectrum);
-    nothing is then validated, pushed through κ or decomposed again.
+    and evaluates the minimum risk tr ρX² − tr κ(ρ)X̌², in one call for
+    stacks of ρ, x or κ.  A caller that has checked ρ, x and κ(ρ) already
+    passes `image` = (κ(ρ), its Spectrum); nothing is then validated,
+    pushed through κ or decomposed again.
     """
     if image is None:
         rho = core.as_density(rho)
         x = core.as_hermitian(x, name="x")
-        if rho.shape[0] != k.dim_in:
+        if rho.shape[-1] != k.dim_in:
             raise ValidationError("shape", "rho dimension != channel dim_in")
         krho = core.as_hermitian(apply_channel(k, rho))
         image = krho, core.Spectrum.of(krho)
@@ -106,10 +108,11 @@ def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationR
     rhs = core.hermitian_part(apply_channel(k, core._jordan(rho, x)))
     xopt, residual = core.solve_jordan(krho, rhs, spectrum=spec)
     min_risk = _real(
-        np.trace(rho @ x @ x) - np.trace(krho @ xopt @ xopt), "min risk", tol=1e-9
+        core.trace(rho @ x @ x) - core.trace(krho @ xopt @ xopt), "min risk", tol=1e-9
     )
-    if residual > RESIDUAL_WARN:
-        msg = f"normal-equation residual {residual:.3e} exceeds {RESIDUAL_WARN:g}"
+    bad = core.failure(np.asarray(residual) > RESIDUAL_WARN, "normal-equation residual")
+    if bad:
+        msg = f"{bad[1]} {np.asarray(residual)[bad[0]]:.3e} exceeds {RESIDUAL_WARN:g}"
         warnings.warn(msg, stacklevel=2)
     return EstimationResult(
         estimator=xopt,
@@ -121,9 +124,9 @@ def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationR
 
 def _outcome(rho, x, p: Povm, y):
     """E(y) and tr E(y)ρ for checked ρ and x, above the probability floor."""
-    if rho.shape[0] != p.dim or x.shape[0] != p.dim:
+    if rho.shape != (p.dim, p.dim) or x.shape != rho.shape:
         raise ValidationError(
-            "shape", f"rho/x dims {rho.shape[0]}/{x.shape[0]} != POVM dim {p.dim}"
+            "shape", f"rho/x shapes {rho.shape}/{x.shape} != POVM dim {p.dim}"
         )
     e = p.effect(y)
     prob = float(np.trace(e @ rho).real)
@@ -168,7 +171,7 @@ def complex_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
     """Unconstrained (possibly non-Hermitian) optimum X̌ κ(ρ) = κ(Xρ)."""
     rho = core.as_density(rho)
     x = core.as_square(x, "x")
-    if rho.shape[0] != k.dim_in or x.shape[0] != k.dim_in:
+    if rho.shape != (k.dim_in, k.dim_in) or x.shape != rho.shape:
         raise ValidationError("shape", "operator dimensions inconsistent with channel")
     krho = core.as_hermitian(apply_channel(k, rho))
     spec = core.Spectrum.of(krho)

@@ -9,6 +9,7 @@ Validation happens where a state enters: ρ(θ) and ∂ρ(θ) are checked once
 per evaluation of a family, ρ(θ) together with its one `eigh`.  `sld`,
 `solve_jordan` and `personick_estimator` take those checked arrays and the
 `Spectrum` of ρ(θ) or κ(ρ(θ)) from a caller that has them.
+A stacked family, with θ an array, runs many checks in one call.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ class RankChangeError(ValueError):
     """The family's rank changes at the queried point; the SLD is singular there."""
 
 
+def _at(what: str, theta) -> str:
+    """The name of ρ(θ) in messages; a stack's element index is appended."""
+    return f"{what}({theta})" if np.ndim(theta) == 0 else f"{what}(theta)"
+
+
 @dataclass
 class StateFamily:
     """One-parameter family θ ↦ ρ(θ) with optional analytic derivative."""
@@ -38,7 +44,7 @@ class StateFamily:
     derivative_at: Optional[Callable[[float], np.ndarray]] = None
 
     def density(self, theta: float) -> np.ndarray:
-        return core.as_density(self.state_at(theta), name=f"rho({theta})")
+        return core.as_density(self.state_at(theta), name=_at("rho", theta))
 
     def derivative(self, theta: float) -> np.ndarray:
         if self.derivative_at is not None:
@@ -53,16 +59,16 @@ class StateFamily:
 def _tangent(d) -> np.ndarray:
     """Check a derivative of a state: Hermitian and traceless."""
     d = core.as_hermitian(d, name="drho")
-    tr = abs(np.trace(d))
-    if tr > 1e-10 * max(1.0, float(np.abs(d).max())):
-        raise ValidationError("trace", f"∂ρ/∂θ has trace {tr:.3e}, expected 0")
+    tr = abs(core.trace(d))
+    core.require(tr > 1e-10 * np.maximum(1.0, np.abs(d).max(axis=(-2, -1))), "trace",
+                 "∂ρ/∂θ", "has trace {:.3e}, expected 0", tr)
     return d
 
 
-def _evaluate(family: StateFamily, theta: float):
+def _evaluate(family: StateFamily, theta):
     """(ρ(θ), its Spectrum, ∂ρ(θ)), each checked once."""
     rho, spec = core._density_with_spectrum(family.state_at(theta),
-                                            name=f"rho({theta})")
+                                            name=_at("rho", theta))
     return rho, spec, family.derivative(theta)
 
 
@@ -75,12 +81,12 @@ def sld(family: StateFamily, theta: float, *, at=None) -> np.ndarray:
     checked, and the family is not evaluated again.
     """
     rho, spec, drho = at or _evaluate(family, theta)
-    comp = np.eye(rho.shape[0]) - spec.projector()
-    leak = float(np.linalg.norm(comp @ drho @ comp))
-    scale = max(1.0, float(np.linalg.norm(drho)))
-    if leak > 1e-8 * scale:
+    comp = np.eye(rho.shape[-1]) - spec.projector()
+    leak = np.linalg.norm(comp @ drho @ comp, axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(drho, axis=(-2, -1)))
+    if bad := core.failure(leak > 1e-8 * scale, _at("rho", theta)):
         raise RankChangeError(
-            f"derivative has norm {leak:.3e} off the support of rho({theta}); "
+            f"derivative has norm {leak[bad[0]]:.3e} off the support of {bad[1]}; "
             "the family changes rank at this point"
         )
     s, _residual = core.solve_jordan(rho, drho, spectrum=spec)
@@ -88,7 +94,7 @@ def sld(family: StateFamily, theta: float, *, at=None) -> np.ndarray:
 
 
 def _qfi(rho, s) -> float:
-    return _real(np.trace(rho @ s @ s), "J")
+    return _real(core.trace(rho @ s @ s), "J")
 
 
 def qfi(rho, s) -> float:
@@ -115,7 +121,7 @@ def push_family(family: StateFamily, k: QuantumChannel) -> StateFamily:
 
 @dataclass(frozen=True)
 class PushforwardReport:
-    """Both sides of κ(ρ)∘S_κ(ρ) = κ(ρ∘S_ρ) and their gap."""
+    """Both sides of κ(ρ)∘S_κ(ρ) = κ(ρ∘S_ρ) and their gap (per element of a stack)."""
 
     lhs: np.ndarray
     rhs: np.ndarray
@@ -124,7 +130,7 @@ class PushforwardReport:
 
 
 @dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport:  # for a stack, each field holds one entry per check
     j_in: float
     j_out: float
     slack: float  # J_in − J_out, nonnegative up to rounding
@@ -139,7 +145,7 @@ def _push(family: StateFamily, k: QuantumChannel, theta: float):
     rho, _, drho = at = _evaluate(family, theta)
     s_in = sld(family, theta, at=at)
     krho, kspec = core._density_with_spectrum(apply_channel(k, rho),
-                                              name=f"kappa(rho({theta}))")
+                                              name=_at("kappa(rho)", theta))
     kat = krho, kspec, _tangent(apply_channel(k, drho))
     s_out = sld(push_family(family, k), theta, at=kat)
     est = personick_estimator(rho, s_in, k, image=(krho, kspec))
@@ -155,8 +161,8 @@ def sld_pushforward_check(family: StateFamily, k: QuantumChannel,
     return PushforwardReport(
         lhs=lhs,
         rhs=rhs,
-        gap=float(np.linalg.norm(lhs - rhs)),
-        estimator_gap=float(np.linalg.norm(s_out - est.estimator)),
+        gap=core.scalar(np.linalg.norm(lhs - rhs, axis=(-2, -1))),
+        estimator_gap=core.scalar(np.linalg.norm(s_out - est.estimator, axis=(-2, -1))),
     )
 
 
@@ -211,17 +217,23 @@ def unitary_rotation_family(rho0, h) -> StateFamily:
     """ρ(θ) = e^{−iθH} ρ₀ e^{iθH} with analytic derivative −i[H, ρ(θ)].
 
     H commutes with U(θ) = e^{−iθH}, so −i[H, ρ(θ)] = U(θ) D₀ U(θ)† with
-    D₀ = −i[H, ρ₀] computed once here.
+    D₀ = −i[H, ρ₀] computed once here; ρ(θ) and ∂ρ(θ) read one U(θ), kept
+    for the last θ.  Stacks of ρ₀ and H give a family stacked over θ.
     """
     rho0 = core.as_density(rho0, name="rho0")
     h = core.as_hermitian(h, name="h")
     spec = core.Spectrum.of(h)
+    v, vh = spec.eigenvectors, core.dagger(spec.eigenvectors)
     d0 = -1j * (h @ rho0 - rho0 @ h)
+    last = {}  # U(θ) of the last θ, keyed by θ's shape and bytes
 
     def rotate(m, t):
-        u = (spec.eigenvectors * np.exp(-1j * t * spec.eigenvalues)) @ \
-            spec.eigenvectors.conj().T
-        return u @ m @ u.conj().T
+        t = np.asarray(t, dtype=float)
+        if (key := (t.shape, t.tobytes())) not in last:
+            phases = np.exp(-1j * t[..., None] * spec.eigenvalues)
+            last.clear()
+            last[key] = (v * phases[..., None, :]) @ vh
+        return last[key] @ m @ core.dagger(last[key])
 
     return StateFamily(state_at=lambda t: rotate(rho0, t),
                        derivative_at=lambda t: rotate(d0, t))
@@ -234,9 +246,7 @@ def depolarizing_mixture_family(family: StateFamily, p: float) -> StateFamily:
 
     def state(t):
         r = family.density(t)
-        return (1 - p) * r + p * np.eye(r.shape[0]) / r.shape[0]
+        return (1 - p) * r + p * np.eye(r.shape[-1]) / r.shape[-1]
 
-    def deriv(t):
-        return (1 - p) * family.derivative(t)
-
-    return StateFamily(state_at=state, derivative_at=deriv)
+    return StateFamily(state_at=state,
+                       derivative_at=lambda t: (1 - p) * family.derivative(t))

@@ -6,6 +6,10 @@ reduces to.  Everything here is a pure function of dense numpy arrays;
 matrices are small (desk scale, dims up to a few hundred), so no sparse
 path is provided.
 
+The validators, `Spectrum` and `solve_jordan` also take (…, d, d) stacks,
+one numpy call per step for many small problems; a (d, d) operator is a
+stack of one, and a failed check names a stack's element, as in `rho[3]`.
+
 Validation happens once, where an operator enters a public function,
 through `as_square`, `as_hermitian` and `as_density`.  A `Spectrum` is one
 `eigh` of a checked operator.  `solve_jordan` and `pseudo_inverse_psd`
@@ -16,6 +20,7 @@ decomposed; they then neither validate nor decompose again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -40,19 +45,47 @@ class NumericalFailure(RuntimeError):
     """A numerical routine failed to converge; never silently clamped."""
 
 
+def failure(failed, name: str):
+    """None, or (index, `name[index]`) of the first failing element."""
+    if failed.any():
+        k = tuple(int(i) for i in np.argwhere(failed)[0])
+        return k, name + "".join(f"[{i}]" for i in k)
+
+
+def require(failed, invariant: str, name: str, message: str, value) -> None:
+    """Raise ValidationError(invariant) for the first failure, `message`
+    formatted with that element's `value`."""
+    if bad := failure(failed, name):
+        raise ValidationError(invariant, f"{bad[1]} {message.format(value[bad[0]])}")
+
+
+def scalar(x):
+    """A single operator's 0-d result as a Python scalar; a stack's as is."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def dagger(m) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def trace(m):
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
 def as_square(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex ndarray, rejecting NaN/Inf."""
+    """Coerce to a square complex ndarray (or stack of them), rejecting NaN/Inf."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError("shape", f"{name} must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError("finite", f"{name} contains NaN or Inf entries")
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    require(~finite, "finite", name, "contains NaN or Inf entries", finite)
     return m
 
 
 def hermitian_part(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2
+    return (m + dagger(m)) / 2
 
 
 def as_hermitian(m, name: str = "operator") -> np.ndarray:
@@ -62,38 +95,27 @@ def as_hermitian(m, name: str = "operator") -> np.ndarray:
     silently repaired by storing (M + M†)/2; anything larger is an error.
     """
     m = as_square(m, name)
-    scale = max(1.0, float(np.abs(m).max()))
-    asym = float(np.abs(m - m.conj().T).max())
-    if asym > HERMITICITY_TOL * scale:
-        raise ValidationError(
-            "hermiticity", f"{name} deviates from Hermitian by {asym:.3e}"
-        )
-    return hermitian_part(m)
+    mh = dagger(m)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    asym = np.abs(m - mh).max(axis=(-2, -1))
+    require(asym > HERMITICITY_TOL * scale, "hermiticity", name,
+            "deviates from Hermitian by {:.3e}", asym)
+    return (m + mh) / 2
 
 
 def as_density(m, name: str = "state") -> np.ndarray:
     """Validate a density operator: Hermitian, PSD, unit trace."""
-    rho = as_hermitian(m, name=name)
-    _require_state(rho, np.linalg.eigvalsh(rho), name)
-    return rho
+    return _density_with_spectrum(m, name)[0]
 
 
 def _density_with_spectrum(m, name: str = "state"):
     """`as_density`'s checks, the PSD test reading one `eigh`: (ρ, its Spectrum)."""
     rho = as_hermitian(m, name=name)
     spec = Spectrum.of(rho)
-    _require_state(rho, spec.eigenvalues, name)
+    tr, wmin = trace(rho).real, spec.eigenvalues.min(axis=-1)
+    require(abs(tr - 1.0) > TRACE_TOL, "trace", name, "has trace {}, expected 1", tr)
+    require(wmin < -PSD_TOL, "psd", name, "has eigenvalue {:.3e} < 0", wmin)
     return rho, spec
-
-
-def _require_state(rho, w, name: str) -> None:
-    """Unit trace, and no eigenvalue w of ρ below −PSD_TOL."""
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError("trace", f"{name} has trace {tr!r}, expected 1")
-    wmin = float(w.min())
-    if wmin < -PSD_TOL:
-        raise ValidationError("psd", f"{name} has eigenvalue {wmin:.3e} < 0")
 
 
 def jordan_product(a, b) -> np.ndarray:
@@ -112,9 +134,9 @@ def _jordan(a, b) -> np.ndarray:
 
 def jordan_trace_gap(x, y, z) -> float:
     """|tr x(y∘z) − tr (x∘y)z|, zero in exact arithmetic for all inputs."""
-    lhs = np.trace(np.asarray(x, dtype=complex) @ jordan_product(y, z))
-    rhs = np.trace(jordan_product(x, y) @ np.asarray(z, dtype=complex))
-    return float(abs(lhs - rhs))
+    lhs = trace(np.asarray(x, dtype=complex) @ jordan_product(y, z))
+    rhs = trace(jordan_product(x, y) @ np.asarray(z, dtype=complex))
+    return scalar(abs(lhs - rhs))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -126,14 +148,11 @@ def embed(op, dims, factor: int) -> np.ndarray:
     """Embed `op` on tensor factor `factor` of a product space, identity elsewhere."""
     op = as_square(op, "op")
     dims = [int(d) for d in dims]
-    if op.shape[0] != dims[factor]:
+    if op.shape != (dims[factor],) * 2:
         raise ValidationError(
-            "dims", f"operator dim {op.shape[0]} != dims[{factor}] = {dims[factor]}"
+            "dims", f"operator shape {op.shape} != dims[{factor}] = {dims[factor]}"
         )
-    out = np.eye(1, dtype=complex)
-    for i, d in enumerate(dims):
-        out = tensor(out, op if i == factor else np.eye(d))
-    return out
+    return reduce(tensor, [op if i == factor else np.eye(d) for i, d in enumerate(dims)])
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
@@ -144,9 +163,9 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     """
     m = as_square(m)
     dims = [int(d) for d in dims]
-    if int(np.prod(dims)) != m.shape[0]:
+    if (int(np.prod(dims)),) * 2 != m.shape:
         raise ValidationError(
-            "dims", f"prod(dims)={np.prod(dims)} != matrix dim {m.shape[0]}"
+            "dims", f"prod(dims)={np.prod(dims)} != matrix shape {m.shape}"
         )
     keep = sorted(set(int(k) for k in keep))
     if not keep:
@@ -164,10 +183,10 @@ def partial_trace(m, dims, keep) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian operator (or stack), eigenvalues ascending."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns
+    eigenvalues: np.ndarray  # (…, d)
+    eigenvectors: np.ndarray  # (…, d, d), orthonormal columns
 
     @classmethod
     def of(cls, h) -> "Spectrum":
@@ -178,30 +197,29 @@ class Spectrum:
             raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from exc
 
     @property
-    def wmax(self) -> float:
-        return float(self.eigenvalues.max()) if self.eigenvalues.size else 0.0
+    def wmax(self):
+        return self.eigenvalues.max(axis=-1)
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
     def require_psd(self, name: str) -> None:
         """Reject eigenvalues below −PSD_TOL × max(1, λ_max)."""
-        wmin = float(self.eigenvalues.min())
-        if wmin < -PSD_TOL * max(1.0, self.wmax):
-            raise ValidationError("psd", f"{name} has eigenvalue {wmin:.3e} < 0")
+        wmin = self.eigenvalues.min(axis=-1)
+        require(wmin < -PSD_TOL * np.maximum(1.0, self.wmax), "psd", name,
+                "has eigenvalue {:.3e} < 0", wmin)
 
     def support(self) -> np.ndarray:
         """Mask of eigenvalues above SUPPORT_TOL × λ_max (none if λ_max ≤ 0)."""
-        w, wmax = self.eigenvalues, self.wmax
-        return w > SUPPORT_TOL * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
+        return self.eigenvalues > SUPPORT_TOL * self.wmax[..., None]
 
-    def rank(self) -> int:
-        return int(np.count_nonzero(self.support()))
+    def rank(self):
+        return scalar(np.count_nonzero(self.support(), axis=-1))
 
     def projector(self) -> np.ndarray:
-        vs = self.eigenvectors[:, self.support()]
-        return hermitian_part(vs @ vs.conj().T)
+        v = self.eigenvectors
+        return hermitian_part((v * self.support()[..., None, :]) @ dagger(v))
 
 
 def eig_hermitian(h) -> Spectrum:
@@ -213,7 +231,8 @@ def solve_jordan(a, b, *, spectrum: Spectrum | None = None):
 
     Works in the eigenbasis of a: x'_ij = 2 b'_ij / (λ_i + λ_j) where the
     denominator is above SUPPORT_TOL × λ_max, zero elsewhere (any value on
-    the kernel of a leaves the risk unchanged; zero is canonical).
+    the kernel of a leaves the risk unchanged; zero is canonical).  Since
+    λ_i + λ_j ≤ 2 λ_max, nothing is kept when λ_max ≤ 0.
 
     Returns (x, residual) with residual = ‖a∘x − b‖_F; for full-rank a and
     Hermitian b this is the unique Hermitian solution and the residual is
@@ -226,14 +245,14 @@ def solve_jordan(a, b, *, spectrum: Spectrum | None = None):
             raise ValidationError("shape", f"dimension mismatch {a.shape} vs {b.shape}")
         spectrum = Spectrum.of(a)
         spectrum.require_psd("a")
-    w, v, wmax = spectrum.eigenvalues, spectrum.eigenvectors, spectrum.wmax
-    bp = v.conj().T @ b @ v
-    denom = w[:, None] + w[None, :]
-    keep = denom > SUPPORT_TOL * wmax if wmax > 0 else False
+    w, v = spectrum.eigenvalues, spectrum.eigenvectors
+    vh = dagger(v)
+    bp = vh @ b @ v
+    denom = w[..., :, None] + w[..., None, :]
+    keep = denom > SUPPORT_TOL * spectrum.wmax[..., None, None]
     xp = np.divide(2 * bp, denom, out=np.zeros_like(bp), where=keep)
-    x = hermitian_part(v @ xp @ v.conj().T)
-    residual = float(np.linalg.norm(_jordan(a, x) - b))
-    return x, residual
+    x = hermitian_part(v @ xp @ vh)
+    return x, scalar(np.linalg.norm(_jordan(a, x) - b, axis=(-2, -1)))
 
 
 def support_projector(h) -> np.ndarray:
@@ -255,4 +274,4 @@ def pseudo_inverse_psd(h, *, spectrum: Spectrum | None = None) -> np.ndarray:
         spectrum.require_psd("input")
     w, v, mask = spectrum.eigenvalues, spectrum.eigenvectors, spectrum.support()
     winv = np.divide(1.0, w, out=np.zeros_like(w), where=mask)
-    return hermitian_part((v * winv) @ v.conj().T)
+    return hermitian_part((v * winv[..., None, :]) @ dagger(v))

@@ -2,6 +2,11 @@
 
 All randomness flows through numpy's Philox counter-based generator so a
 single 64-bit seed reproduces every sweep bit-for-bit across platforms.
+
+`random_density`, `random_hermitian` and `random_channel` each draw a
+Ginibre matrix and finish it.  The finishing steps also take a stack of
+draws, so a sweep can draw its problems one by one, in generator order,
+and finish all the draws of one shape in one call.
 """
 
 from __future__ import annotations
@@ -10,35 +15,62 @@ import numpy as np
 
 from .channels import ClassicalChannel, Povm, QuantumChannel
 from .gaussian import GaussianWigner, LinearQuadrature
-from .operator_core import hermitian_part
+from .operator_core import dagger, hermitian_part, trace
 
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _ginibre(gen, rows, cols):
-    return gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
+def ginibre(gen, rows, cols):
+    # one draw of both planes takes the same normals as two, in the same order
+    re, im = gen.standard_normal((2, rows, cols))
+    return re + 1j * im
+
+
+def finish_hermitian(g, scale: float = 1.0) -> np.ndarray:
+    return hermitian_part(g) * scale
+
+
+def finish_density(g) -> np.ndarray:
+    m = g @ dagger(g)
+    return m / trace(m).real[..., None, None]
+
+
+def _isometry(g) -> np.ndarray:
+    q, r = np.linalg.qr(g)
+    # fix the phase ambiguity of QR so the distribution is Haar
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def channel_draw(gen, dim_in: int, dim_out: int, n_kraus: int | None = None):
+    """The Ginibre draw `random_channel` finishes: (K·dim_out, dim_in)."""
+    return ginibre(gen, dim_out * (max(2, dim_in) if n_kraus is None else n_kraus), dim_in)
+
+
+def finish_channel(g, dim_out: int) -> QuantumChannel:
+    """The CPTP map of a Haar random isometry (Stinespring picture): its
+    rows, cut into blocks of dim_out, are the Kraus operators."""
+    iso = _isometry(g)  # iso† iso = I
+    return QuantumChannel(iso.reshape(*iso.shape[:-2], -1, dim_out, iso.shape[-1]))
 
 
 def random_hermitian(gen, dim: int, scale: float = 1.0) -> np.ndarray:
-    return hermitian_part(_ginibre(gen, dim, dim)) * scale
+    return finish_hermitian(ginibre(gen, dim, dim), scale)
 
 
 def random_unitary(gen, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(gen, dim, dim))
-    # fix the phase ambiguity of QR so the distribution is Haar
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return _isometry(ginibre(gen, dim, dim))
 
 
 def random_psd(gen, dim: int, rank: int | None = None) -> np.ndarray:
-    g = _ginibre(gen, dim, rank if rank is not None else dim)
+    g = ginibre(gen, dim, rank if rank is not None else dim)
     return g @ g.conj().T
 
 
 def random_density(gen, dim: int, rank: int | None = None) -> np.ndarray:
-    m = random_psd(gen, dim, rank)
-    return m / np.trace(m).real
+    return finish_density(ginibre(gen, dim, rank if rank is not None else dim))
 
 
 def random_probability_vector(gen, n: int) -> np.ndarray:
@@ -49,15 +81,8 @@ def random_probability_vector(gen, n: int) -> np.ndarray:
 def random_channel(gen, dim_in: int, dim_out: int | None = None,
                    n_kraus: int | None = None) -> QuantumChannel:
     """Random CPTP map from a Haar random isometry (Stinespring picture)."""
-    if dim_out is None:
-        dim_out = dim_in
-    if n_kraus is None:
-        n_kraus = max(2, dim_in)
-    g = _ginibre(gen, dim_out * n_kraus, dim_in)
-    q, r = np.linalg.qr(g)
-    iso = q * (np.diag(r) / np.abs(np.diag(r)))  # isometry: iso† iso = I
-    kraus = [iso[e * dim_out:(e + 1) * dim_out, :] for e in range(n_kraus)]
-    return QuantumChannel(kraus)
+    dim_out = dim_in if dim_out is None else dim_out
+    return finish_channel(channel_draw(gen, dim_in, dim_out, n_kraus), dim_out)
 
 
 def random_povm(gen, dim: int, n_outcomes: int) -> Povm:

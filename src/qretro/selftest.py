@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from . import fisher, gaussian, operator_core as core, sampling
+from . import gaussian, operator_core as core, sampling
 from .channels import (
     apply_channel,
     channel_from_classical,
@@ -30,7 +30,7 @@ from .estimators import (
     schrodinger_risk,
     weak_value,
 )
-from .scenario import provenance
+from .scenario import provenance, rotation_checks
 
 def _check_jordan_hermitian(gen):
     worst = 0.0
@@ -227,16 +227,16 @@ def _check_postcomposition(gen):
 
 
 def _check_qfi_monotonicity(gen):
-    worst = 0.0
+    problems = []
     for _ in range(50):
         d_in = int(gen.integers(2, 5))
-        family = fisher.unitary_rotation_family(
-            sampling.random_density(gen, d_in), sampling.random_hermitian(gen, d_in)
-        )
-        chan = sampling.random_channel(gen, d_in, int(gen.integers(2, 5)))
-        rep = fisher.monotonicity_check(family, chan, float(gen.uniform(-0.5, 0.5)))
-        worst = max(worst, -rep.slack, abs(rep.slack - rep.personick_risk))
-    return worst, 1e-8
+        g_rho, g_h = sampling.ginibre(gen, d_in, d_in), sampling.ginibre(gen, d_in, d_in)
+        d_out = int(gen.integers(2, 5))
+        problems.append((g_rho, g_h, d_out, sampling.channel_draw(gen, d_in, d_out),
+                         float(gen.uniform(-0.5, 0.5))))
+    rows = rotation_checks(problems)
+    slack, risk = rows[:, 2], rows[:, 3]
+    return max(0.0, float(-slack.min()), float(abs(slack - risk).max())), 1e-8
 
 
 def _check_gaussian_oracle(gen):

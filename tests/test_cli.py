@@ -263,6 +263,38 @@ def test_cli_channel_spec_missing_field(tmp_path, capsys, channel, field):
     assert err.startswith("error: parse:") and repr(field) in err
 
 
+@pytest.mark.parametrize("rho", [
+    "abc",  # a string
+    None,
+    5,  # a number, not a matrix
+    [["1", 0.0], [0.0, "0"]],  # numeric strings are not numbers
+    [[["0.5", "0"], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+    [[None, 0.0], [0.0, 1.0]],
+    [[0.5, 0.0], [0.5]],  # ragged rows
+    [[[0.5], [0.0]], [[0.0], [0.5]]],  # 1-element entries
+    [[[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]],  # 3
+    [[[]]],  # an empty entry
+    [[0.5, [0.0, 0.0]], [[0.0, 0.0], 0.5]],  # numbers and pairs mixed
+    [[10**400, 0], [0, 1]],  # an integer no float holds
+    [[[[0.5, 0.0]]]],  # four levels deep
+])
+def test_cli_matrix_parse_errors(tmp_path, capsys, rho):
+    sc = personick_scenario()
+    sc["rho"] = rho
+    rc = main(["personick", "--input", _write(tmp_path, sc), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:") and "'rho'" in err
+
+
+def test_decode_real_and_pair_matrices_agree():
+    real = [[0.5, -1.0], [2, 0.25]]
+    pairs = [[[0.5, 0.0], [-1.0, 0.0]], [[2, 0], [0.25, 0.0]]]
+    np.testing.assert_array_equal(decode_complex_matrix(real), np.array(real, complex))
+    np.testing.assert_array_equal(decode_complex_matrix(pairs), np.array(real, complex))
+    assert decode_complex_matrix([[True, False], [False, True]]).dtype == complex
+
+
 def test_cli_classical_nan_transition(tmp_path, capsys):
     sc = {"kind": "classical", "px": [0.5, 0.5], "xvals": [0.0, 1.0],
           "transition": [[float("nan"), 0.5], [0.5, 0.5]]}

@@ -39,6 +39,12 @@ def test_schrodinger_risk_perfect_estimate():
                                                                                abs=1e-12)
 
 
+def test_schrodinger_risk_rejects_mismatched_x():
+    # the shape check comes before any product, so no numpy error escapes
+    with pytest.raises(ValidationError, match="^shape:"):
+        schrodinger_risk(np.eye(2) / 2, np.eye(3), identity_channel(2), np.eye(2))
+
+
 def test_schrodinger_risk_zero_estimator(gen):
     rho = random_density(gen, 3)
     x = random_hermitian(gen, 3)
