@@ -110,9 +110,9 @@ def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationR
     min_risk = _real(
         core.trace(rho @ x @ x) - core.trace(krho @ xopt @ xopt), "min risk", tol=1e-9
     )
-    bad = core.failure(np.asarray(residual) > RESIDUAL_WARN, "normal-equation residual")
-    if bad:
-        msg = f"{bad[1]} {np.asarray(residual)[bad[0]]:.3e} exceeds {RESIDUAL_WARN:g}"
+    for k in np.argwhere(np.asarray(residual) > RESIDUAL_WARN):
+        name = "normal-equation residual" + "".join(f"[{i}]" for i in k)
+        msg = f"{name} {np.asarray(residual)[tuple(k)]:.3e} exceeds {RESIDUAL_WARN:g}"
         warnings.warn(msg, stacklevel=2)
     return EstimationResult(
         estimator=xopt,

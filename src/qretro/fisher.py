@@ -31,11 +31,6 @@ class RankChangeError(ValueError):
     """The family's rank changes at the queried point; the SLD is singular there."""
 
 
-def _at(what: str, theta) -> str:
-    """The name of ρ(θ) in messages; a stack's element index is appended."""
-    return f"{what}({theta})" if np.ndim(theta) == 0 else f"{what}(theta)"
-
-
 @dataclass
 class StateFamily:
     """One-parameter family θ ↦ ρ(θ) with optional analytic derivative."""
@@ -44,7 +39,8 @@ class StateFamily:
     derivative_at: Optional[Callable[[float], np.ndarray]] = None
 
     def density(self, theta: float) -> np.ndarray:
-        return core.as_density(self.state_at(theta), name=_at("rho", theta))
+        name = f"rho({theta})" if np.ndim(theta) == 0 else "rho(theta)"
+        return core.as_density(self.state_at(theta), name=name)
 
     def derivative(self, theta: float) -> np.ndarray:
         if self.derivative_at is not None:
@@ -67,8 +63,8 @@ def _tangent(d) -> np.ndarray:
 
 def _evaluate(family: StateFamily, theta):
     """(ρ(θ), its Spectrum, ∂ρ(θ)), each checked once."""
-    rho, spec = core._density_with_spectrum(family.state_at(theta),
-                                            name=_at("rho", theta))
+    name = f"rho({theta})" if np.ndim(theta) == 0 else "rho(theta)"
+    rho, spec = core._density_with_spectrum(family.state_at(theta), name=name)
     return rho, spec, family.derivative(theta)
 
 
@@ -84,7 +80,8 @@ def sld(family: StateFamily, theta: float, *, at=None) -> np.ndarray:
     comp = np.eye(rho.shape[-1]) - spec.projector()
     leak = np.linalg.norm(comp @ drho @ comp, axis=(-2, -1))
     scale = np.maximum(1.0, np.linalg.norm(drho, axis=(-2, -1)))
-    if bad := core.failure(leak > 1e-8 * scale, _at("rho", theta)):
+    name = f"rho({theta})" if np.ndim(theta) == 0 else "rho(theta)"
+    if bad := core.failure(leak > 1e-8 * scale, name):
         raise RankChangeError(
             f"derivative has norm {leak[bad[0]]:.3e} off the support of {bad[1]}; "
             "the family changes rank at this point"
@@ -144,8 +141,8 @@ def _push(family: StateFamily, k: QuantumChannel, theta: float):
     of κ(ρ)."""
     rho, _, drho = at = _evaluate(family, theta)
     s_in = sld(family, theta, at=at)
-    krho, kspec = core._density_with_spectrum(apply_channel(k, rho),
-                                              name=_at("kappa(rho)", theta))
+    name = f"kappa(rho({theta}))" if np.ndim(theta) == 0 else "kappa(rho(theta))"
+    krho, kspec = core._density_with_spectrum(apply_channel(k, rho), name=name)
     kat = krho, kspec, _tangent(apply_channel(k, drho))
     s_out = sld(push_family(family, k), theta, at=kat)
     est = personick_estimator(rho, s_in, k, image=(krho, kspec))
@@ -217,23 +214,19 @@ def unitary_rotation_family(rho0, h) -> StateFamily:
     """ρ(θ) = e^{−iθH} ρ₀ e^{iθH} with analytic derivative −i[H, ρ(θ)].
 
     H commutes with U(θ) = e^{−iθH}, so −i[H, ρ(θ)] = U(θ) D₀ U(θ)† with
-    D₀ = −i[H, ρ₀] computed once here; ρ(θ) and ∂ρ(θ) read one U(θ), kept
-    for the last θ.  Stacks of ρ₀ and H give a family stacked over θ.
+    D₀ = −i[H, ρ₀] computed once here.  Stacks of ρ₀ and H give a family
+    stacked over θ.
     """
     rho0 = core.as_density(rho0, name="rho0")
     h = core.as_hermitian(h, name="h")
     spec = core.Spectrum.of(h)
     v, vh = spec.eigenvectors, core.dagger(spec.eigenvectors)
     d0 = -1j * (h @ rho0 - rho0 @ h)
-    last = {}  # U(θ) of the last θ, keyed by θ's shape and bytes
 
     def rotate(m, t):
-        t = np.asarray(t, dtype=float)
-        if (key := (t.shape, t.tobytes())) not in last:
-            phases = np.exp(-1j * t[..., None] * spec.eigenvalues)
-            last.clear()
-            last[key] = (v * phases[..., None, :]) @ vh
-        return last[key] @ m @ core.dagger(last[key])
+        phases = np.exp(-1j * np.asarray(t, dtype=float)[..., None] * spec.eigenvalues)
+        u = (v * phases[..., None, :]) @ vh
+        return u @ m @ core.dagger(u)
 
     return StateFamily(state_at=lambda t: rotate(rho0, t),
                        derivative_at=lambda t: rotate(d0, t))

@@ -28,10 +28,6 @@ def ginibre(gen, rows, cols):
     return re + 1j * im
 
 
-def finish_hermitian(g, scale: float = 1.0) -> np.ndarray:
-    return hermitian_part(g) * scale
-
-
 def finish_density(g) -> np.ndarray:
     m = g @ dagger(g)
     return m / trace(m).real[..., None, None]
@@ -57,7 +53,7 @@ def finish_channel(g, dim_out: int) -> QuantumChannel:
 
 
 def random_hermitian(gen, dim: int, scale: float = 1.0) -> np.ndarray:
-    return finish_hermitian(ginibre(gen, dim, dim), scale)
+    return hermitian_part(ginibre(gen, dim, dim)) * scale
 
 
 def random_unitary(gen, dim: int) -> np.ndarray:

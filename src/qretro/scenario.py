@@ -39,15 +39,8 @@ from .estimators import (
     schrodinger_risk,
     weak_value,
 )
-from .operator_core import HERMITICITY_TOL, ValidationError
-from .sampling import (
-    channel_draw,
-    finish_channel,
-    finish_density,
-    finish_hermitian,
-    ginibre,
-    rng,
-)
+from .operator_core import HERMITICITY_TOL, ValidationError, hermitian_part
+from .sampling import channel_draw, finish_channel, finish_density, ginibre, rng
 
 KINDS = ("personick", "complex", "weak-value", "classical", "qfi-mono",
          "gaussian", "risk")
@@ -73,23 +66,23 @@ def encode_real_matrix(m):
 
 
 def decode_complex_matrix(obj, name: str = "matrix") -> np.ndarray:
-    """A matrix of real numbers, or of [re, im] pairs, as a complex array.
-
-    One strict conversion: numpy infers the type, so a string, None or a
-    ragged row (including one that mixes numbers and pairs) is rejected
-    rather than coerced.
-    """
     try:
-        m = np.array(obj)
-    except (TypeError, ValueError) as exc:
+        rows = []
+        for row in obj:
+            entries = []
+            for v in row:
+                if isinstance(v, (int, float)):
+                    entries.append(complex(v))
+                else:
+                    re, im = v
+                    entries.append(complex(re, im))
+            rows.append(entries)
+        m = np.asarray(rows, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("parse", f"field {name!r}: {exc}") from exc
-    if m.dtype.kind not in "biuf":
-        raise ValidationError("parse", f"field {name!r} holds non-numeric entries")
-    if m.ndim == 3 and m.shape[-1] == 2:
-        return np.ascontiguousarray(m, dtype=float).view(complex)[..., 0]
     if m.ndim != 2:
         raise ValidationError("parse", f"field {name!r} is not a matrix")
-    return m.astype(complex)
+    return m
 
 
 def _require(scenario: dict, field: str):
@@ -314,15 +307,32 @@ def _run_qfi_mono(sc):
     }
 
 
+HELD_DRAW_BYTES = 1 << 20  # rotation_checks solves what it holds past this
+
+
 def rotation_checks(problems) -> np.ndarray:
     """`monotonicity_check` on drawn rotation-family problems, in one stacked
-    call per (d_in, d_out).
+    call per (d_in, d_out) of the problems held.
 
     A problem is (ρ₀ draw, H draw, d_out, channel draw, θ), the draws made
     by `ginibre` and `channel_draw` as `random_density`, `random_hermitian`
-    and `random_channel` make them.  Returns one row (j_in, j_out, slack,
-    personick_risk) per problem, in the order given.
+    and `random_channel` make them.  Problems are taken in order and held
+    until their draws pass HELD_DRAW_BYTES, so memory does not grow with
+    their number.  Returns one row (j_in, j_out, slack, personick_risk) per
+    problem, in the order given.
     """
+    rows, held, nbytes = [], [], 0
+    for problem in problems:
+        g_rho, g_h, _, g_k, _ = problem
+        held.append(problem)
+        nbytes += g_rho.nbytes + g_h.nbytes + g_k.nbytes
+        if nbytes >= HELD_DRAW_BYTES:
+            rows.append(_solve_held(held))
+            held, nbytes = [], 0
+    return np.concatenate(rows + [_solve_held(held)])
+
+
+def _solve_held(problems) -> np.ndarray:
     groups: dict[tuple, list] = {}
     for i, (g_rho, _, d_out, _, _) in enumerate(problems):
         groups.setdefault((g_rho.shape[-1], d_out), []).append(i)
@@ -330,10 +340,20 @@ def rotation_checks(problems) -> np.ndarray:
     for (_, d_out), idx in groups.items():
         g_rho, g_h, _, g_k, theta = map(np.array, zip(*(problems[i] for i in idx)))
         family = fisher.unitary_rotation_family(finish_density(g_rho),
-                                                finish_hermitian(g_h))
+                                                hermitian_part(g_h))
         rep = fisher.monotonicity_check(family, finish_channel(g_k, d_out), theta)
         rows[idx] = np.column_stack([rep.j_in, rep.j_out, rep.slack, rep.personick_risk])
     return rows
+
+
+def _sweep_draws(gen, dims, count):
+    """The sweep's problems, drawn one by one in generator order."""
+    for _ in range(count):
+        # gen.integers(n) draws exactly what gen.choice(dims) draws, faster
+        d_in = dims[int(gen.integers(len(dims)))]
+        d_out = dims[int(gen.integers(len(dims)))]
+        yield (ginibre(gen, d_in, d_in), ginibre(gen, d_in, d_in), d_out,
+               channel_draw(gen, d_in, d_out), float(gen.uniform(-0.5, 0.5)))
 
 
 def _run_qfi_sweep(sc):
@@ -344,15 +364,8 @@ def _run_qfi_sweep(sc):
     dims = [_int(d, "dims") for d in _list(spec.get("dims", [2, 3, 4]), "dims")]
     if not dims:
         raise ValidationError("parse", "field 'dims' must not be empty")
-    gen = rng(_int(sc.get("seed", 0), "seed", minimum=0))
-    problems = []
-    for _ in range(count):
-        # gen.integers(n) draws exactly what gen.choice(dims) draws, faster
-        d_in = dims[int(gen.integers(len(dims)))]
-        d_out = dims[int(gen.integers(len(dims)))]
-        problems.append((ginibre(gen, d_in, d_in), ginibre(gen, d_in, d_in), d_out,
-                         channel_draw(gen, d_in, d_out), float(gen.uniform(-0.5, 0.5))))
-    rows = rotation_checks(problems)
+    rows = rotation_checks(_sweep_draws(rng(_int(sc.get("seed", 0), "seed", minimum=0)),
+                                        dims, count))
     slack, gap = rows[:, 2], abs(rows[:, 2] - rows[:, 3])
     return {
         "count": count,

@@ -274,7 +274,6 @@ def test_cli_channel_spec_missing_field(tmp_path, capsys, channel, field):
     [[[0.5], [0.0]], [[0.0], [0.5]]],  # 1-element entries
     [[[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]],  # 3
     [[[]]],  # an empty entry
-    [[0.5, [0.0, 0.0]], [[0.0, 0.0], 0.5]],  # numbers and pairs mixed
     [[10**400, 0], [0, 1]],  # an integer no float holds
     [[[[0.5, 0.0]]]],  # four levels deep
 ])
@@ -293,6 +292,14 @@ def test_decode_real_and_pair_matrices_agree():
     np.testing.assert_array_equal(decode_complex_matrix(real), np.array(real, complex))
     np.testing.assert_array_equal(decode_complex_matrix(pairs), np.array(real, complex))
     assert decode_complex_matrix([[True, False], [False, True]]).dtype == complex
+
+
+def test_decode_mixed_and_wide_integer_matrices():
+    # a real diagonal beside [re, im] pairs, the natural form of a Hermitian matrix
+    mixed = [[0.5, [0.0, -0.5]], [[0.0, 0.5], 0.5]]
+    np.testing.assert_array_equal(decode_complex_matrix(mixed),
+                                  np.array([[0.5, -0.5j], [0.5j, 0.5]]))
+    assert decode_complex_matrix([[2**70, 0], [0, 1]])[0, 0] == 2.0**70
 
 
 def test_cli_classical_nan_transition(tmp_path, capsys):

@@ -6,12 +6,14 @@ element of a stack in each check, and hold the stacked QFI sweep to the
 per-problem loop it replaced.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qretro import fisher, scenario
+from qretro import estimators, fisher, scenario
 from qretro import operator_core as core
 from qretro.channels import QuantumChannel, apply_channel
 from qretro.estimators import personick_estimator
@@ -21,7 +23,6 @@ from qretro.sampling import (
     channel_draw,
     finish_channel,
     finish_density,
-    finish_hermitian,
     ginibre,
     random_channel,
     random_density,
@@ -45,7 +46,7 @@ def close(stacked, single):
 def problems(seed, n, d_in, d_out):
     gen = rng(seed)
     rho = finish_density(np.array([ginibre(gen, d_in, d_in) for _ in range(n)]))
-    h = finish_hermitian(np.array([ginibre(gen, d_in, d_in) for _ in range(n)]))
+    h = core.hermitian_part(np.array([ginibre(gen, d_in, d_in) for _ in range(n)]))
     k = finish_channel(np.array([channel_draw(gen, d_in, d_out) for _ in range(n)]), d_out)
     theta = gen.uniform(-0.5, 0.5, size=n)
     return rho, h, k, theta
@@ -72,7 +73,7 @@ def test_spectrum_stack_matches_loop(d, n, seed, rank):
 def test_solve_jordan_stack_matches_loop(d, n, seed):
     gen = rng(seed)
     a = finish_density(np.array([ginibre(gen, d, d) for _ in range(n)]))
-    b = finish_hermitian(np.array([ginibre(gen, d, d) for _ in range(n)]))
+    b = core.hermitian_part(np.array([ginibre(gen, d, d) for _ in range(n)]))
     x, residual = core.solve_jordan(a, b)
     assert residual.shape == (n,)
     for i in range(n):
@@ -126,7 +127,7 @@ def test_rotation_checks_mixed_dims_match_loop(seed, n):
     rows = scenario.rotation_checks(draws)
     for row, (g_rho, g_h, d_out, g_k, theta) in zip(rows, draws):
         rep = monotonicity_check(
-            fisher.unitary_rotation_family(finish_density(g_rho), finish_hermitian(g_h)),
+            fisher.unitary_rotation_family(finish_density(g_rho), core.hermitian_part(g_h)),
             finish_channel(g_k, d_out), theta)
         close(row, [rep.j_in, rep.j_out, rep.slack, rep.personick_risk])
 
@@ -134,7 +135,7 @@ def test_rotation_checks_mixed_dims_match_loop(seed, n):
 def test_samplers_are_draw_then_finish():
     a, b = rng(3), rng(3)
     assert np.array_equal(random_density(a, 3), finish_density(ginibre(b, 3, 3)))
-    assert np.array_equal(random_hermitian(a, 3), finish_hermitian(ginibre(b, 3, 3)))
+    assert np.array_equal(random_hermitian(a, 3), core.hermitian_part(ginibre(b, 3, 3)))
     ka, kb = random_channel(a, 3, 2), finish_channel(channel_draw(b, 3, 2), 2)
     assert np.array_equal(ka.kraus, kb.kraus)
     assert str(a.bit_generator.state) == str(b.bit_generator.state)
@@ -164,7 +165,7 @@ def test_failing_element_is_named(gen, k, invariant, spoil):
 
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_failing_family_element_is_named(gen, k):
-    rho, h = _stack(gen), finish_hermitian(np.array([ginibre(gen, 3, 3) for _ in range(4)]))
+    rho, h = _stack(gen), core.hermitian_part(np.array([ginibre(gen, 3, 3) for _ in range(4)]))
     theta = np.linspace(-0.3, 0.3, 4)
     family = fisher.unitary_rotation_family(rho, h)
     drifting = StateFamily(state_at=family.state_at,
@@ -196,19 +197,6 @@ def test_cptp_failure_names_the_channel(gen):
         QuantumChannel(stack)
 
 
-def test_rotation_family_builds_one_unitary_per_evaluation(gen, monkeypatch):
-    family = fisher.unitary_rotation_family(random_density(gen, 3), random_hermitian(gen, 3))
-    calls = []
-    exp = np.exp
-    monkeypatch.setattr(np, "exp", lambda *a, **kw: calls.append(1) or exp(*a, **kw))
-    rho, _, drho = fisher._evaluate(family, 0.3)
-    assert len(calls) == 1
-    family.state_at(0.4)
-    assert len(calls) == 2
-    h_rho = family.state_at(0.4)
-    assert len(calls) == 2 and np.array_equal(h_rho, family.state_at(0.4))
-
-
 # --- the stacked sweep against the per-problem loop --------------------------------
 
 def _loop_sweep(seed, count, dims):
@@ -225,9 +213,11 @@ def _loop_sweep(seed, count, dims):
     return rows, gen
 
 
+@pytest.mark.parametrize("held", [scenario.HELD_DRAW_BYTES, 1])  # 1: one problem a solve
 @pytest.mark.parametrize("seed, count, dims", [(0, 200, [2, 3, 4]), (17, 40, [3]),
                                                (5, 25, [4, 2])])
-def test_sweep_keeps_rng_order_and_rows(monkeypatch, seed, count, dims):
+def test_sweep_keeps_rng_order_and_rows(monkeypatch, seed, count, dims, held):
+    monkeypatch.setattr(scenario, "HELD_DRAW_BYTES", held)
     made = []
     monkeypatch.setattr(scenario, "rng", lambda s: made.append(rng(s)) or made[-1])
     results = scenario.run_scenario(
@@ -239,6 +229,40 @@ def test_sweep_keeps_rng_order_and_rows(monkeypatch, seed, count, dims):
     for row, (j_in, j_out, slack) in zip(results["rows"], expected):
         close([row["j_in"], row["j_out"], row["slack"]], [j_in, j_out, slack])
     assert results["min_slack"] == min(r["slack"] for r in results["rows"])
+
+
+def _sweep_peak(count):
+    sc = {"kind": "qfi-mono", "seed": 3, "sweep": {"count": count, "dims": [32]}}
+    tracemalloc.start()
+    try:
+        rows = scenario.run_scenario(sc)["results"]["rows"]
+        return tracemalloc.get_traced_memory()[1], rows
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_count():
+    # at d = 32 a problem draws 544 KiB, so a count-12 sweep holding every
+    # draw would peak above 6 MiB
+    peak_4, rows_4 = _sweep_peak(4)
+    peak_12, rows_12 = _sweep_peak(12)
+    assert peak_12 < 1.25 * peak_4
+    assert rows_12[:4] == rows_4
+
+
+# --- every failing element warns ------------------------------------------------------
+
+def test_residual_warning_names_each_element(gen, monkeypatch):
+    rho, x, k, _ = problems(11, 4, 3, 2)
+    residual = personick_estimator(rho, x, k).residual
+    threshold = np.sort(residual)[1]
+    over = np.flatnonzero(residual > threshold)
+    assert len(over) == 2
+    monkeypatch.setattr(estimators, "RESIDUAL_WARN", threshold)
+    with pytest.warns(UserWarning) as record:
+        personick_estimator(rho, x, k)
+    assert [str(w.message).split()[1] for w in record] == [
+        f"residual[{i}]" for i in over]
 
 
 # --- functions of one operator reject a stack ----------------------------------------
