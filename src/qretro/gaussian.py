@@ -127,9 +127,10 @@ def quadrature_estimator(wr: GaussianWigner, we: GaussianWigner,
 
 def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
                             points_per_axis: int | None = None,
-                            half_width_sigmas: float = 8.0) -> float:
-    """Tensor-grid trapezoid quadrature of Π W_i × (optional linear factor).
+                            half_width_sigmas: float = 8.0) -> tuple[float, float]:
+    """Tensor-grid trapezoid quadrature: the pair (∫ Π W_i, ∫ Π W_i · X).
 
+    X ≡ 1 without a quadrature, and then the two entries are the same float.
     Supported for 1–2 modes.  The grid spans the union of each Gaussian's
     ±half_width_sigmas interval per axis; trapezoid quadrature converges
     spectrally for Gaussians, so modest point counts reach ~1e-8.  Each
@@ -192,20 +193,20 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     inner, weight, faces = inner.reshape(3, -1), weight.ravel(), np.flatnonzero(on_face)
     x0 = axes[0]
     outer = np.stack([x0, np.ones(n), -0.5 * prec[0, 0] * x0 * x0], axis=1)
-    # X = c0·x₀ + aff(y), and X ≡ 1 without a quadrature; if c0 = 0, weight·aff
-    # alone sums X, else the weight column adds the c0·x₀ part
+    # X = c0·x₀ + aff(y), and X ≡ 1 without a quadrature; the weight·aff
+    # column sums aff, and the weight column sums ΠW and the c0·x₀ part of X
     c0, aff = (0.0, np.ones(weight.size)) if x is None else (
         x.coeffs[0], np.ravel(x.offset + sum(c * y for c, y in zip(x.coeffs[1:], ys))))
-    wmat = np.stack([weight * aff] + ([weight] if c0 else []), axis=1)
+    wmat = np.stack([weight * aff] + ([weight] if x is not None else []), axis=1)
 
-    # tiles of axis-0 rows × a chunk of the inner grid; the truncation
-    # estimate is the largest |integrand| over all 2·dim faces of the grid
+    # tiles of axis-0 rows × a chunk of the inner grid; the truncation estimates
+    # are the largest |integrand·X| and |integrand| on the grid's 2·dim faces
     m = weight.size
     cols = max(1, min(m, _TILE_POINTS // _TILE_ROWS))
     rows = max(1, _TILE_POINTS // cols)
     buf = np.empty((rows, cols))
     sums = np.zeros((n, wmat.shape[1]))
-    edge = 0.0
+    edge = np.zeros(2)
     for lo in range(0, m, cols):
         c = slice(lo, min(lo + cols, m))
         face = faces[np.searchsorted(faces, c.start):np.searchsorted(faces, c.stop)]
@@ -219,17 +220,21 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
             sums[r] += t @ wmat[c]
             np.take(t, face_col, axis=1, out=at_face[r])
             for i in {0, n - 1} & {r0, r.stop - 1}:  # the axis-0 faces
-                edge = max(edge, float((t[i - r0] * np.abs(c0 * x0[i] + aff[c])).max()))
+                row = t[i - r0]
+                edge = np.maximum(edge, [(row * np.abs(c0 * x0[i] + aff[c])).max(),
+                                         row.max()])
+        edge[1] = max(edge[1], at_face.max(initial=0.0))
         at_face *= np.abs(c0 * x0[:, None] + aff[face])
-        edge = max(edge, float(at_face.max(initial=0.0)))
-    total = float(axis_w[0] @ (sums[:, 0] + c0 * x0 * sums[:, -1]))
+        edge[0] = max(edge[0], at_face.max(initial=0.0))
+    moment = float(axis_w[0] @ (sums[:, 0] + c0 * x0 * sums[:, -1]))
+    mass = float(axis_w[0] @ sums[:, -1])
 
     cell = float(np.prod([a[1] - a[0] for a in axes]))
-    scale = max(abs(total), max(w.weight for w in w_list) * 1e-30)
-    if edge * cell > 1e-9 * scale:
+    scale = np.maximum(np.abs([moment, mass]), max(w.weight for w in w_list) * 1e-30)
+    if (edge * cell > 1e-9 * scale).any():
         warnings.warn(
-            f"grid truncation error estimate {edge * cell:.3e} "
-            f"is large relative to the integral {total:.3e}",
+            f"grid truncation error estimates {edge[0] * cell:.3e}, {edge[1] * cell:.3e} "
+            f"are large relative to the integrals {moment:.3e}, {mass:.3e} of ΠW·X, ΠW",
             stacklevel=2,
         )
-    return total
+    return mass, moment

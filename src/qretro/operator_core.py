@@ -74,10 +74,11 @@ def trace(m):
 
 
 def as_square(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex ndarray (or stack of them), rejecting NaN/Inf."""
+    """Coerce to a non-empty square complex ndarray (or stack of them), rejecting NaN/Inf."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValidationError("shape", f"{name} must be square, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise ValidationError("shape", f"{name} must be square and non-empty, "
+                                       f"got shape {m.shape}")
     finite = np.isfinite(m).all(axis=(-2, -1))
     require(~finite, "finite", name, "contains NaN or Inf entries", finite)
     return m

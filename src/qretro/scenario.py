@@ -113,6 +113,12 @@ def _number(obj, name: str) -> float:
     return float(obj)
 
 
+def _bool(obj, name: str) -> bool:
+    if not isinstance(obj, bool):
+        raise ValidationError("parse", f"field {name!r} must be true or false, got {obj!r}")
+    return obj
+
+
 def _reals(obj: dict, field: str) -> np.ndarray:
     """A required field holding a number or nested lists of numbers."""
     value = _require(obj, field)
@@ -418,9 +424,8 @@ def _run_gaussian(sc):
             "weight": product.weight,
         },
     }
-    if sc.get("numeric_check"):
-        numer = gaussian.numeric_wigner_integral([wr, we], x)
-        denom = gaussian.numeric_wigner_integral([wr, we])
+    if _bool(sc.get("numeric_check", False), "numeric_check"):
+        denom, numer = gaussian.numeric_wigner_integral([wr, we], x)
         results["numeric_estimate"] = numer / denom
         results["numeric_gap"] = abs(numer / denom - estimate)
     return results

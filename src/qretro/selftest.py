@@ -246,8 +246,7 @@ def _check_gaussian_oracle(gen):
         we = sampling.random_gaussian_wigner(gen, 1, weight=float(gen.uniform(0.2, 3.0)))
         x = sampling.random_linear_quadrature(gen, 1)
         closed = gaussian.quadrature_estimator(wr, we, x)
-        numer = gaussian.numeric_wigner_integral([wr, we], x)
-        denom = gaussian.numeric_wigner_integral([wr, we])
+        denom, numer = gaussian.numeric_wigner_integral([wr, we], x)
         worst = max(worst, abs(numer / denom - closed) / 1e-6)
         product = gaussian.gaussian_product(wr, we)
         worst = max(worst, abs(denom - product.weight) / product.weight / 1e-6)

@@ -191,8 +191,7 @@ def test_criterion_6_gaussian_estimator():
                                         weight=float(gen.uniform(0.3, 2.0)))
             x = random_linear_quadrature(gen, n_modes)
             closed = quadrature_estimator(wr, we, x)
-            numer = numeric_wigner_integral([wr, we], x)
-            denom = numeric_wigner_integral([wr, we])
+            denom, numer = numeric_wigner_integral([wr, we], x)
             worst = max(worst, abs(numer / denom - closed))
     wr = random_gaussian_wigner(gen, 1)
     flat = GaussianWigner(mean=np.zeros(2), covariance=1e6 * np.eye(2))

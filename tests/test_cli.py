@@ -156,6 +156,21 @@ def test_gaussian_scenario_rejects_non_finite_input(tmp_path, capsys, part, fiel
     assert "error: finite:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["false", 0, []])
+def test_gaussian_numeric_check_must_be_a_boolean(tmp_path, capsys, value):
+    sc = gaussian_scenario(VACUUM, VACUUM)
+    sc["numeric_check"] = value
+    rc = main(["gaussian", "--input", _write(tmp_path, sc), "--quiet"])
+    assert rc == 1
+    assert "error: parse: field 'numeric_check'" in capsys.readouterr().err
+
+
+def test_gaussian_numeric_check_false_skips_the_oracle():
+    sc = gaussian_scenario(VACUUM, VACUUM)
+    sc["numeric_check"] = False
+    assert "numeric_estimate" not in run_scenario(sc)["results"]
+
+
 def test_gaussian_scenario_accepts_vacuum():
     # V + iΩ/2 has smallest eigenvalue exactly 0 at the vacuum I/2
     report = run_scenario(gaussian_scenario(VACUUM, VACUUM))

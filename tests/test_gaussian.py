@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qretro import gaussian
@@ -44,7 +44,7 @@ def test_product_weight_matches_numeric_integral(gen):
     wr = random_gaussian_wigner(gen, 1)
     we = random_gaussian_wigner(gen, 1, weight=0.7)
     product = gaussian_product(wr, we)
-    numeric = numeric_wigner_integral([wr, we])
+    numeric, _ = numeric_wigner_integral([wr, we])
     assert numeric == pytest.approx(product.weight, rel=1e-6)
 
 
@@ -71,8 +71,7 @@ def test_estimator_equal_covariance_midpoint():
     we = unit(mean=(2.0, 0.0), cov=np.eye(2) / 2)
     x = LinearQuadrature(coeffs=np.array([1.0, 0.0]))
     assert quadrature_estimator(wr, we, x) == pytest.approx(1.0, abs=1e-12)
-    numer = numeric_wigner_integral([wr, we], x)
-    denom = numeric_wigner_integral([wr, we])
+    denom, numer = numeric_wigner_integral([wr, we], x)
     assert numer / denom == pytest.approx(1.0, abs=1e-6)
 
 
@@ -117,13 +116,21 @@ def test_estimator_negligible_overlap():
 
 
 def test_numeric_integral_normalization():
-    assert numeric_wigner_integral([unit()]) == pytest.approx(1.0, abs=1e-8)
+    assert numeric_wigner_integral([unit()])[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_numeric_integral_first_moment(gen):
     wr = random_gaussian_wigner(gen, 1)
     x = LinearQuadrature(coeffs=np.array([1.0, 0.0]))
-    assert numeric_wigner_integral([wr], x) == pytest.approx(wr.mean[0], abs=1e-8)
+    assert numeric_wigner_integral([wr], x)[1] == pytest.approx(wr.mean[0], abs=1e-8)
+
+
+@pytest.mark.parametrize("n_modes, points", [(1, 101), (2, 21)])
+def test_numeric_integral_without_quadrature_returns_one_float_twice(gen, n_modes,
+                                                                     points):
+    w_list = [random_gaussian_wigner(gen, n_modes), random_gaussian_wigner(gen, n_modes)]
+    mass, moment = _oracle(w_list, points_per_axis=points)
+    assert mass == moment
 
 
 def test_numeric_matches_closed_form_one_mode(gen):
@@ -132,7 +139,8 @@ def test_numeric_matches_closed_form_one_mode(gen):
         we = random_gaussian_wigner(gen, 1, weight=float(gen.uniform(0.3, 2.0)))
         x = random_linear_quadrature(gen, 1)
         closed = quadrature_estimator(wr, we, x)
-        ratio = numeric_wigner_integral([wr, we], x) / numeric_wigner_integral([wr, we])
+        denom, numer = numeric_wigner_integral([wr, we], x)
+        ratio = numer / denom
         assert ratio == pytest.approx(closed, abs=1e-6)
 
 
@@ -142,7 +150,8 @@ def test_numeric_matches_closed_form_two_modes(gen):
         we = random_gaussian_wigner(gen, 2)
         x = random_linear_quadrature(gen, 2)
         closed = quadrature_estimator(wr, we, x)
-        ratio = numeric_wigner_integral([wr, we], x) / numeric_wigner_integral([wr, we])
+        denom, numer = numeric_wigner_integral([wr, we], x)
+        ratio = numer / denom
         assert ratio == pytest.approx(closed, abs=1e-6)
 
 
@@ -192,11 +201,9 @@ def test_numeric_integral_rejects_malformed_input():
 
 # --- the grid oracle against a brute-force reference -------------------------
 
-def brute_force_integral(w_list, x, points_per_axis, half_width_sigmas=8.0):
-    """Trapezoid rule over the stacked (..., 2n) grid points, one density at a time.
-
-    Returns the integral and the integral of its absolute value.
-    """
+def brute_force_grid(w_list, points_per_axis, half_width_sigmas=8.0):
+    """The grid axes, the stacked (..., 2n) grid points and Π W_i at each point,
+    one density at a time."""
     dim = w_list[0].mean.size
     axes = []
     for i in range(dim):
@@ -212,6 +219,15 @@ def brute_force_integral(w_list, x, points_per_axis, half_width_sigmas=8.0):
                                 np.linalg.inv(w.covariance), delta)
         norm = (2 * np.pi) ** (dim / 2) * np.sqrt(np.linalg.det(w.covariance))
         vals = vals * w.weight * np.exp(expo) / norm
+    return axes, pts, vals
+
+
+def brute_force_integral(w_list, x, points_per_axis, half_width_sigmas=8.0):
+    """Trapezoid rule over the brute-force grid.
+
+    Returns the integral and the integral of its absolute value.
+    """
+    axes, pts, vals = brute_force_grid(w_list, points_per_axis, half_width_sigmas)
     if x is not None:
         vals = vals * (pts @ x.coeffs + x.offset)
     total, magnitude = vals, np.abs(vals)
@@ -237,8 +253,10 @@ def test_numeric_integral_matches_brute_force(seed, n_modes, count, with_x,
     w_list = [random_gaussian_wigner(gen, n_modes, weight=float(gen.uniform(0.3, 2.0)))
               for _ in range(count)]
     x = random_linear_quadrature(gen, n_modes) if with_x else None
-    total, magnitude = brute_force_integral(w_list, x, points, half_width)
-    assert abs(_oracle(w_list, x, points, half_width) - total) <= 1e-12 * magnitude
+    # the pair (∫ΠW, ∫ΠW·X), each against its own brute-force integral
+    for got, factor in zip(_oracle(w_list, x, points, half_width), (None, x)):
+        total, magnitude = brute_force_integral(w_list, factor, points, half_width)
+        assert abs(got - total) <= 1e-12 * magnitude
 
 
 @pytest.mark.parametrize("tile_points, tile_rows", [(5, 1), (64, 8), (1000, 8)])
@@ -251,8 +269,9 @@ def test_numeric_integral_uneven_tiles(monkeypatch, gen, tile_points, tile_rows,
     w_list = [random_gaussian_wigner(gen, n_modes), random_gaussian_wigner(gen, n_modes)]
     x = random_linear_quadrature(gen, n_modes)
     for xx in (x, None):
-        total, magnitude = brute_force_integral(w_list, xx, points)
-        assert abs(_oracle(w_list, xx, points) - total) <= 1e-12 * magnitude
+        for got, factor in zip(_oracle(w_list, xx, points), (None, xx)):
+            total, magnitude = brute_force_integral(w_list, factor, points)
+            assert abs(got - total) <= 1e-12 * magnitude
 
 
 def test_numeric_integral_default_tiles_uneven(gen):
@@ -262,7 +281,44 @@ def test_numeric_integral_default_tiles_uneven(gen):
     wr = random_gaussian_wigner(gen, 1)
     x = random_linear_quadrature(gen, 1)
     total, magnitude = brute_force_integral([wr], x, 801)
-    assert abs(numeric_wigner_integral([wr], x) - total) <= 1e-12 * magnitude
+    assert abs(numeric_wigner_integral([wr], x)[1] - total) <= 1e-12 * magnitude
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_modes=st.sampled_from([1, 2]),
+       count=st.integers(1, 2), points=st.integers(9, 25),
+       half_width=st.floats(2.0, 8.0), offset=st.floats(-4.0, 4.0))
+# draws where only one test trips: the ∫ΠW test in the first two, the ∫ΠW·X
+# test in the third
+@example(seed=147, n_modes=1, count=2, points=14, half_width=3.9, offset=-4.0)
+@example(seed=886, n_modes=2, count=2, points=18, half_width=3.7, offset=3.4)
+@example(seed=703, n_modes=1, count=1, points=15, half_width=6.7, offset=3.5)
+def test_truncation_warning_matches_brute_force_faces(seed, n_modes, count, points,
+                                                      half_width, offset):
+    # one pass warns exactly when either integral's face test trips:
+    # edge·cell > 1e-9·|∫ΠW·X| with |X| on the faces, or the same for ∫ΠW
+    gen = rng(seed)
+    w_list = [random_gaussian_wigner(gen, n_modes, weight=float(gen.uniform(0.3, 2.0)))
+              for _ in range(count)]
+    x = LinearQuadrature(coeffs=random_linear_quadrature(gen, n_modes).coeffs,
+                         offset=offset)
+    axes, pts, vals = brute_force_grid(w_list, points, half_width)
+    on_face = np.zeros(vals.shape, dtype=bool)
+    for k in range(vals.ndim):
+        on_face[(slice(None),) * k + ([0, -1],)] = True
+    face, face_x = vals[on_face], pts[on_face] @ x.coeffs + x.offset
+    cell = float(np.prod([a[1] - a[0] for a in axes]))
+    floor = max(w.weight for w in w_list) * 1e-30
+    trips = []
+    for edge, factor in ((np.abs(face * face_x).max(), x), (face.max(), None)):
+        total, _ = brute_force_integral(w_list, factor, points, half_width)
+        ratio = edge * cell / (1e-9 * max(abs(total), floor))
+        assume(abs(ratio - 1.0) > 1e-6)  # clear of the threshold
+        trips.append(ratio > 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        numeric_wigner_integral(w_list, x, points, half_width)
+    assert any("truncation" in str(w.message) for w in caught) == any(trips)
 
 
 @pytest.mark.parametrize("axis", range(4))

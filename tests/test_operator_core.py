@@ -229,6 +229,13 @@ def test_as_density_validation():
         core.as_density(np.array([[np.nan, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("check", [core.as_square, core.as_hermitian, core.as_density])
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_zero_size_matrices_are_rejected(check, shape):
+    with pytest.raises(ValidationError, match="^shape:"):
+        check(np.zeros(shape))
+
+
 def test_embed():
     out = core.embed(SZ, [2, 3, 2], 0)
     np.testing.assert_allclose(out, core.tensor(core.tensor(SZ, np.eye(3)), np.eye(2)))
