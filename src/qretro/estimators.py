@@ -23,7 +23,7 @@ WEAKVALUE_FLOOR = 1e-12
 RESIDUAL_WARN = 1e-8
 
 
-class ZeroProbabilityOutcome(ValueError):
+class ZeroProbabilityOutcome(ValidationError):
     """Conditional estimate requested at a (near-)zero-probability outcome."""
 
 
@@ -132,6 +132,7 @@ def _outcome(rho, x, p: Povm, y):
     prob = float(np.trace(e @ rho).real)
     if prob <= WEAKVALUE_FLOOR:
         raise ZeroProbabilityOutcome(
+            "probability",
             f"outcome {y!r} has probability {prob:.3e}; conditional undefined"
         )
     return e, prob

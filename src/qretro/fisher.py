@@ -27,7 +27,7 @@ from .operator_core import ValidationError
 FD_STEP = 1e-5  # central differences; ~1e-10 error suffices vs 1e-8 checks
 
 
-class RankChangeError(ValueError):
+class RankChangeError(ValidationError):
     """The family's rank changes at the queried point; the SLD is singular there."""
 
 
@@ -83,6 +83,7 @@ def sld(family: StateFamily, theta: float, *, at=None) -> np.ndarray:
     name = f"rho({theta})" if np.ndim(theta) == 0 else "rho(theta)"
     if bad := core.failure(leak > 1e-8 * scale, name):
         raise RankChangeError(
+            "rank",
             f"derivative has norm {leak[bad[0]]:.3e} off the support of {bad[1]}; "
             "the family changes rank at this point"
         )

@@ -26,9 +26,16 @@ OVERLAP_FLOOR = 1e-12
 _TILE_POINTS, _TILE_ROWS = 1 << 15, 8
 # oracle exponents are floored here (e^-700 ≈ 1e-304): exp is ~20× slower below -708
 _EXP_FLOOR = -700.0
+# the oracle skips a grid line whose largest exponent lies more than τ below
+# the grid's peak G.  A skipped point weighs at most cell·e^(G−τ) (times |X|
+# in ∫ΠW·X), and the peak point alone puts at least 2^−dim·cell·e^G into ∫ΠW,
+# so N skipped points move ∫ΠW by at most N·2^dim·e^−τ of itself, and ∫ΠW·X
+# by that times max|X|·∫ΠW.  τ = 90·ln 2 and N·2^dim < 2^30 on the default
+# grids keep both below 2^−53, with a factor 2^7 to spare for max|X|.
+_SKIP_BELOW = 90 * np.log(2)
 
 
-class NegligibleOverlap(ValueError):
+class NegligibleOverlap(ValidationError):
     """The retrodictive effect barely overlaps the state; the conditional is undefined."""
 
 
@@ -107,7 +114,7 @@ def gaussian_product(wr: GaussianWigner, we: GaussianWigner) -> GaussianWigner:
     weight = wr.weight * we.weight * float(overlap)
     if weight <= OVERLAP_FLOOR:
         raise NegligibleOverlap(
-            f"overlap weight {weight:.3e} below {OVERLAP_FLOOR:g}"
+            "overlap", f"overlap weight {weight:.3e} below {OVERLAP_FLOOR:g}"
         )
     return GaussianWigner(mean=mean, covariance=cov, weight=weight)
 
@@ -120,7 +127,7 @@ def quadrature_estimator(wr: GaussianWigner, we: GaussianWigner,
     product = gaussian_product(wr, we)
     if product.weight <= OVERLAP_FLOOR:
         raise NegligibleOverlap(
-            f"overlap weight {product.weight:.3e} below {OVERLAP_FLOOR:g}"
+            "overlap", f"overlap weight {product.weight:.3e} below {OVERLAP_FLOOR:g}"
         )
     return float(x.coeffs @ product.mean + x.offset)
 
@@ -133,8 +140,10 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     X ≡ 1 without a quadrature, and then the two entries are the same float.
     Supported for 1–2 modes.  The grid spans the union of each Gaussian's
     ±half_width_sigmas interval per axis; trapezoid quadrature converges
-    spectrally for Gaussians, so modest point counts reach ~1e-8.  Each
-    grid point costs one exp, one floor and a share of two matrix products.
+    spectrally for Gaussians, so modest point counts reach ~1e-8.  Grid lines
+    whose integrand stays below 2^-90 of the grid's peak are skipped (the
+    error bound is at _SKIP_BELOW); each other point costs one exp, one floor
+    and a share of two matrix products.
     """
     w_list = list(w_list)
     if not w_list:
@@ -175,62 +184,73 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
             - 0.5 * (dim * np.log(2 * np.pi) + np.log(np.linalg.det(w.covariance)))
         )
 
-    # the exponent over axis-0 rows x₀ × inner points y (axes 1..dim-1) is the
-    # product [x₀, 1, s(x₀)]·[slope(y), base(y), 1]; the y terms, the weights
-    # and the faces of the inner grid are built as per-axis outer sums
-    shape = (n,) * (dim - 1)
-    ys = [a.reshape((n,) + (1,) * (dim - 2 - k)) for k, a in enumerate(axes[1:])]
-    inner = np.multiply.outer([lin[0], log_const, 1.0], np.ones(shape))
-    slope, base = inner[0], inner[1]  # views, completed below
-    weight, on_face = np.ones(shape), np.zeros(shape, dtype=bool)
-    for k, y in enumerate(ys, start=1):
-        base += (lin[k] - 0.5 * prec[k, k] * y) * y
-        for j in range(k + 1, dim):
-            base -= prec[k, j] * y * ys[j - 1]
-        slope -= prec[0, k] * y
-        weight *= axis_w[k].reshape(y.shape)
-        on_face |= np.isin(np.arange(n), [0, n - 1]).reshape(y.shape)
-    inner, weight, faces = inner.reshape(3, -1), weight.ravel(), np.flatnonzero(on_face)
-    x0 = axes[0]
-    outer = np.stack([x0, np.ones(n), -0.5 * prec[0, 0] * x0 * x0], axis=1)
-    # X = c0·x₀ + aff(y), and X ≡ 1 without a quadrature; the weight·aff
-    # column sums aff, and the weight column sums ΠW and the c0·x₀ part of X
-    c0, aff = (0.0, np.ones(weight.size)) if x is None else (
-        x.coeffs[0], np.ravel(x.offset + sum(c * y for c, y in zip(x.coeffs[1:], ys))))
-    wmat = np.stack([weight * aff] + ([weight] if x is not None else []), axis=1)
+    # lines along the last axis z: on the line through the other axes' point y
+    # the exponent is [slope(y), base(y), 1]·[z, 1, −½P_zz·z²] and X is
+    # c_z·z + aff(y) (X ≡ 1 without a quadrature).  The y terms, weights and
+    # faces are outer sums, from the last y axis back to keep them small.
+    last = dim - 1
+    ys = [a.reshape((n,) + (1,) * (last - 1 - k)) for k, a in enumerate(axes[:last])]
+    coeffs, aff = (np.zeros(dim), 1.0) if x is None else (x.coeffs, x.offset)
+    slope, base, weight, on_face = lin[last], log_const, 1.0, False
+    for k, y in reversed(list(enumerate(ys))):
+        base = base + ((lin[k] - 0.5 * prec[k, k] * y) * y
+                       - sum(prec[k, j] * y * ys[j] for j in range(k + 1, last)))
+        slope = slope - prec[k, last] * y
+        aff = aff + coeffs[k] * y
+        weight = weight * axis_w[k].reshape(y.shape)
+        on_face = on_face | (np.arange(n) % (n - 1) == 0).reshape(y.shape)
+    weight = np.stack([weight * aff, weight], axis=-1).reshape(-1, 2)
+    slope, base, aff, on_face = map(np.ravel, (slope, base, aff, on_face))
+    z, curv, c_z = axes[last], prec[last, last], coeffs[last]
+    outer = np.stack([z, np.ones(n), -0.5 * curv * z * z])
 
-    # tiles of axis-0 rows × a chunk of the inner grid; the truncation estimates
-    # are the largest |integrand·X| and |integrand| on the grid's 2·dim faces
-    m = weight.size
-    cols = max(1, min(m, _TILE_POINTS // _TILE_ROWS))
-    rows = max(1, _TILE_POINTS // cols)
-    buf = np.empty((rows, cols))
-    sums = np.zeros((n, wmat.shape[1]))
-    edge = np.zeros(2)
-    for lo in range(0, m, cols):
-        c = slice(lo, min(lo + cols, m))
-        face = faces[np.searchsorted(faces, c.start):np.searchsorted(faces, c.stop)]
-        at_face, face_col = np.empty((n, face.size)), face - lo
-        for r0 in range(0, n, rows):
-            r = slice(r0, min(r0 + rows, n))
-            t = buf[:r.stop - r0, :c.stop - lo]
-            np.matmul(outer[r], inner[:, c], out=t)
+    # along a line the exponent is a concave quadratic, so its largest value
+    # on [z₀, z_{n−1}], top, sits at the clamped vertex (floored like the
+    # grid).  The reference g_ref is the largest grid value on the line of the
+    # largest top, a value the grid attains: top can overshoot it far.
+    vertex = np.clip(slope / curv, z[0], z[-1])
+    top = np.maximum(base + (slope - 0.5 * curv * vertex) * vertex, _EXP_FLOOR)
+    best = int(np.argmax(top))
+    g_ref = float((base[best] + (slope[best] - 0.5 * curv * z) * z).max())
+    del vertex
+
+    # the kept lines in chunks: one matrix product gives the exponent, a
+    # second each line's sums of w_z·e^G and w_z·z·e^G, and the line weights
+    # [weight·aff, weight] turn those into ∫ΠW·X (with c_z) and ∫ΠW.  Face
+    # values (the truncation estimates' |integrand·X|, |integrand|) are at
+    # most e^top·x_max and e^top on a line: lines whose bound could trip the
+    # test (with e to spare) are read exactly, skipped ones on a face in full.
+    rows = max(_TILE_ROWS, _TILE_POINTS // n)
+    lhs, buf = np.ones((rows, 3)), np.empty((rows, n))
+    wz = np.stack([axis_w[last], axis_w[last] * z], axis=1)
+    sums, edge, done = np.zeros((2, 2)), np.zeros(2), np.zeros(top.size, dtype=bool)
+    cell = float(np.prod([a[1] - a[0] for a in axes]))
+    x_max = max(aff.max(), -aff.min()) + abs(c_z) * max(-z[0], z[-1])
+    todo = np.flatnonzero(top >= g_ref - _SKIP_BELOW)
+    while todo.size:
+        done[todo] = True
+        for lo in range(0, todo.size, rows):
+            idx = todo[lo:lo + rows]
+            k = idx.size
+            lhs[:k, 0], lhs[:k, 1] = slope[idx], base[idx]
+            t = np.matmul(lhs[:k], outer, out=buf[:k])
             np.maximum(t, _EXP_FLOOR, out=t)
             np.exp(t, out=t)
-            sums[r] += t @ wmat[c]
-            np.take(t, face_col, axis=1, out=at_face[r])
-            for i in {0, n - 1} & {r0, r.stop - 1}:  # the axis-0 faces
-                row = t[i - r0]
-                edge = np.maximum(edge, [(row * np.abs(c0 * x0[i] + aff[c])).max(),
-                                         row.max()])
-        edge[1] = max(edge[1], at_face.max(initial=0.0))
-        at_face *= np.abs(c0 * x0[:, None] + aff[face])
-        edge[0] = max(edge[0], at_face.max(initial=0.0))
-    moment = float(axis_w[0] @ (sums[:, 0] + c0 * x0 * sums[:, -1]))
-    mass = float(axis_w[0] @ sums[:, -1])
+            sums += np.take(weight, idx, axis=0).T @ (t @ wz)
+            if (f := on_face[idx]).any():
+                edge = np.maximum(edge, [(t[f] * np.abs(aff[idx[f], None] + c_z * z)).max(),
+                                         t[f].max()])
+        mass = float(sums[1, 0])
+        moment = mass if x is None else float(sums[0, 0] + c_z * sums[1, 1])
+        scale = np.maximum(np.abs([moment, mass]), max(w.weight for w in w_list) * 1e-30)
+        near = top > np.log(1e-9 * scale / [x_max or 1.0, 1.0]).min() - np.log(cell) - 1
+        todo = np.flatnonzero(near & on_face & ~done)
+    near = np.flatnonzero(near)
+    for zj in z[::n - 1]:
+        e = np.exp(np.maximum(base[near] + (slope[near] - 0.5 * curv * zj) * zj, _EXP_FLOOR))
+        edge = np.maximum(edge, [(e * np.abs(aff[near] + c_z * zj)).max(initial=0.0),
+                                 e.max(initial=0.0)])
 
-    cell = float(np.prod([a[1] - a[0] for a in axes]))
-    scale = np.maximum(np.abs([moment, mass]), max(w.weight for w in w_list) * 1e-30)
     if (edge * cell > 1e-9 * scale).any():
         warnings.warn(
             f"grid truncation error estimates {edge[0] * cell:.3e}, {edge[1] * cell:.3e} "

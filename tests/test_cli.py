@@ -382,6 +382,21 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
     assert err.startswith("error: parse:") and message in err
 
 
+@pytest.mark.parametrize("scenario, invariant", [
+    # the state and the effect barely overlap
+    ({**gaussian_scenario(VACUUM, VACUUM), "effect": {"mean": [100.0, 0.0],
+                                                      "covariance": VACUUM}}, "overlap"),
+    # ρ(0) = diag(1, 0) and its derivative diag(−1, 1) leaves the support
+    ({"kind": "qfi-mono", "family": {"type": "diagonal_line", "p0": [1.0, 0.0],
+                                     "slope": [-1.0, 1.0]},
+      "channel": {"depolarizing": 2}}, "rank"),
+])
+def test_cli_domain_errors_exit_cleanly(tmp_path, capsys, scenario, invariant):
+    rc = main([scenario["kind"], "--input", _write(tmp_path, scenario), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {invariant}:")
+
+
 def test_cli_has_no_tolerance_scale_option():
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "--tol-scale", "2"])

@@ -243,15 +243,28 @@ def _oracle(*args, **kwargs):
         return numeric_wigner_integral(*args, **kwargs)
 
 
+def narrowed(w_list, shrink):
+    """The state and its effects, the effects' covariances divided by `shrink`.
+
+    An effect 10–100× narrower than the state makes the product narrower than
+    the grid, and the oracle then skips most of the grid's lines."""
+    return w_list[:1] + [GaussianWigner(mean=w.mean, covariance=w.covariance / shrink,
+                                        weight=w.weight) for w in w_list[1:]]
+
+
+SHRINK = st.sampled_from([1.0]) | st.floats(10.0, 100.0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n_modes=st.sampled_from([1, 2]),
        count=st.integers(1, 3), with_x=st.booleans(),
-       points=st.integers(9, 31), half_width=st.floats(2.0, 8.0))
+       points=st.integers(9, 31), half_width=st.floats(2.0, 8.0), shrink=SHRINK)
 def test_numeric_integral_matches_brute_force(seed, n_modes, count, with_x,
-                                              points, half_width):
+                                              points, half_width, shrink):
     gen = rng(seed)
-    w_list = [random_gaussian_wigner(gen, n_modes, weight=float(gen.uniform(0.3, 2.0)))
-              for _ in range(count)]
+    w_list = narrowed([random_gaussian_wigner(gen, n_modes,
+                                              weight=float(gen.uniform(0.3, 2.0)))
+                       for _ in range(count)], shrink)
     x = random_linear_quadrature(gen, n_modes) if with_x else None
     # the pair (∫ΠW, ∫ΠW·X), each against its own brute-force integral
     for got, factor in zip(_oracle(w_list, x, points, half_width), (None, x)):
@@ -287,19 +300,23 @@ def test_numeric_integral_default_tiles_uneven(gen):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n_modes=st.sampled_from([1, 2]),
        count=st.integers(1, 2), points=st.integers(9, 25),
-       half_width=st.floats(2.0, 8.0), offset=st.floats(-4.0, 4.0))
+       half_width=st.floats(2.0, 8.0), offset=st.floats(-4.0, 4.0), shrink=SHRINK)
 # draws where only one test trips: the ∫ΠW test in the first two, the ∫ΠW·X
 # test in the third
-@example(seed=147, n_modes=1, count=2, points=14, half_width=3.9, offset=-4.0)
-@example(seed=886, n_modes=2, count=2, points=18, half_width=3.7, offset=3.4)
-@example(seed=703, n_modes=1, count=1, points=15, half_width=6.7, offset=3.5)
+@example(seed=147, n_modes=1, count=2, points=14, half_width=3.9, offset=-4.0,
+         shrink=1.0)
+@example(seed=886, n_modes=2, count=2, points=18, half_width=3.7, offset=3.4,
+         shrink=1.0)
+@example(seed=703, n_modes=1, count=1, points=15, half_width=6.7, offset=3.5,
+         shrink=1.0)
 def test_truncation_warning_matches_brute_force_faces(seed, n_modes, count, points,
-                                                      half_width, offset):
+                                                      half_width, offset, shrink):
     # one pass warns exactly when either integral's face test trips:
     # edge·cell > 1e-9·|∫ΠW·X| with |X| on the faces, or the same for ∫ΠW
     gen = rng(seed)
-    w_list = [random_gaussian_wigner(gen, n_modes, weight=float(gen.uniform(0.3, 2.0)))
-              for _ in range(count)]
+    w_list = narrowed([random_gaussian_wigner(gen, n_modes,
+                                              weight=float(gen.uniform(0.3, 2.0)))
+                       for _ in range(count)], shrink)
     x = LinearQuadrature(coeffs=random_linear_quadrature(gen, n_modes).coeffs,
                          offset=offset)
     axes, pts, vals = brute_force_grid(w_list, points, half_width)
@@ -321,10 +338,60 @@ def test_truncation_warning_matches_brute_force_faces(seed, n_modes, count, poin
     assert any("truncation" in str(w.message) for w in caught) == any(trips)
 
 
-@pytest.mark.parametrize("axis", range(4))
-def test_truncation_warning_on_every_face(axis):
+@pytest.mark.parametrize("n_modes, points", [(1, None), (2, 41)])
+def test_numeric_integral_skips_negligible_lines(monkeypatch, n_modes, points):
+    # a product narrower than the grid: the entries of the exponent products
+    # count the points read, fewer than half of the grid's, and reading them
+    # all instead moves neither integral beyond summation order
+    gen = rng(5)
+    w_list = narrowed([random_gaussian_wigner(gen, n_modes),
+                       random_gaussian_wigner(gen, n_modes)], 30.0)
+    x = random_linear_quadrature(gen, n_modes)
+    read, matmul = [], np.matmul
+
+    def counting_matmul(a, b, out=None):
+        read.append(a.shape[0] * b.shape[1])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    mass, moment = numeric_wigner_integral(w_list, x, points)
+    monkeypatch.undo()
+    assert 0 < sum(read) < (points or 801) ** (2 * n_modes) / 2
+    monkeypatch.setattr(gaussian, "_SKIP_BELOW", np.inf)
+    assert numeric_wigner_integral(w_list, x, points) == pytest.approx(
+        (mass, moment), rel=1e-12)
+
+
+def test_numeric_integral_coarse_grid_reference_peak():
+    # on a 9-point grid a narrow tilted effect, exp(−½[a·q² + c·(p − 1 − s·q)²]),
+    # puts the vertex of the line q = 0 between two grid points and those of
+    # q = ±2 on grid points: the continuous maximum overshoots the grid's peak
+    # by more than _SKIP_BELOW, so lines are skipped relative to a value the
+    # grid attains, or the lines that hold the integrals would be skipped
+    a, c, s = 40.0, 1000.0, 0.5
+    effect = GaussianWigner(mean=np.array([0.0, 1.0]), covariance=np.linalg.inv(
+        [[a + c * s * s, -c * s], [-c * s, c]]))
+    w_list = [unit(), effect]
+    x = LinearQuadrature(coeffs=np.array([1.0, -0.5]), offset=0.3)
+    product = gaussian_product(*w_list)
+    peak = product.weight / (2 * np.pi * np.sqrt(np.linalg.det(product.covariance)))
+    _, _, vals = brute_force_grid(w_list, 9)
+    assert np.log(peak / vals.max()) > gaussian._SKIP_BELOW
+    for got, factor in zip(_oracle(w_list, x, 9), (None, x)):
+        total, magnitude = brute_force_integral(w_list, factor, 9)
+        assert abs(got - total) <= 1e-12 * magnitude
+
+
+@pytest.mark.parametrize("axis, skip_below",
+                         [pytest.param(a, None, id=str(a)) for a in range(4)]
+                         + [pytest.param(a, 1.0, id=f"{a}-skip-1") for a in range(4)])
+def test_truncation_warning_on_every_face(monkeypatch, axis, skip_below):
     # a steep linear factor along one axis lifts the integrand on that
-    # axis's two faces above the truncation threshold
+    # axis's two faces above the truncation threshold; with lines skipped
+    # from 1 below the peak, the faces of the first three axes lie on
+    # skipped lines, whose face values must still be read
+    if skip_below is not None:
+        monkeypatch.setattr(gaussian, "_SKIP_BELOW", skip_below)
     g = GaussianWigner(mean=np.zeros(4), covariance=np.eye(4))
     x = LinearQuadrature(coeffs=10.0 * np.eye(4)[axis], offset=1.0)
     for half_width in (5.3, 5.45, 5.6):
