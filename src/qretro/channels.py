@@ -3,13 +3,18 @@
 Every channel is stored as a list of Kraus operators; every constructor
 (Stinespring dilation, classical transition matrix, classical-quantum
 ensemble, measurement map, partial trace) lowers to it, so application and
-CPTP validation follow one uniform path.  The list is not minimal:
-composition multiplies Kraus counts, so it can exceed the Choi rank.
+CPTP validation follow one uniform path.  The dilation, classical-quantum
+and measurement lowerings make Kraus operators from the eigenpairs of the
+environment state, the ensemble states or the effects; an eigenvalue below
+KRAUS_CUTOFF, such as a pure environment's zeros, makes none.
+The list is not minimal: composition multiplies Kraus counts, so it can
+exceed the Choi rank.
 Each Kraus contraction is a pair of BLAS matrix products, O(K·d³).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +26,16 @@ from .operator_core import (
     ValidationError,
     _density_with_spectrum,
     as_hermitian,
+    as_keep,
     as_square,
+    as_unitary,
     dagger,
     hermitian_part,
     require,
+    stack_shape,
 )
+
+KRAUS_CUTOFF = 1e-14  # eigenvalues below it make no Kraus operator
 
 
 @dataclass(frozen=True)
@@ -104,12 +114,7 @@ def apply_channel(k: QuantumChannel, rho) -> np.ndarray:
             "shape", f"input dim {rho.shape[-1]} != channel dim_in {k.dim_in}"
         )
     *lead, n, dim_out, dim_in = k.kraus.shape
-    try:
-        stack = np.broadcast_shapes(tuple(lead), rho.shape[:-2])
-    except ValueError:
-        raise ValidationError(
-            "shape", f"channel stack {tuple(lead)} != operator stack {rho.shape[:-2]}"
-        ) from None
+    stack = stack_shape("channel and operator", tuple(lead), rho.shape[:-2])
     # A = [K_1 … K_K] as (d_out, K·d_in), so κ(ρ) = A (I_K ⊗ ρ) A†: the
     # (d_out·K, d_in) view of A times ρ is A (I_K ⊗ ρ), read back as
     # (d_out, K·d_in), then one product with A†.
@@ -123,10 +128,7 @@ def validate_cptp(k) -> CptpReport:
 
     Accepts a QuantumChannel or a bare Kraus list (which may violate CPTP).
     """
-    if isinstance(k, QuantumChannel):
-        kraus = k.kraus
-    else:
-        kraus = np.stack([np.asarray(m, dtype=complex) for m in k])
+    kraus = k.kraus if isinstance(k, QuantumChannel) else np.asarray(k, dtype=complex)
     choi = _choi(kraus)
     dev = float(_tp_deviation(kraus))
     wmin = float(np.linalg.eigvalsh(hermitian_part(choi)).min())
@@ -145,18 +147,16 @@ def channel_from_dilation(u, env, dims, traced, kept) -> QuantumChannel:
     `kept` is the single output factor; `traced` are the factors traced out
     (together they must cover all factors).
     """
-    dims = [int(d) for d in dims]
-    u = as_square(u, "u")
+    dims, kept = as_keep(dims, kept if np.iterable(kept) else [kept])
     d_total = int(np.prod(dims))
-    if u.shape != (d_total, d_total):
-        raise ValidationError("dims", f"U shape {u.shape} != prod(dims) {d_total}")
-    if float(np.abs(u.conj().T @ u - np.eye(d_total)).max()) > 1e-10:
-        raise ValidationError("unitary", "U is not unitary within 1e-10")
-    traced = sorted(set(int(i) for i in traced))
-    kept = sorted(set(int(i) for i in kept)) if np.iterable(kept) else [int(kept)]
+    u = as_unitary(u, d_total)
     if len(kept) != 1:
         raise ValidationError("dims", "kept must be a single subsystem")
-    if sorted(traced + kept) != list(range(len(dims))):
+    try:
+        traced = sorted({operator.index(i) for i in traced})
+    except TypeError:
+        traced = None
+    if traced is None or sorted(traced + kept) != list(range(len(dims))):
         raise ValidationError("dims", "traced and kept must partition the factors")
     d_a = dims[0]
     env, spec = _density_with_spectrum(env, name="env")
@@ -168,14 +168,20 @@ def channel_from_dilation(u, env, dims, traced, kept) -> QuantumChannel:
     perm = traced + kept  # row-axis order: traced factors first, kept last
     d_tr = int(np.prod([dims[i] for i in traced])) if traced else 1
     d_keep = dims[k_idx]
-    for p, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
-        if p < 1e-14:  # rank-deficient environments (pure states) are common
-            continue
+    for _, root, vec in _kraus_roots([spec]):
         cols = u @ np.kron(np.eye(d_a), vec.reshape(-1, 1))  # (d_total, d_a)
         t = cols.reshape(dims + [d_a]).transpose(perm + [len(dims)])
         blocks = t.reshape(d_tr, d_keep, d_a)
-        kraus.extend(np.sqrt(p) * blocks[j] for j in range(d_tr))
+        kraus.extend(root * blocks[j] for j in range(d_tr))
     return QuantumChannel(kraus)
+
+
+def _kraus_roots(spectra):
+    """(i, √λ, v) for each eigenpair (λ, v) of the i-th spectrum with λ ≥ KRAUS_CUTOFF."""
+    for i, spec in enumerate(spectra):
+        for lam, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
+            if lam >= KRAUS_CUTOFF:
+                yield i, np.sqrt(lam), vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,15 +232,16 @@ class Povm:
             raise ValidationError("shape", "effects must share one dimension")
         spectra = tuple(Spectrum.of(e) for e in eff)
         for i, spec in enumerate(spectra):
-            wmin = float(spec.eigenvalues.min())
-            if wmin < -PSD_TOL:
-                raise ValidationError("psd", f"effect {i} has eigenvalue {wmin:.3e}")
+            spec.require_psd(f"effect[{i}]")
         total = sum(eff)
         if float(np.abs(total - np.eye(dim)).max()) > CPTP_TOL:
             raise ValidationError("completeness", "effects must sum to identity")
         labels = tuple(range(len(eff))) if labels is None else tuple(labels)
         if len(labels) != len(eff):
             raise ValidationError("labels", f"{len(labels)} labels for {len(eff)} effects")
+        # JSON labels may be lists, which do not hash: compare, as `effect` does
+        if any(labels.index(y) != i for i, y in enumerate(labels)):
+            raise ValidationError("labels", f"outcome labels {list(labels)!r} repeat")
         object.__setattr__(self, "effects", eff)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "spectra", spectra)
@@ -274,13 +281,10 @@ def channel_from_cq_ensemble(states) -> QuantumChannel:
     if any(spec.eigenvectors.shape != (d_out, d_out) for spec in spectra):
         raise ValidationError("shape", "ensemble states must share one dimension")
     kraus = []
-    for x, spec in enumerate(spectra):
-        for lam, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
-            if lam < 1e-14:
-                continue
-            k = np.zeros((d_out, n_in), dtype=complex)
-            k[:, x] = np.sqrt(lam) * vec
-            kraus.append(k)
+    for x, root, vec in _kraus_roots(spectra):
+        k = np.zeros((d_out, n_in), dtype=complex)
+        k[:, x] = root * vec
+        kraus.append(k)
     return QuantumChannel(kraus)
 
 
@@ -288,24 +292,16 @@ def channel_from_povm(p: Povm) -> QuantumChannel:
     """Measurement map κ(ρ) = Σ_y [tr E(y)ρ] |y⟩⟨y|, from the effects' spectra."""
     n_out = len(p.effects)
     kraus = []
-    for y, spec in enumerate(p.spectra):
-        for lam, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
-            if lam < 1e-14:
-                continue
-            k = np.zeros((n_out, p.dim), dtype=complex)
-            k[y, :] = np.sqrt(lam) * vec.conj()
-            kraus.append(k)
+    for y, root, vec in _kraus_roots(p.spectra):
+        k = np.zeros((n_out, p.dim), dtype=complex)
+        k[y, :] = root * vec.conj()
+        kraus.append(k)
     return QuantumChannel(kraus)
 
 
 def partial_trace_channel(dims, keep) -> QuantumChannel:
     """The partial trace over the factors not in `keep`, as a channel."""
-    dims = [int(d) for d in dims]
-    keep = sorted(set(int(i) for i in keep))
-    if not keep:
-        raise ValidationError("keep", "empty keep set")
-    if keep[0] < 0 or keep[-1] >= len(dims):
-        raise ValidationError("keep", f"keep indices {keep} out of range")
+    dims, keep = as_keep(dims, keep)
     traced = [i for i in range(len(dims)) if i not in keep]
     d_total = int(np.prod(dims))
     d_keep = int(np.prod([dims[i] for i in keep]))

@@ -71,16 +71,13 @@ def heisenberg_risk(rho0, x, xcheck, u, dims, x_factor: int = 0,
     `x` lives on tensor factor `x_factor` and `xcheck` on `xcheck_factor`;
     the embedding is explicit, never inferred.
     """
-    dims = [int(d) for d in dims]
     rho0 = core.as_density(rho0, name="rho0")
     if xcheck_factor is None:
         xcheck_factor = len(dims) - 1
-    d_total = int(np.prod(dims))
-    u = core.as_square(u, "u")
-    if u.shape != (d_total, d_total) or rho0.shape != u.shape:
-        raise ValidationError("dims", "rho0/U inconsistent with dims")
-    if float(np.abs(u.conj().T @ u - np.eye(d_total)).max()) > 1e-10:
-        raise ValidationError("unitary", "U is not unitary within 1e-10")
+    dims, _ = core.as_keep(dims, [x_factor, xcheck_factor])  # x, x̌ on kept factors
+    u = core.as_unitary(u, int(np.prod(dims)))
+    if rho0.shape != u.shape:
+        raise ValidationError("dims", f"rho0 shape {rho0.shape} != U shape {u.shape}")
     x_emb = core.embed(core.as_hermitian(x, name="x"), dims, x_factor)
     xc_emb = core.embed(core.as_hermitian(xcheck, name="xcheck"), dims, xcheck_factor)
     diff = x_emb - u.conj().T @ xc_emb @ u
@@ -99,8 +96,9 @@ def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationR
     if image is None:
         rho = core.as_density(rho)
         x = core.as_hermitian(x, name="x")
-        if rho.shape[-1] != k.dim_in:
-            raise ValidationError("shape", "rho dimension != channel dim_in")
+        if not rho.shape[-1] == x.shape[-1] == k.dim_in:
+            raise ValidationError("shape", "rho/x dimension != channel dim_in")
+        core.stack_shape("rho and x", rho.shape[:-2], x.shape[:-2])
         krho = core.as_hermitian(apply_channel(k, rho))
         image = krho, core.Spectrum.of(krho)
         image[1].require_psd("kappa(rho)")
@@ -110,10 +108,9 @@ def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationR
     min_risk = _real(
         core.trace(rho @ x @ x) - core.trace(krho @ xopt @ xopt), "min risk", tol=1e-9
     )
-    for k in np.argwhere(np.asarray(residual) > RESIDUAL_WARN):
-        name = "normal-equation residual" + "".join(f"[{i}]" for i in k)
-        msg = f"{name} {np.asarray(residual)[tuple(k)]:.3e} exceeds {RESIDUAL_WARN:g}"
-        warnings.warn(msg, stacklevel=2)
+    res = np.asarray(residual)
+    for i, name in core.failures(res > RESIDUAL_WARN, "normal-equation residual"):
+        warnings.warn(f"{name} {res[i]:.3e} exceeds {RESIDUAL_WARN:g}", stacklevel=2)
     return EstimationResult(
         estimator=xopt,
         min_risk=min_risk,

@@ -39,8 +39,7 @@ class StateFamily:
     derivative_at: Optional[Callable[[float], np.ndarray]] = None
 
     def density(self, theta: float) -> np.ndarray:
-        name = f"rho({theta})" if np.ndim(theta) == 0 else "rho(theta)"
-        return core.as_density(self.state_at(theta), name=name)
+        return core.as_density(self.state_at(theta), name=_rho_name(theta))
 
     def derivative(self, theta: float) -> np.ndarray:
         if self.derivative_at is not None:
@@ -50,6 +49,11 @@ class StateFamily:
             (np.asarray(self.state_at(theta + h), dtype=complex)
              - np.asarray(self.state_at(theta - h), dtype=complex)) / (2 * h)
         )
+
+
+def _rho_name(theta) -> str:
+    """ρ's name at θ in a failure: `rho(0.4)`, or one name for a stacked θ."""
+    return f"rho({theta})" if np.ndim(theta) == 0 else "rho(theta)"
 
 
 def _tangent(d) -> np.ndarray:
@@ -63,8 +67,7 @@ def _tangent(d) -> np.ndarray:
 
 def _evaluate(family: StateFamily, theta):
     """(ρ(θ), its Spectrum, ∂ρ(θ)), each checked once."""
-    name = f"rho({theta})" if np.ndim(theta) == 0 else "rho(theta)"
-    rho, spec = core._density_with_spectrum(family.state_at(theta), name=name)
+    rho, spec = core._density_with_spectrum(family.state_at(theta), name=_rho_name(theta))
     return rho, spec, family.derivative(theta)
 
 
@@ -74,14 +77,13 @@ def sld(family: StateFamily, theta: float, *, at=None) -> np.ndarray:
     Families whose rank changes at θ (derivative leaking off the support)
     are rejected: the SLD does not exist there.  A caller that has already
     evaluated the family at θ passes `at` = (ρ(θ), its Spectrum, ∂ρ(θ)),
-    checked, and the family is not evaluated again.
+    checked, and the family is not read (it may be None).
     """
     rho, spec, drho = at or _evaluate(family, theta)
     comp = np.eye(rho.shape[-1]) - spec.projector()
     leak = np.linalg.norm(comp @ drho @ comp, axis=(-2, -1))
     scale = np.maximum(1.0, np.linalg.norm(drho, axis=(-2, -1)))
-    name = f"rho({theta})" if np.ndim(theta) == 0 else "rho(theta)"
-    if bad := core.failure(leak > 1e-8 * scale, name):
+    if bad := next(core.failures(leak > 1e-8 * scale, _rho_name(theta)), None):
         raise RankChangeError(
             "rank",
             f"derivative has norm {leak[bad[0]]:.3e} off the support of {bad[1]}; "
@@ -142,10 +144,9 @@ def _push(family: StateFamily, k: QuantumChannel, theta: float):
     of κ(ρ)."""
     rho, _, drho = at = _evaluate(family, theta)
     s_in = sld(family, theta, at=at)
-    name = f"kappa(rho({theta}))" if np.ndim(theta) == 0 else "kappa(rho(theta))"
-    krho, kspec = core._density_with_spectrum(apply_channel(k, rho), name=name)
+    krho, kspec = core._density_with_spectrum(apply_channel(k, rho), f"kappa({_rho_name(theta)})")
     kat = krho, kspec, _tangent(apply_channel(k, drho))
-    s_out = sld(push_family(family, k), theta, at=kat)
+    s_out = sld(None, theta, at=kat)  # S of the image family θ ↦ κ(ρ(θ))
     est = personick_estimator(rho, s_in, k, image=(krho, kspec))
     return rho, s_in, krho, s_out, est
 
@@ -180,10 +181,17 @@ def monotonicity_check(family: StateFamily, k: QuantumChannel,
 
 # --- named family constructors (reproducible fixtures) ---------------------
 
+def _diagonal(p0, direction, name: str):
+    """p0 and a direction beside it, as float vectors of one length."""
+    p0, direction = np.asarray(p0, dtype=float), np.asarray(direction, dtype=float)
+    if p0.ndim != 1 or direction.shape != p0.shape:
+        raise ValidationError("shape", f"p0 {p0.shape} and {name} {direction.shape} differ")
+    return p0, direction
+
+
 def diagonal_line_family(p0, slope) -> StateFamily:
     """Diagonal family p(θ) = p0 + θ·slope; slope must sum to zero."""
-    p0 = np.asarray(p0, dtype=float)
-    slope = np.asarray(slope, dtype=float)
+    p0, slope = _diagonal(p0, slope, "slope")
     if abs(slope.sum()) > 1e-12:
         raise ValidationError("trace", "slope must sum to zero")
     return StateFamily(
@@ -194,8 +202,7 @@ def diagonal_line_family(p0, slope) -> StateFamily:
 
 def diagonal_exponential_family(p0, weights) -> StateFamily:
     """Diagonal exponential family p(θ) ∝ p0 · exp(θ·weights)."""
-    p0 = np.asarray(p0, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    p0, weights = _diagonal(p0, weights, "weights")
 
     def probs(t):
         p = p0 * np.exp(t * weights)

@@ -19,6 +19,7 @@ decomposed; they then neither validate nor decompose again.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -45,17 +46,18 @@ class NumericalFailure(RuntimeError):
     """A numerical routine failed to converge; never silently clamped."""
 
 
-def failure(failed, name: str):
-    """None, or (index, `name[index]`) of the first failing element."""
-    if failed.any():
-        k = tuple(int(i) for i in np.argwhere(failed)[0])
-        return k, name + "".join(f"[{i}]" for i in k)
+def failures(failed, name: str):
+    """(index, `name[index]`) of each failing element, in order; a single
+    operator's index is ()."""
+    for k in np.argwhere(failed) if failed.any() else ():
+        k = tuple(int(i) for i in k)
+        yield k, name + "".join(f"[{i}]" for i in k)
 
 
 def require(failed, invariant: str, name: str, message: str, value) -> None:
     """Raise ValidationError(invariant) for the first failure, `message`
     formatted with that element's `value`."""
-    if bad := failure(failed, name):
+    if bad := next(failures(failed, name), None):
         raise ValidationError(invariant, f"{bad[1]} {message.format(value[bad[0]])}")
 
 
@@ -82,6 +84,14 @@ def as_square(m, name: str = "matrix") -> np.ndarray:
     finite = np.isfinite(m).all(axis=(-2, -1))
     require(~finite, "finite", name, "contains NaN or Inf entries", finite)
     return m
+
+
+def stack_shape(what: str, *stacks) -> tuple:
+    """The broadcast of the leading (stack) shapes of operators used together."""
+    try:
+        return np.broadcast_shapes(*stacks)
+    except ValueError:
+        raise ValidationError("shape", f"{what} stacks {stacks} do not broadcast") from None
 
 
 def hermitian_part(m) -> np.ndarray:
@@ -113,9 +123,9 @@ def _density_with_spectrum(m, name: str = "state"):
     """`as_density`'s checks, the PSD test reading one `eigh`: (ρ, its Spectrum)."""
     rho = as_hermitian(m, name=name)
     spec = Spectrum.of(rho)
-    tr, wmin = trace(rho).real, spec.eigenvalues.min(axis=-1)
+    tr = trace(rho).real
     require(abs(tr - 1.0) > TRACE_TOL, "trace", name, "has trace {}, expected 1", tr)
-    require(wmin < -PSD_TOL, "psd", name, "has eigenvalue {:.3e} < 0", wmin)
+    spec.require_psd(name)
     return rho, spec
 
 
@@ -156,6 +166,31 @@ def embed(op, dims, factor: int) -> np.ndarray:
     return reduce(tensor, [op if i == factor else np.eye(d) for i, d in enumerate(dims)])
 
 
+def as_keep(dims, keep) -> tuple[list[int], list[int]]:
+    """Positive subsystem dimensions, and a non-empty sorted set of indices into them."""
+    try:
+        dims, keep = [operator.index(d) for d in dims], sorted({operator.index(k) for k in keep})
+    except TypeError:
+        raise ValidationError("dims", "dims and keep must list integers") from None
+    if not dims or min(dims) < 1:
+        raise ValidationError("dims", f"dimensions {dims} must be positive")
+    if not keep:
+        raise ValidationError("keep", "empty keep set")
+    if keep[0] < 0 or keep[-1] >= len(dims):
+        raise ValidationError("keep", f"keep indices {keep} out of range")
+    return dims, keep
+
+
+def as_unitary(u, dim: int) -> np.ndarray:
+    """A (dim, dim) matrix U with U†U = I within 1e-10."""
+    u = as_square(u, "u")
+    if u.shape != (dim, dim):
+        raise ValidationError("dims", f"U shape {u.shape} != prod(dims) {dim}")
+    if float(np.abs(u.conj().T @ u - np.eye(dim)).max()) > 1e-10:
+        raise ValidationError("unitary", "U is not unitary within 1e-10")
+    return u
+
+
 def partial_trace(m, dims, keep) -> np.ndarray:
     """Trace out the subsystems not listed in `keep`.
 
@@ -163,16 +198,11 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     nonempty set of subsystem indices retained in their original order.
     """
     m = as_square(m)
-    dims = [int(d) for d in dims]
+    dims, keep = as_keep(dims, keep)
     if (int(np.prod(dims)),) * 2 != m.shape:
         raise ValidationError(
             "dims", f"prod(dims)={np.prod(dims)} != matrix shape {m.shape}"
         )
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValidationError("keep", "empty keep set")
-    if keep[0] < 0 or keep[-1] >= len(dims):
-        raise ValidationError("keep", f"keep indices {keep} out of range")
     # row index i, column index n+i; a traced factor shares one index
     n = len(dims)
     col = [n + i if i in keep else i for i in range(n)]
@@ -200,10 +230,6 @@ class Spectrum:
     @property
     def wmax(self):
         return self.eigenvalues.max(axis=-1)
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
     def require_psd(self, name: str) -> None:
         """Reject eigenvalues below −PSD_TOL × max(1, λ_max)."""

@@ -31,7 +31,7 @@ from .channels import (
     partial_trace_channel,
 )
 from .estimators import (
-    WEAKVALUE_FLOOR,
+    ZeroProbabilityOutcome,
     classical_conditional_expectation,
     complex_estimator,
     complex_weak_value,
@@ -39,11 +39,8 @@ from .estimators import (
     schrodinger_risk,
     weak_value,
 )
-from .operator_core import HERMITICITY_TOL, ValidationError, hermitian_part
+from .operator_core import ValidationError, hermitian_part
 from .sampling import channel_draw, finish_channel, finish_density, ginibre, rng
-
-KINDS = ("personick", "complex", "weak-value", "classical", "qfi-mono",
-         "gaussian", "risk")
 
 
 # --- encoding ---------------------------------------------------------------
@@ -128,6 +125,12 @@ def _reals(obj: dict, field: str) -> np.ndarray:
         raise ValidationError("parse", f"field {field!r}: {exc}") from exc
 
 
+def _matrix(obj: dict, field: str) -> np.ndarray:
+    """A required field holding a complex matrix."""
+    value = _require(obj, field)
+    return decode_complex_matrix(value, field)
+
+
 def decode_channel(obj) -> QuantumChannel:
     if not isinstance(obj, dict):
         raise ValidationError("parse", "channel must be an object")
@@ -145,8 +148,8 @@ def decode_channel(obj) -> QuantumChannel:
     if "dilation" in obj:
         spec = obj["dilation"]
         return channel_from_dilation(
-            decode_complex_matrix(_require(spec, "u"), "u"),
-            decode_complex_matrix(_require(spec, "env"), "env"),
+            _matrix(spec, "u"),
+            _matrix(spec, "env"),
             _require(spec, "dims"),
             _require(spec, "traced"),
             _require(spec, "kept"),
@@ -177,10 +180,7 @@ def decode_family(obj) -> fisher.StateFamily:
         return fisher.diagonal_exponential_family(_reals(obj, "p0"),
                                                   _reals(obj, "weights"))
     if kind == "unitary_rotation":
-        return fisher.unitary_rotation_family(
-            decode_complex_matrix(_require(obj, "rho0"), "rho0"),
-            decode_complex_matrix(_require(obj, "h"), "h"),
-        )
+        return fisher.unitary_rotation_family(_matrix(obj, "rho0"), _matrix(obj, "h"))
     if kind == "depolarizing_mixture":
         return fisher.depolarizing_mixture_family(
             decode_family(_require(obj, "base")), _number(_require(obj, "p"), "p")
@@ -192,8 +192,6 @@ def decode_family(obj) -> fisher.StateFamily:
 
 def run_scenario(scenario: dict) -> dict:
     """Execute one scenario and return its report as a plain dict."""
-    if not isinstance(scenario, dict):
-        raise ValidationError("parse", "scenario must be a JSON object")
     kind = _require(scenario, "kind")
     if kind not in KINDS:
         raise ValidationError("parse", f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -201,10 +199,7 @@ def run_scenario(scenario: dict) -> dict:
     caught: list[str] = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        if kind == "qfi-mono" and "sweep" in scenario:
-            results = _run_qfi_sweep(scenario)
-        else:
-            results = _DISPATCH[kind](scenario)
+        results = _DISPATCH[kind](scenario)
         caught = [str(w.message) for w in wlist]
     elapsed = time.perf_counter() - start
     return {
@@ -228,63 +223,42 @@ def provenance() -> dict:
 
 def _run_risk(sc):
     k = decode_channel(_require(sc, "channel"))
-    value = schrodinger_risk(
-        decode_complex_matrix(_require(sc, "rho"), "rho"),
-        decode_complex_matrix(_require(sc, "x"), "x"),
-        k,
-        decode_complex_matrix(_require(sc, "xcheck"), "xcheck"),
-    )
+    value = schrodinger_risk(_matrix(sc, "rho"), _matrix(sc, "x"), k, _matrix(sc, "xcheck"))
     return {"risk": value}
 
 
-def _run_personick(sc):
-    result = personick_estimator(
-        decode_complex_matrix(_require(sc, "rho"), "rho"),
-        decode_complex_matrix(_require(sc, "x"), "x"),
-        decode_channel(_require(sc, "channel")),
-    )
-    return {
-        "estimator": encode_complex_matrix(result.estimator),
-        "min_risk": result.min_risk,
-        "residual": result.residual,
-        "support_rank": result.support_rank,
-    }
-
-
-def _run_complex(sc):
-    result = complex_estimator(
-        decode_complex_matrix(_require(sc, "rho"), "rho"),
-        decode_complex_matrix(_require(sc, "x"), "x"),
-        decode_channel(_require(sc, "channel")),
-    )
-    return {
+def _run_estimator(sc):
+    """The Personick (`personick`) or the complex (`complex`) estimator."""
+    personick = sc["kind"] == "personick"
+    solve = personick_estimator if personick else complex_estimator
+    result = solve(_matrix(sc, "rho"), _matrix(sc, "x"), decode_channel(_require(sc, "channel")))
+    results = {
         "estimator": encode_complex_matrix(result.estimator),
         "min_risk": result.min_risk,
         "residual": result.residual,
     }
+    if personick:
+        results["support_rank"] = result.support_rank
+    return results
 
 
 def _run_weak_value(sc):
-    rho = decode_complex_matrix(_require(sc, "rho"), "rho")
-    x = decode_complex_matrix(_require(sc, "x"), "x")
+    """Per outcome: its probability and, where the estimators define them, its
+    complex weak value and its real weak value (for x that `as_hermitian` accepts)."""
+    rho, x = _matrix(sc, "rho"), _matrix(sc, "x")
     povm = decode_povm(_require(sc, "povm"))
-    if rho.shape != (povm.dim, povm.dim) or x.shape != rho.shape:
-        raise ValidationError(
-            "shape", f"rho/x shapes {rho.shape}/{x.shape} != POVM dim {povm.dim}"
-        )
-    hermitian = float(np.abs(x - x.conj().T).max()) <= HERMITICITY_TOL
     outcomes = []
     for label in povm.labels:
-        prob = float(np.trace(povm.effect(label) @ rho).real)
-        entry = {"label": label, "probability": prob}
-        if prob > WEAKVALUE_FLOOR:
-            if hermitian:
-                entry["weak_value"] = weak_value(rho, x, povm, label)
-            entry["complex_weak_value"] = encode_complex(
-                complex_weak_value(rho, x, povm, label)
-            )
-        else:
+        entry = {"label": label}
+        try:
+            entry["complex_weak_value"] = encode_complex(complex_weak_value(rho, x, povm, label))
+            entry["weak_value"] = weak_value(rho, x, povm, label)
+        except ZeroProbabilityOutcome:
             entry["undefined"] = True
+        except ValidationError as exc:  # after complex_weak_value only x can fail here
+            if exc.invariant != "hermiticity" or "complex_weak_value" not in entry:
+                raise
+        entry["probability"] = float(np.trace(povm.effect(label) @ rho).real)
         outcomes.append(entry)
     return {"outcomes": outcomes}
 
@@ -300,6 +274,8 @@ def _run_classical(sc):
 
 
 def _run_qfi_mono(sc):
+    if "sweep" in sc:
+        return _run_qfi_sweep(sc)
     family = decode_family(_require(sc, "family"))
     k = decode_channel(_require(sc, "channel"))
     theta = _number(sc.get("theta", 0.0), "theta")
@@ -432,14 +408,15 @@ def _run_gaussian(sc):
 
 
 _DISPATCH = {
-    "risk": _run_risk,
-    "personick": _run_personick,
-    "complex": _run_complex,
+    "personick": _run_estimator,
+    "complex": _run_estimator,
     "weak-value": _run_weak_value,
     "classical": _run_classical,
     "qfi-mono": _run_qfi_mono,
     "gaussian": _run_gaussian,
+    "risk": _run_risk,
 }
+KINDS = tuple(_DISPATCH)
 
 
 # --- file I/O ---------------------------------------------------------------

@@ -217,8 +217,9 @@ def test_povm_channel_diagonal_entries(gen):
 def test_povm_validation():
     with pytest.raises(ValidationError):
         Povm([np.diag([1.0, 0.0])])  # incomplete
-    with pytest.raises(ValidationError):
-        Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # negative effect
+    # a negative effect, named by its index
+    with pytest.raises(ValidationError, match=r"^psd: effect\[1\] has eigenvalue -5"):
+        Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
 
 def test_channel_from_povm_reads_the_povm_spectra(gen, monkeypatch):

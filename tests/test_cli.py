@@ -9,7 +9,9 @@ import pytest
 
 import qretro
 from qretro import estimators
+from qretro import operator_core as core
 from qretro.cli import main
+from qretro.operator_core import ValidationError
 from qretro.scenario import (
     decode_channel,
     decode_complex_matrix,
@@ -390,11 +392,48 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
     ({"kind": "qfi-mono", "family": {"type": "diagonal_line", "p0": [1.0, 0.0],
                                      "slope": [-1.0, 1.0]},
       "channel": {"depolarizing": 2}}, "rank"),
+    # x is checked against the channel like rho
+    ({**personick_scenario(), "x": np.eye(3).tolist()}, "shape"),
+    ({**personick_scenario(), "channel": {"partial_trace": {"dims": "ab", "keep": [0]}}},
+     "dims"),
+    ({**personick_scenario(), "channel": {"partial_trace": {"dims": [-2, -1],
+                                                            "keep": [0]}}}, "dims"),
+    ({**personick_scenario(), "channel": {"partial_trace": {"dims": [2, 0],
+                                                            "keep": [0]}}}, "dims"),
+    ({"kind": "qfi-mono", "family": {"type": "diagonal_line", "p0": [0.5, 0.5],
+                                     "slope": [0.1, 0.0, -0.1]},
+      "channel": {"depolarizing": 2}}, "shape"),
+    ({"kind": "qfi-mono", "family": {"type": "diagonal_exponential", "p0": [0.5, 0.5],
+                                     "weights": [1.0]},
+      "channel": {"depolarizing": 2}}, "shape"),
+    # with two outcomes labelled 0, effect(0) would answer for both
+    ({"kind": "weak-value", "rho": (np.eye(2) / 2).tolist(),
+      "x": np.diag([1.0, -1.0]).tolist(),
+      "povm": {"effects": POVM_EFFECTS, "labels": [0, 0]}}, "labels"),
 ])
 def test_cli_domain_errors_exit_cleanly(tmp_path, capsys, scenario, invariant):
     rc = main([scenario["kind"], "--input", _write(tmp_path, scenario), "--quiet"])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {invariant}:")
+
+
+@pytest.mark.parametrize("x, accepted", [
+    ([[1e4, 0.0], [1e-8, -1e4]], True),  # 1e-8 off at scale 1e4: repaired
+    ([[1.0, 0.0], [1e-8, -1.0]], False),  # 1e-8 off at scale 1: not Hermitian
+])
+def test_weak_value_scenario_follows_as_hermitian(x, accepted):
+    # the scenario reports a real weak value exactly when as_hermitian accepts x
+    if accepted:
+        core.as_hermitian(np.array(x, dtype=complex))
+    else:
+        with pytest.raises(ValidationError, match="^hermiticity:"):
+            core.as_hermitian(np.array(x, dtype=complex))
+    outcomes = run_scenario({"kind": "weak-value", "rho": (np.eye(2) / 2).tolist(),
+                             "x": x, "povm": {"effects": POVM_EFFECTS}})["results"]["outcomes"]
+    assert [("weak_value" in entry) for entry in outcomes] == [accepted, accepted]
+    assert all("complex_weak_value" in entry for entry in outcomes)
+    if accepted:
+        assert [entry["weak_value"] for entry in outcomes] == [1e4, -1e4]
 
 
 def test_cli_has_no_tolerance_scale_option():

@@ -231,6 +231,19 @@ def test_povm_label_count_must_match_effects():
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["only"])
 
 
+@pytest.mark.parametrize("labels", [[0, 0], [[1, 2], [1, 2]]])
+def test_povm_rejects_repeated_labels(labels):
+    # list labels do not hash; a repeated label would answer for both effects
+    with pytest.raises(ValidationError, match="^labels:"):
+        Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=labels)
+
+
+def test_personick_rejects_x_of_another_dimension():
+    # x is checked against the channel like rho, before any product
+    with pytest.raises(ValidationError, match="^shape:"):
+        personick_estimator(np.eye(2) / 2, np.eye(3), identity_channel(2))
+
+
 def test_complex_estimator_matches_complex_weak_values(gen):
     rho = random_density(gen, 2)
     x = SX + 1j * SY

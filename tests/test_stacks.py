@@ -265,6 +265,13 @@ def test_residual_warning_names_each_element(gen, monkeypatch):
         f"residual[{i}]" for i in over]
 
 
+def test_personick_rejects_stacks_that_do_not_broadcast(gen):
+    rho = np.array([random_density(gen, 2)] * 3)
+    x = np.array([random_hermitian(gen, 2)] * 2)
+    with pytest.raises(ValidationError, match="^shape: rho and x stacks"):
+        personick_estimator(rho, x, random_channel(gen, 2, 2))
+
+
 # --- functions of one operator reject a stack ----------------------------------------
 
 def _single_operator_calls(gen):
