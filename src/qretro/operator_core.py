@@ -173,7 +173,7 @@ def as_keep(dims, keep) -> tuple[list[int], list[int]]:
     except TypeError:
         raise ValidationError("dims", "dims and keep must list integers") from None
     if not dims or min(dims) < 1:
-        raise ValidationError("dims", f"dimensions {dims} must be positive")
+        raise ValidationError("dims", f"dims must list positive dimensions, got {dims}")
     if not keep:
         raise ValidationError("keep", "empty keep set")
     if keep[0] < 0 or keep[-1] >= len(dims):

@@ -410,6 +410,9 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
     ({"kind": "weak-value", "rho": (np.eye(2) / 2).tolist(),
       "x": np.diag([1.0, -1.0]).tolist(),
       "povm": {"effects": POVM_EFFECTS, "labels": [0, 0]}}, "labels"),
+    # rho is checked even where every outcome falls below the probability floor
+    ({"kind": "weak-value", "rho": np.zeros((2, 2)).tolist(),
+      "x": np.diag([1.0, -1.0]).tolist(), "povm": {"effects": POVM_EFFECTS}}, "trace"),
 ])
 def test_cli_domain_errors_exit_cleanly(tmp_path, capsys, scenario, invariant):
     rc = main([scenario["kind"], "--input", _write(tmp_path, scenario), "--quiet"])
