@@ -6,7 +6,10 @@ ensemble, measurement map, partial trace) lowers to it, so application and
 CPTP validation follow one uniform path.  The dilation, classical-quantum
 and measurement lowerings make Kraus operators from the eigenpairs of the
 environment state, the ensemble states or the effects; an eigenvalue below
-KRAUS_CUTOFF, such as a pure environment's zeros, makes none.
+KRAUS_CUTOFF, such as a pure environment's zeros, makes none.  A dilation
+is the isometry of each environment eigenpair followed by the partial
+trace, whose Kraus operators are the one place the kept and traced factors
+are laid out.
 The list is not minimal: composition multiplies Kraus counts, so it can
 exceed the Choi rank.
 Each Kraus contraction is a pair of BLAS matrix products, O(K·d³).
@@ -14,7 +17,6 @@ Each Kraus contraction is a pair of BLAS matrix products, O(K·d³).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +60,7 @@ class QuantumChannel:
     """
 
     def __init__(self, kraus):
-        if not len(kraus):
-            raise ValidationError("kraus", "empty Kraus list")
-        try:
-            self.kraus = np.asarray(kraus, dtype=complex)
-        except ValueError:  # ragged: the operators differ in shape
-            self.kraus = None
-        if self.kraus is None or self.kraus.ndim < 3:
-            raise ValidationError("kraus", "Kraus operators must share one 2-D shape")
+        self.kraus = _as_kraus(kraus)
         self.dim_out, self.dim_in = self.kraus.shape[-2:]
         dev = _tp_deviation(self.kraus)
         require(dev > CPTP_TOL, "cptp", "Σ K†K", "deviates from identity by {:.3e}", dev)
@@ -85,6 +80,19 @@ class QuantumChannel:
 
     def choi_matrix(self) -> np.ndarray:
         return _choi(self.kraus)
+
+
+def _as_kraus(kraus) -> np.ndarray:
+    """A non-empty Kraus list as a (…, K, d_out, d_in) complex array."""
+    if not len(kraus):
+        raise ValidationError("kraus", "empty Kraus list")
+    try:
+        kraus = np.asarray(kraus, dtype=complex)
+    except ValueError:  # ragged: the operators differ in shape
+        kraus = None
+    if kraus is None or kraus.ndim < 3:
+        raise ValidationError("kraus", "Kraus operators must share one 2-D shape")
+    return kraus
 
 
 def _choi(kraus: np.ndarray) -> np.ndarray:
@@ -128,7 +136,7 @@ def validate_cptp(k) -> CptpReport:
 
     Accepts a QuantumChannel or a bare Kraus list (which may violate CPTP).
     """
-    kraus = k.kraus if isinstance(k, QuantumChannel) else np.asarray(k, dtype=complex)
+    kraus = k.kraus if isinstance(k, QuantumChannel) else _as_kraus(k)
     choi = _choi(kraus)
     dev = float(_tp_deviation(kraus))
     wmin = float(np.linalg.eigvalsh(hermitian_part(choi)).min())
@@ -139,41 +147,25 @@ def validate_cptp(k) -> CptpReport:
     )
 
 
-def channel_from_dilation(u, env, dims, traced, kept) -> QuantumChannel:
+def channel_from_dilation(u, env, dims, kept) -> QuantumChannel:
     """Lower a Stinespring dilation ρ ↦ tr_traced U(ρ ⊗ env)U† to Kraus form.
 
     `dims` lists the tensor factors with the channel input on factor 0 and
     the environment state `env` on the product of the remaining factors.
-    `kept` is the single output factor; `traced` are the factors traced out
-    (together they must cover all factors).
+    The output is on the factors listed in `kept`; the others are traced.
     """
-    dims, kept = as_keep(dims, kept if np.iterable(kept) else [kept])
-    d_total = int(np.prod(dims))
-    u = as_unitary(u, d_total)
-    if len(kept) != 1:
-        raise ValidationError("dims", "kept must be a single subsystem")
-    try:
-        traced = sorted({operator.index(i) for i in traced})
-    except TypeError:
-        traced = None
-    if traced is None or sorted(traced + kept) != list(range(len(dims))):
-        raise ValidationError("dims", "traced and kept must partition the factors")
+    dims, kept = as_keep(dims, kept)
+    u = as_unitary(u, int(np.prod(dims)))
     d_a = dims[0]
     env, spec = _density_with_spectrum(env, name="env")
-    if env.ndim != 2 or env.shape[0] * d_a != d_total:
+    if env.ndim != 2 or env.shape[0] * d_a != len(u):
         raise ValidationError("dims", "env dimension inconsistent with dims")
-
-    kraus = []
-    (k_idx,) = kept
-    perm = traced + kept  # row-axis order: traced factors first, kept last
-    d_tr = int(np.prod([dims[i] for i in traced])) if traced else 1
-    d_keep = dims[k_idx]
-    for _, root, vec in _kraus_roots([spec]):
-        cols = u @ np.kron(np.eye(d_a), vec.reshape(-1, 1))  # (d_total, d_a)
-        t = cols.reshape(dims + [d_a]).transpose(perm + [len(dims)])
-        blocks = t.reshape(d_tr, d_keep, d_a)
-        kraus.extend(root * blocks[j] for j in range(d_tr))
-    return QuantumChannel(kraus)
+    # the isometry √λ·U(I ⊗ |v⟩) of each eigenpair of env, then each Kraus
+    # operator of the partial trace, with v the slow index
+    iso = np.array([root * (u @ np.kron(np.eye(d_a), vec.reshape(-1, 1)))
+                    for _, root, vec in _kraus_roots([spec])])
+    kraus = partial_trace_channel(dims, kept).kraus @ iso[:, None]
+    return QuantumChannel(kraus.reshape(-1, *kraus.shape[-2:]))
 
 
 def _kraus_roots(spectra):
@@ -277,6 +269,8 @@ def channel_from_cq_ensemble(states) -> QuantumChannel:
     spectra = [_density_with_spectrum(s, name=f"state {x}")[1]
                for x, s in enumerate(states)]
     n_in = len(spectra)
+    if not n_in:
+        raise ValidationError("ensemble", "empty ensemble")
     d_out = spectra[0].eigenvectors.shape[-1]
     if any(spec.eigenvectors.shape != (d_out, d_out) for spec in spectra):
         raise ValidationError("shape", "ensemble states must share one dimension")

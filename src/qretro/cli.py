@@ -1,8 +1,7 @@
 """Command-line batch driver.
 
-    qretro <kind> --input scenario.json [--output report.json]
-                  [--seed N] [--quiet]
-    qretro selftest [--seed N] [--quiet]
+    qretro <kind> --input scenario.json [--output report.json] [--quiet]
+    qretro selftest [--seed N] [--output report.json] [--quiet]
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure,
 3 invariant failure in selftest.
@@ -36,13 +35,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="scenario JSON file")
         _common_flags(p)
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random fixtures")
     _common_flags(p)
     return parser
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write the report JSON here")
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
     p.add_argument("--quiet", action="store_true", help="suppress stdout report")
 
 
@@ -57,7 +56,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            report = run_selftest(seed=args.seed if args.seed is not None else 0)
+            report = run_selftest(seed=args.seed)
             _emit(report, args)
             if not args.quiet:
                 for check in report["results"]["checks"]:
@@ -73,8 +72,6 @@ def main(argv=None) -> int:
                 "parse",
                 f"scenario kind {kind!r} does not match subcommand {args.command!r}",
             )
-        if args.seed is not None:
-            scenario["seed"] = args.seed
         report = run_scenario(scenario)
         _emit(report, args)
         return EXIT_OK

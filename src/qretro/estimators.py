@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operator_core as core
-from .channels import ClassicalChannel, Povm, QuantumChannel, apply_channel
+from .channels import ClassicalChannel, Povm, QuantumChannel, apply_channel, partial_trace_channel
 from .operator_core import ValidationError, jordan_product
 
 RISK_TOL = 1e-9  # two nested eigendecompositions accumulate error
@@ -54,7 +54,7 @@ def schrodinger_risk(rho, x, k: QuantumChannel, xcheck) -> float:
     x = core.as_hermitian(x, name="x")
     xcheck = core.as_hermitian(xcheck, name="xcheck")
     if (rho.shape != (k.dim_in,) * 2 or x.shape != rho.shape
-            or xcheck.shape != (k.dim_out,) * 2):
+            or xcheck.shape != (k.dim_out,) * 2 or k.kraus.ndim != 3):
         raise ValidationError("shape", "operator dimensions inconsistent with channel")
     value = (
         np.trace(rho @ x @ x)
@@ -64,22 +64,23 @@ def schrodinger_risk(rho, x, k: QuantumChannel, xcheck) -> float:
     return _real(value, "risk")
 
 
-def heisenberg_risk(rho0, x, xcheck, u, dims, x_factor: int = 0,
-                    xcheck_factor: int | None = None) -> float:
-    """tr ρ₀ [X − U†X̌U]² on the dilated space.
+def heisenberg_risk(rho0, x, xcheck, u, dims, kept) -> float:
+    """tr ρ₀ [X − U†X̌U]² on the dilated space of `channel_from_dilation`.
 
-    `x` lives on tensor factor `x_factor` and `xcheck` on `xcheck_factor`;
-    the embedding is explicit, never inferred.
+    `x` lives on tensor factor 0 and `xcheck` on the factors in `kept`; the
+    embedding is explicit, never inferred.
     """
     rho0 = core.as_density(rho0, name="rho0")
-    if xcheck_factor is None:
-        xcheck_factor = len(dims) - 1
-    dims, _ = core.as_keep(dims, [x_factor, xcheck_factor])  # x, x̌ on kept factors
-    u = core.as_unitary(u, int(np.prod(dims)))
+    ptrace = partial_trace_channel(dims, kept)
+    u = core.as_unitary(u, ptrace.dim_in)
     if rho0.shape != u.shape:
         raise ValidationError("dims", f"rho0 shape {rho0.shape} != U shape {u.shape}")
-    x_emb = core.embed(core.as_hermitian(x, name="x"), dims, x_factor)
-    xc_emb = core.embed(core.as_hermitian(xcheck, name="xcheck"), dims, xcheck_factor)
+    xcheck = core.as_hermitian(xcheck, name="xcheck")
+    if xcheck.shape != (ptrace.dim_out,) * 2:
+        raise ValidationError("dims", f"xcheck shape {xcheck.shape} != kept {ptrace.dim_out}")
+    x_emb = core.embed(core.as_hermitian(x, name="x"), dims, 0)
+    # X̌ on `kept`, identity on the traced factors: Σ P† X̌ P over the partial trace
+    xc_emb = (core.dagger(ptrace.kraus) @ xcheck @ ptrace.kraus).sum(axis=0)
     diff = x_emb - u.conj().T @ xc_emb @ u
     return _real(np.trace(rho0 @ diff @ diff), "risk")
 
@@ -169,7 +170,7 @@ def complex_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
     """Unconstrained (possibly non-Hermitian) optimum X̌ κ(ρ) = κ(Xρ)."""
     rho = core.as_density(rho)
     x = core.as_square(x, "x")
-    if rho.shape != (k.dim_in, k.dim_in) or x.shape != rho.shape:
+    if rho.shape != (k.dim_in, k.dim_in) or x.shape != rho.shape or k.kraus.ndim != 3:
         raise ValidationError("shape", "operator dimensions inconsistent with channel")
     krho = core.as_hermitian(apply_channel(k, rho))
     spec = core.Spectrum.of(krho)

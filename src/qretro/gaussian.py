@@ -21,9 +21,10 @@ import numpy as np
 from .operator_core import ValidationError
 
 OVERLAP_FLOOR = 1e-12
-# grid points per tile of the quadrature oracle (a tile stays in cache) and
-# its least number of axis-0 rows (fewer rows make the matrix products slower)
+# the oracle reads tiles of whole last-axis grid lines: about _TILE_POINTS
+# points (a tile stays in cache), at least _TILE_ROWS lines (fewer are slower)
 _TILE_POINTS, _TILE_ROWS = 1 << 15, 8
+_HALF_WIDTH = 8.0  # each grid axis spans ±8 standard deviations of each Gaussian
 # oracle exponents are floored here (e^-700 ≈ 1e-304): exp is ~20× slower below -708
 _EXP_FLOOR = -700.0
 # the oracle skips a grid line whose largest exponent lies more than τ below
@@ -128,13 +129,12 @@ def quadrature_estimator(wr: GaussianWigner, we: GaussianWigner,
 
 
 def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
-                            points_per_axis: int | None = None,
-                            half_width_sigmas: float = 8.0) -> tuple[float, float]:
+                            points_per_axis: int | None = None) -> tuple[float, float]:
     """Tensor-grid trapezoid quadrature: the pair (∫ Π W_i, ∫ Π W_i · X).
 
     X ≡ 1 without a quadrature, and then the two entries are the same float.
     Supported for 1–2 modes.  The grid spans the union of each Gaussian's
-    ±half_width_sigmas interval per axis; trapezoid quadrature converges
+    ±_HALF_WIDTH standard deviations per axis; trapezoid quadrature converges
     spectrally for Gaussians, so modest point counts reach ~1e-8.  Grid lines
     whose integrand stays below 2^-90 of the grid's peak are skipped (the
     error bound is at _SKIP_BELOW); each other point costs one exp, one floor
@@ -157,7 +157,7 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
 
     axes, axis_w = [], []
     for i in range(dim):
-        half = [half_width_sigmas * np.sqrt(w.covariance[i, i]) for w in w_list]
+        half = [_HALF_WIDTH * np.sqrt(w.covariance[i, i]) for w in w_list]
         grid = np.linspace(min(w.mean[i] - h for w, h in zip(w_list, half)),
                            max(w.mean[i] + h for w, h in zip(w_list, half)), n)
         wvec = np.full(n, grid[1] - grid[0])  # trapezoid weights
@@ -200,13 +200,19 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     outer = np.stack([z, np.ones(n), -0.5 * curv * z * z])
 
     # along a line the exponent is a concave quadratic, so its largest value
-    # on [z₀, z_{n−1}], top, sits at the clamped vertex (floored like the
-    # grid).  The reference g_ref is the largest grid value on the line of the
-    # largest top, a value the grid attains: top can overshoot it far.
+    # on [z₀, z_{n−1}], top, sits at the clamped vertex.  The reference g_ref
+    # is the largest grid value on the line of the largest top, a value the
+    # grid attains: top can overshoot it far.  Exponents are then less `shift`,
+    # g_ref truncated to 0 or ±512 (the sums are scaled back): the floor lies
+    # ≥188 below any peak above e^-1212, and ordinary weights stay unshifted.
     vertex = np.clip(slope / curv, z[0], z[-1])
-    top = np.maximum(base + (slope - 0.5 * curv * vertex) * vertex, _EXP_FLOOR)
+    top = base + (slope - 0.5 * curv * vertex) * vertex
     best = int(np.argmax(top))
     g_ref = float((base[best] + (slope[best] - 0.5 * curv * z) * z).max())
+    shift = 512.0 * float(np.clip(np.trunc(g_ref / 512), -1, 1))
+    base -= shift
+    top -= shift
+    np.maximum(top, _EXP_FLOOR, out=top)  # floored like the grid
     del vertex
 
     # the kept lines in chunks: one matrix product gives the exponent, a
@@ -221,7 +227,9 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     sums, edge, done = np.zeros((2, 2)), np.zeros(2), np.zeros(top.size, dtype=bool)
     cell = float(np.prod([a[1] - a[0] for a in axes]))
     x_max = max(aff.max(), -aff.min()) + abs(c_z) * max(-z[0], z[-1])
-    todo = np.flatnonzero(top >= g_ref - _SKIP_BELOW)
+    unit = float(np.exp(shift))
+    least = max(w.weight for w in w_list) * 1e-30 / unit  # scale's floor, shifted
+    todo = np.flatnonzero(top >= g_ref - shift - _SKIP_BELOW)
     while todo.size:
         done[todo] = True
         for lo in range(0, todo.size, rows):
@@ -237,7 +245,7 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
                                          t[f].max()])
         mass = float(sums[1, 0])
         moment = mass if x is None else float(sums[0, 0] + c_z * sums[1, 1])
-        scale = np.maximum(np.abs([moment, mass]), max(w.weight for w in w_list) * 1e-30)
+        scale = np.maximum(np.abs([moment, mass]), least)
         near = top > np.log(1e-9 * scale / [x_max or 1.0, 1.0]).min() - np.log(cell) - 1
         todo = np.flatnonzero(near & on_face & ~done)
     near = np.flatnonzero(near)
@@ -248,8 +256,9 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
 
     if (edge * cell > 1e-9 * scale).any():
         warnings.warn(
-            f"grid truncation error estimates {edge[0] * cell:.3e}, {edge[1] * cell:.3e} "
-            f"are large relative to the integrals {moment:.3e}, {mass:.3e} of ΠW·X, ΠW",
+            f"grid truncation error estimates {edge[0] * cell * unit:.3e}, "
+            f"{edge[1] * cell * unit:.3e} are large relative to the integrals "
+            f"{moment * unit:.3e}, {mass * unit:.3e} of ΠW·X, ΠW",
             stacklevel=2,
         )
-    return mass, moment
+    return mass * unit, moment * unit

@@ -158,7 +158,7 @@ def tensor(a, b) -> np.ndarray:
 def embed(op, dims, factor: int) -> np.ndarray:
     """Embed `op` on tensor factor `factor` of a product space, identity elsewhere."""
     op = as_square(op, "op")
-    dims = [int(d) for d in dims]
+    dims, (factor,) = as_keep(dims, [factor])
     if op.shape != (dims[factor],) * 2:
         raise ValidationError(
             "dims", f"operator shape {op.shape} != dims[{factor}] = {dims[factor]}"

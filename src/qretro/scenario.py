@@ -151,7 +151,6 @@ def decode_channel(obj) -> QuantumChannel:
             _matrix(spec, "u"),
             _matrix(spec, "env"),
             _require(spec, "dims"),
-            _require(spec, "traced"),
             _require(spec, "kept"),
         )
     if "depolarizing" in obj:

@@ -128,13 +128,11 @@ def _check_dilation_bridge(gen):
         u = sampling.random_unitary(gen, da * db)
         env = sampling.random_density(gen, db)
         kept = int(gen.integers(0, 2))
-        traced = [i for i in (0, 1) if i != kept]
-        chan = channel_from_dilation(u, env, [da, db], traced, [kept])
+        chan = channel_from_dilation(u, env, [da, db], [kept])
         rho = sampling.random_density(gen, da)
         x = sampling.random_hermitian(gen, da)
         xcheck = sampling.random_hermitian(gen, [da, db][kept])
-        hs = heisenberg_risk(core.tensor(rho, env), x, xcheck, u, [da, db],
-                             x_factor=0, xcheck_factor=kept)
+        hs = heisenberg_risk(core.tensor(rho, env), x, xcheck, u, [da, db], [kept])
         ss = schrodinger_risk(rho, x, chan, xcheck)
         worst = max(worst, abs(hs - ss) / max(1.0, abs(ss)))
         # the Kraus form must also match the explicit dilation formula

@@ -57,12 +57,11 @@ def test_criterion_1_picture_equivalence():
         u = random_unitary(gen, da * db)
         env = random_density(gen, db)
         kept = int(gen.integers(0, 2))
-        traced = [i for i in (0, 1) if i != kept]
-        chan = channel_from_dilation(u, env, [da, db], traced, [kept])
+        chan = channel_from_dilation(u, env, [da, db], [kept])
         rho = random_density(gen, da)
         x = random_hermitian(gen, da)
         xcheck = random_hermitian(gen, [da, db][kept])
-        hs = heisenberg_risk(core.tensor(rho, env), x, xcheck, u, [da, db], 0, kept)
+        hs = heisenberg_risk(core.tensor(rho, env), x, xcheck, u, [da, db], [kept])
         ss = schrodinger_risk(rho, x, chan, xcheck)
         worst = max(worst, abs(hs - ss) / max(1.0, abs(ss)))
     elapsed = time.perf_counter() - start

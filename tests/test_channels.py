@@ -105,14 +105,14 @@ def test_apply_dimension_mismatch(gen):
 
 def test_dilation_identity_unitary(gen):
     env = random_density(gen, 3)
-    chan = channel_from_dilation(np.eye(6), env, [2, 3], traced=[1], kept=[0])
+    chan = channel_from_dilation(np.eye(6), env, [2, 3], kept=[0])
     rho = random_density(gen, 2)
     np.testing.assert_allclose(chan(rho), rho, atol=1e-12)
 
 
 def test_dilation_swap_gives_constant_channel(gen):
     env = random_density(gen, 2)
-    chan = channel_from_dilation(SWAP, env, [2, 2], traced=[1], kept=[0])
+    chan = channel_from_dilation(SWAP, env, [2, 2], kept=[0])
     rho = random_density(gen, 2)
     np.testing.assert_allclose(chan(rho), env, atol=1e-12)
 
@@ -121,8 +121,7 @@ def test_dilation_matches_explicit_formula(gen):
     u = random_unitary(gen, 4)
     env = random_density(gen, 2)
     for kept in (0, 1):
-        traced = [i for i in (0, 1) if i != kept]
-        chan = channel_from_dilation(u, env, [2, 2], traced=traced, kept=[kept])
+        chan = channel_from_dilation(u, env, [2, 2], kept=[kept])
         for _ in range(20):
             rho = random_density(gen, 2)
             direct = core.partial_trace(
@@ -134,7 +133,7 @@ def test_dilation_matches_explicit_formula(gen):
 def test_dilation_rejects_nonunitary(gen):
     with pytest.raises(ValidationError):
         channel_from_dilation(np.eye(4) * 0.5, random_density(gen, 2),
-                              [2, 2], traced=[1], kept=[0])
+                              [2, 2], kept=[0])
 
 
 def test_classical_identity_is_dephasing(gen):
@@ -276,9 +275,20 @@ def test_validate_cptp_rejects_subnormalized():
         QuantumChannel([np.eye(2) / 2])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: validate_cptp([np.eye(2), np.eye(3)]),  # ragged Kraus list
+    lambda: channel_from_cq_ensemble([]),
+    lambda: core.embed(np.diag([1.0, -1.0]), [2, 2], 5),
+    lambda: core.embed(np.diag([1.0, -1.0]), [2, 2], -1),  # not the last factor
+], ids=["ragged-kraus", "empty-ensemble", "factor-5", "factor-minus-1"])
+def test_malformed_library_calls_raise_validation_errors(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
 def test_validate_cptp_accepts_random_dilation(gen):
     chan = channel_from_dilation(random_unitary(gen, 6), random_density(gen, 3),
-                                 [2, 3], traced=[0], kept=[1])
+                                 [2, 3], kept=[1])
     assert validate_cptp(chan).accepted
 
 

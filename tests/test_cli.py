@@ -267,8 +267,7 @@ def test_cli_entry_point_subprocess(tmp_path):
 @pytest.mark.parametrize("channel, field", [
     ({"partial_trace": {"dims": [2, 1]}}, "keep"),
     ({"partial_trace": {"keep": [0]}}, "dims"),
-    ({"dilation": {"u": np.eye(2).tolist(), "env": [[1.0]], "dims": [2, 1],
-                   "traced": [1]}}, "kept"),
+    ({"dilation": {"u": np.eye(2).tolist(), "env": [[1.0]], "dims": [2, 1]}}, "kept"),
     ({"partial_trace": [2, 1]}, "dims"),
 ])
 def test_cli_channel_spec_missing_field(tmp_path, capsys, channel, field):
@@ -442,6 +441,13 @@ def test_weak_value_scenario_follows_as_hermitian(x, accepted):
 def test_cli_has_no_tolerance_scale_option():
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "--tol-scale", "2"])
+    assert exc.value.code == 2
+
+
+def test_scenario_subcommands_take_no_seed(tmp_path):
+    # a sweep's seed lives in its scenario file; --seed is selftest's alone
+    with pytest.raises(SystemExit) as exc:
+        main(["personick", "--seed", "3", "--input", _write(tmp_path, personick_scenario())])
     assert exc.value.code == 2
 
 

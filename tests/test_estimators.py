@@ -59,10 +59,10 @@ def test_heisenberg_trivials(gen):
     env = random_density(gen, 2)
     rho0 = core.tensor(rho, env)
     x = random_hermitian(gen, 2)
-    assert heisenberg_risk(rho0, x, x, np.eye(4), [2, 2], 0, 0) == pytest.approx(
+    assert heisenberg_risk(rho0, x, x, np.eye(4), [2, 2], [0]) == pytest.approx(
         0.0, abs=1e-12)
     expected = np.trace(rho @ x @ x).real
-    assert heisenberg_risk(rho0, x, np.zeros((2, 2)), np.eye(4), [2, 2], 0, 1) == \
+    assert heisenberg_risk(rho0, x, np.zeros((2, 2)), np.eye(4), [2, 2], [1]) == \
         pytest.approx(expected, abs=1e-12)
 
 
@@ -73,8 +73,8 @@ def test_pictures_agree_on_random_dilations(gen):
         env = random_density(gen, 2)
         x = random_hermitian(gen, 2)
         xcheck = random_hermitian(gen, 2)
-        chan = channel_from_dilation(u, env, [2, 2], traced=[0], kept=[1])
-        hs = heisenberg_risk(core.tensor(rho, env), x, xcheck, u, [2, 2], 0, 1)
+        chan = channel_from_dilation(u, env, [2, 2], kept=[1])
+        hs = heisenberg_risk(core.tensor(rho, env), x, xcheck, u, [2, 2], [1])
         ss = schrodinger_risk(rho, x, chan, xcheck)
         assert hs == pytest.approx(ss, abs=1e-10 * max(1.0, abs(ss)))
 

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -201,13 +202,13 @@ def test_numeric_integral_rejects_malformed_input():
 
 # --- the grid oracle against a brute-force reference -------------------------
 
-def brute_force_grid(w_list, points_per_axis, half_width_sigmas=8.0):
+def brute_force_grid(w_list, points_per_axis, half_width=8.0):
     """The grid axes, the stacked (..., 2n) grid points and Π W_i at each point,
     one density at a time."""
     dim = w_list[0].mean.size
     axes = []
     for i in range(dim):
-        half = [half_width_sigmas * np.sqrt(w.covariance[i, i]) for w in w_list]
+        half = [half_width * np.sqrt(w.covariance[i, i]) for w in w_list]
         axes.append(np.linspace(min(w.mean[i] - h for w, h in zip(w_list, half)),
                                 max(w.mean[i] + h for w, h in zip(w_list, half)),
                                 points_per_axis))
@@ -222,12 +223,12 @@ def brute_force_grid(w_list, points_per_axis, half_width_sigmas=8.0):
     return axes, pts, vals
 
 
-def brute_force_integral(w_list, x, points_per_axis, half_width_sigmas=8.0):
+def brute_force_integral(w_list, x, points_per_axis, half_width=8.0):
     """Trapezoid rule over the brute-force grid.
 
     Returns the integral and the integral of its absolute value.
     """
-    axes, pts, vals = brute_force_grid(w_list, points_per_axis, half_width_sigmas)
+    axes, pts, vals = brute_force_grid(w_list, points_per_axis, half_width)
     if x is not None:
         vals = vals * (pts @ x.coeffs + x.offset)
     total, magnitude = vals, np.abs(vals)
@@ -235,6 +236,14 @@ def brute_force_integral(w_list, x, points_per_axis, half_width_sigmas=8.0):
         total = np.trapezoid(total, axis, axis=-1)
         magnitude = np.trapezoid(magnitude, axis, axis=-1)
     return float(total), float(magnitude)
+
+
+@contextlib.contextmanager
+def grid_half_width(sigmas):
+    """The oracle's grid spans ±`sigmas` standard deviations inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gaussian, "_HALF_WIDTH", sigmas)
+        yield
 
 
 def _oracle(*args, **kwargs):
@@ -267,7 +276,9 @@ def test_numeric_integral_matches_brute_force(seed, n_modes, count, with_x,
                        for _ in range(count)], shrink)
     x = random_linear_quadrature(gen, n_modes) if with_x else None
     # the pair (∫ΠW, ∫ΠW·X), each against its own brute-force integral
-    for got, factor in zip(_oracle(w_list, x, points, half_width), (None, x)):
+    with grid_half_width(half_width):
+        got_pair = _oracle(w_list, x, points)
+    for got, factor in zip(got_pair, (None, x)):
         total, magnitude = brute_force_integral(w_list, factor, points, half_width)
         assert abs(got - total) <= 1e-12 * magnitude
 
@@ -332,9 +343,9 @@ def test_truncation_warning_matches_brute_force_faces(seed, n_modes, count, poin
         ratio = edge * cell / (1e-9 * max(abs(total), floor))
         assume(abs(ratio - 1.0) > 1e-6)  # clear of the threshold
         trips.append(ratio > 1.0)
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, grid_half_width(half_width):
         warnings.simplefilter("always")
-        numeric_wigner_integral(w_list, x, points, half_width)
+        numeric_wigner_integral(w_list, x, points)
     assert any("truncation" in str(w.message) for w in caught) == any(trips)
 
 
@@ -395,12 +406,21 @@ def test_truncation_warning_on_every_face(monkeypatch, axis, skip_below):
     g = GaussianWigner(mean=np.zeros(4), covariance=np.eye(4))
     x = LinearQuadrature(coeffs=10.0 * np.eye(4)[axis], offset=1.0)
     for half_width in (5.3, 5.45, 5.6):
-        with pytest.warns(UserWarning, match="truncation"):
-            numeric_wigner_integral([g], x, points_per_axis=41,
-                                    half_width_sigmas=half_width)
+        with pytest.warns(UserWarning, match="truncation"), grid_half_width(half_width):
+            numeric_wigner_integral([g], x, points_per_axis=41)
+    with warnings.catch_warnings(), grid_half_width(8.0):
+        warnings.simplefilter("error")
+        numeric_wigner_integral([g], x, points_per_axis=41)
+
+
+@pytest.mark.parametrize("weight", [1e-250, 1e-300, 1e-310])
+def test_numeric_integral_of_tiny_weights(weight):
+    # the exponent floor applies relative to the grid's peak, so it cuts
+    # nothing of a Gaussian whose whole grid lies below e^-700
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        numeric_wigner_integral([g], x, points_per_axis=41, half_width_sigmas=8.0)
+        mass, moment = numeric_wigner_integral([unit(weight=weight)], points_per_axis=101)
+    assert mass == moment == pytest.approx(weight, rel=1e-10)
 
 
 @pytest.mark.parametrize("make", [

@@ -284,24 +284,27 @@ def _single_operator_calls(gen):
     return [
         lambda: estimators.schrodinger_risk(stack, xs, k, xs),
         lambda: estimators.heisenberg_risk(np.array([np.kron(rho, rho)] * 2),
-                                           x, x, u, [2, 2]),
+                                           x, x, u, [2, 2], [1]),
         lambda: estimators.complex_estimator(stack, xs, k),
         lambda: estimators.weak_value(stack, xs, povm, 0),
         lambda: estimators.complex_weak_value(stack, xs, povm, 0),
         lambda: core.embed(xs, [2, 2], 0),
         lambda: core.partial_trace(np.array([np.kron(rho, rho)] * 2), [2, 2], {0}),
-        lambda: channels.channel_from_dilation(np.array([u, u]), rho, [2, 2], [1], [0]),
-        lambda: channels.channel_from_dilation(u, stack, [2, 2], [1], [0]),
+        lambda: channels.channel_from_dilation(np.array([u, u]), rho, [2, 2], [0]),
+        lambda: channels.channel_from_dilation(u, stack, [2, 2], [0]),
         lambda: channels.Povm([np.array([np.diag([1.0, 0.0])] * 2),
                                np.array([np.diag([0.0, 1.0])] * 2)]),
         lambda: channels.channel_from_cq_ensemble([stack, stack]),
         lambda: channels.validate_cptp(QuantumChannel(np.array([k.kraus, k.kraus]))),
         lambda: QuantumChannel(np.array([k.kraus, k.kraus])).choi_matrix(),
+        lambda: estimators.complex_estimator(rho, x, QuantumChannel(np.array([k.kraus] * 2))),
+        lambda: estimators.schrodinger_risk(rho, x, QuantumChannel(np.array([k.kraus] * 2)), x),
     ]
 
 
-@pytest.mark.parametrize("index", range(13))
+@pytest.mark.parametrize("index", range(15))
 def test_single_operator_functions_reject_a_stack(gen, index):
+    # a shape check, not a failure further on such as `real:` on a summed trace
     call = _single_operator_calls(gen)[index]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^(shape|dims|kraus): "):
         call()
