@@ -34,6 +34,7 @@ _EXP_FLOOR = -700.0
 # by that times max|X|·∫ΠW.  τ = 90·ln 2 and N·2^dim < 2^30 on the default
 # grids keep both below 2^−53, with a factor 2^7 to spare for max|X|.
 _SKIP_BELOW = 90 * np.log(2)
+_E512 = float(np.exp(512.0)), float(np.exp(-512.0))  # the oracle's shift steps
 
 
 class NegligibleOverlap(ValidationError):
@@ -203,13 +204,17 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     # on [z₀, z_{n−1}], top, sits at the clamped vertex.  The reference g_ref
     # is the largest grid value on the line of the largest top, a value the
     # grid attains: top can overshoot it far.  Exponents are then less `shift`,
-    # g_ref truncated to 0 or ±512 (the sums are scaled back): the floor lies
-    # ≥188 below any peak above e^-1212, and ordinary weights stay unshifted.
+    # g_ref truncated to a multiple of 512 (the sums are scaled back): the
+    # floor lies ≥188 below the peak, exp cannot overflow at the peak, and
+    # ordinary weights stay unshifted.
     vertex = np.clip(slope / curv, z[0], z[-1])
     top = base + (slope - 0.5 * curv * vertex) * vertex
     best = int(np.argmax(top))
     g_ref = float((base[best] + (slope[best] - 0.5 * curv * z) * z).max())
-    shift = 512.0 * float(np.clip(np.trunc(g_ref / 512), -1, 1))
+    if not np.isfinite(g_ref):
+        raise ValidationError("range", f"the integrand's peak exponent is {g_ref}")
+    steps = int(np.trunc(g_ref / 512))
+    shift = 512.0 * steps
     base -= shift
     top -= shift
     np.maximum(top, _EXP_FLOOR, out=top)  # floored like the grid
@@ -227,8 +232,7 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     sums, edge, done = np.zeros((2, 2)), np.zeros(2), np.zeros(top.size, dtype=bool)
     cell = float(np.prod([a[1] - a[0] for a in axes]))
     x_max = max(aff.max(), -aff.min()) + abs(c_z) * max(-z[0], z[-1])
-    unit = float(np.exp(shift))
-    least = max(w.weight for w in w_list) * 1e-30 / unit  # scale's floor, shifted
+    least = _unshift(max(w.weight for w in w_list), -steps) * 1e-30  # scale's floor, shifted
     todo = np.flatnonzero(top >= g_ref - shift - _SKIP_BELOW)
     while todo.size:
         done[todo] = True
@@ -254,11 +258,26 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
         edge = np.maximum(edge, [(e * np.abs(aff[near] + c_z * zj)).max(initial=0.0),
                                  e.max(initial=0.0)])
 
-    if (edge * cell > 1e-9 * scale).any():
+    integrals = _unshift(mass, steps), _unshift(moment, steps)
+    if np.isinf(integrals).any():
+        raise ValidationError(
+            "range", f"the grid integrals exceed the float range (largest double "
+            f"{np.finfo(float).max:.3e}): ln ∫ΠW ≈ {np.log(mass) + shift:.1f}")
+    # an integral that underflows to 0.0 has no relative error to report
+    if integrals[0] and (edge * cell > 1e-9 * scale).any():
+        errors = [_unshift(float(e * cell), steps) for e in edge]
         warnings.warn(
-            f"grid truncation error estimates {edge[0] * cell * unit:.3e}, "
-            f"{edge[1] * cell * unit:.3e} are large relative to the integrals "
-            f"{moment * unit:.3e}, {mass * unit:.3e} of ΠW·X, ΠW",
+            f"grid truncation error estimates {errors[0]:.3e}, {errors[1]:.3e} are large "
+            f"relative to the integrals {integrals[1]:.3e}, {integrals[0]:.3e} of ΠW·X, ΠW",
             stacklevel=2,
         )
-    return mass * unit, moment * unit
+    return integrals
+
+
+def _unshift(v: float, steps: int) -> float:
+    """v·e^(512·steps) as float products: inf past the float range, 0 below it."""
+    for _ in range(abs(steps)):
+        if v == 0 or np.isinf(v):
+            break
+        v *= _E512[steps < 0]
+    return v

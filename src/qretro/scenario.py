@@ -3,9 +3,11 @@
 A scenario is a single JSON document with a `kind` field naming the
 computation.  Complex numbers are two-element [re, im] arrays; matrices are
 row-major nested arrays.  Reports are one line of compact JSON with sorted
-keys: they echo the scenario, carry the computed quantities with every float
-in shortest round-trip float form (Python's `repr`, lossless for doubles, so
-serialization is byte-deterministic), and list diagnostics.
+keys: they echo the scenario, each complex matrix as the SHA-256 and shape
+of its decoded array rather than its entries, carry the computed quantities
+with every float in shortest round-trip float form (Python's `repr`,
+lossless for doubles, so serialization is byte-deterministic), and list
+diagnostics.
 """
 
 from __future__ import annotations
@@ -125,38 +127,49 @@ def _reals(obj: dict, field: str) -> np.ndarray:
         raise ValidationError("parse", f"field {field!r}: {exc}") from exc
 
 
-def _matrix(obj: dict, field: str) -> np.ndarray:
-    """A required field holding a complex matrix."""
-    value = _require(obj, field)
-    return decode_complex_matrix(value, field)
+def _digest(m: np.ndarray) -> dict:
+    """A decoded matrix as its report echoes it: the SHA-256 of its entries
+    as little-endian complex128 in C order, signed zeros made +0.0 (so the
+    digest depends on the value alone), and its shape."""
+    import hashlib  # on first use: importing qretro need not load it
+
+    canonical = (m + 0.0).astype("<c16", copy=False)  # -0.0 + 0.0 is +0.0
+    return {"sha256": hashlib.sha256(canonical.tobytes()).hexdigest(),
+            "shape": list(m.shape)}
 
 
-def decode_channel(obj) -> QuantumChannel:
+def _matrices(obj: dict, *fields: str) -> tuple[list, dict]:
+    """Required complex-matrix fields: their matrices, and `obj` echoed with
+    each field's digest in its place."""
+    ms = [decode_complex_matrix(_require(obj, field), field) for field in fields]
+    return ms, dict(obj, **{field: _digest(m) for field, m in zip(fields, ms)})
+
+
+def decode_channel(obj) -> tuple[QuantumChannel, dict]:
+    """A channel spec: the channel, and the spec as a report echoes it."""
     if not isinstance(obj, dict):
         raise ValidationError("parse", "channel must be an object")
     if "kraus" in obj:
         kraus = [decode_complex_matrix(k, "kraus")
                  for k in _list(obj["kraus"], "kraus")]
-        return QuantumChannel(kraus)
+        return QuantumChannel(kraus), dict(obj, kraus=[_digest(k) for k in kraus])
     if "classical" in obj:
-        return channel_from_classical(ClassicalChannel(_reals(obj, "classical")))
+        return channel_from_classical(ClassicalChannel(_reals(obj, "classical"))), obj
     if "povm" in obj:
-        return channel_from_povm(decode_povm(obj["povm"]))
+        povm, echo = decode_povm(obj["povm"])
+        return channel_from_povm(povm), dict(obj, povm=echo)
     if "partial_trace" in obj:
         spec = obj["partial_trace"]
-        return partial_trace_channel(_require(spec, "dims"), _require(spec, "keep"))
+        return partial_trace_channel(_require(spec, "dims"), _require(spec, "keep")), obj
     if "dilation" in obj:
         spec = obj["dilation"]
-        return channel_from_dilation(
-            _matrix(spec, "u"),
-            _matrix(spec, "env"),
-            _require(spec, "dims"),
-            _require(spec, "kept"),
-        )
+        (u, env), echo = _matrices(spec, "u", "env")
+        chan = channel_from_dilation(u, env, _require(spec, "dims"), _require(spec, "kept"))
+        return chan, dict(obj, dilation=echo)
     if "depolarizing" in obj:
-        return depolarizing_channel(_int(obj["depolarizing"], "depolarizing"))
+        return depolarizing_channel(_int(obj["depolarizing"], "depolarizing")), obj
     if "identity" in obj:
-        return identity_channel(_int(obj["identity"], "identity"))
+        return identity_channel(_int(obj["identity"], "identity")), obj
     raise ValidationError("parse", f"unrecognized channel spec: {sorted(obj)}")
 
 
@@ -165,47 +178,61 @@ def _labels(obj):
     return None if labels is None else _list(labels, "labels")
 
 
-def decode_povm(obj) -> Povm:
+def decode_povm(obj) -> tuple[Povm, dict]:
     effects = [decode_complex_matrix(e, "effect")
                for e in _list(_require(obj, "effects"), "effects")]
-    return Povm(effects, labels=_labels(obj))
+    echo = dict(obj, effects=[_digest(e) for e in effects])
+    return Povm(effects, labels=_labels(obj)), echo
 
 
-def decode_family(obj) -> fisher.StateFamily:
+def decode_family(obj) -> tuple[fisher.StateFamily, dict]:
     kind = _require(obj, "type")
     if kind == "diagonal_line":
-        return fisher.diagonal_line_family(_reals(obj, "p0"), _reals(obj, "slope"))
+        return fisher.diagonal_line_family(_reals(obj, "p0"), _reals(obj, "slope")), obj
     if kind == "diagonal_exponential":
         return fisher.diagonal_exponential_family(_reals(obj, "p0"),
-                                                  _reals(obj, "weights"))
+                                                  _reals(obj, "weights")), obj
     if kind == "unitary_rotation":
-        return fisher.unitary_rotation_family(_matrix(obj, "rho0"), _matrix(obj, "h"))
+        (rho0, h), echo = _matrices(obj, "rho0", "h")
+        return fisher.unitary_rotation_family(rho0, h), echo
     if kind == "depolarizing_mixture":
-        return fisher.depolarizing_mixture_family(
-            decode_family(_require(obj, "base")), _number(_require(obj, "p"), "p")
-        )
+        base, echo = decode_family(_require(obj, "base"))
+        p = _number(_require(obj, "p"), "p")
+        return fisher.depolarizing_mixture_family(base, p), dict(obj, base=echo)
     raise ValidationError("parse", f"unknown family type {kind!r}")
 
 
 # --- dispatch ---------------------------------------------------------------
 
 def run_scenario(scenario: dict) -> dict:
-    """Execute one scenario and return its report as a plain dict."""
+    """Execute one scenario and return its report as a plain dict.
+
+    A kind runs in three stages, each timed once into `diagnostics.stages`:
+    decode (the scenario's checked inputs, and its echo made from the same
+    decoded arrays), solve, and encode (the result as the `results` dict).
+    """
     kind = _require(scenario, "kind")
     if kind not in KINDS:
         raise ValidationError("parse", f"unknown kind {kind!r}; expected one of {KINDS}")
-    start = time.perf_counter()
-    caught: list[str] = []
+    sweep = kind == "qfi-mono" and "sweep" in scenario
+    decode, solve, encode = _QFI_SWEEP if sweep else _STAGES[kind]
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        results = _DISPATCH[kind](scenario)
+        start = time.perf_counter()
+        inputs, echo = decode(scenario)
+        decoded = time.perf_counter()
+        result = solve(*inputs)
+        solved = time.perf_counter()
+        results = encode(result)
+        encoded = time.perf_counter()
         caught = [str(w.message) for w in wlist]
-    elapsed = time.perf_counter() - start
+    stages = {"decode_s": decoded - start, "solve_s": solved - decoded,
+              "encode_s": encoded - solved}
     return {
-        "scenario": scenario,
+        "scenario": echo,
         "results": results,
-        "diagnostics": {"warnings": caught, "elapsed_s": elapsed,
-                        "provenance": provenance()},
+        "diagnostics": {"warnings": caught, "elapsed_s": encoded - start,
+                        "stages": stages, "provenance": provenance()},
     }
 
 
@@ -220,37 +247,50 @@ def provenance() -> dict:
     }
 
 
-def _run_risk(sc):
-    k = decode_channel(_require(sc, "channel"))
-    value = schrodinger_risk(_matrix(sc, "rho"), _matrix(sc, "x"), k, _matrix(sc, "xcheck"))
-    return {"risk": value}
+# Each kind is (decode, solve, encode): decode(scenario) -> (solve's
+# arguments, echo), solve(*arguments) -> result, encode(result) -> results.
+# A solve that is one library call is a lambda, so the call looks the
+# function up in this module when it runs and a wrapper installed on the
+# module (a profiler's, say) sees it.
+
+def _decode_estimator(sc):
+    (rho, x), echo = _matrices(sc, "rho", "x")
+    k, echo["channel"] = decode_channel(_require(sc, "channel"))
+    return (rho, x, k), echo
 
 
-def _run_estimator(sc):
-    """The Personick (`personick`) or the complex (`complex`) estimator."""
-    personick = sc["kind"] == "personick"
-    solve = personick_estimator if personick else complex_estimator
-    result = solve(_matrix(sc, "rho"), _matrix(sc, "x"), decode_channel(_require(sc, "channel")))
-    results = {
+def _complex_results(result):
+    return {
         "estimator": encode_complex_matrix(result.estimator),
         "min_risk": result.min_risk,
         "residual": result.residual,
     }
-    if personick:
-        results["support_rank"] = result.support_rank
-    return results
 
 
-def _run_weak_value(sc):
+def _personick_results(result):
+    return dict(_complex_results(result), support_rank=result.support_rank)
+
+
+def _decode_risk(sc):
+    k, channel = decode_channel(_require(sc, "channel"))
+    (rho, x, xcheck), echo = _matrices(sc, "rho", "x", "xcheck")
+    return (rho, x, k, xcheck), dict(echo, channel=channel)
+
+
+def _decode_weak_value(sc):
+    (rho, x), echo = _matrices(sc, "rho", "x")
+    povm, echo["povm"] = decode_povm(_require(sc, "povm"))
+    return (rho, x, povm), echo
+
+
+def _solve_weak_value(rho, x, povm):
     """Per outcome: its probability and, where the estimators define them, its
     complex weak value and its real weak value (for x that `as_hermitian` accepts)."""
-    rho, x = _matrix(sc, "rho"), _matrix(sc, "x")
-    povm = decode_povm(_require(sc, "povm"))
     outcomes = []
     for label in povm.labels:
         entry = {"label": label}
         try:
-            entry["complex_weak_value"] = encode_complex(complex_weak_value(rho, x, povm, label))
+            entry["complex_weak_value"] = complex_weak_value(rho, x, povm, label)
             entry["weak_value"] = weak_value(rho, x, povm, label)
         except ZeroProbabilityOutcome:
             entry["undefined"] = True
@@ -259,26 +299,38 @@ def _run_weak_value(sc):
                 raise
         entry["probability"] = float(np.trace(povm.effect(label) @ rho).real)
         outcomes.append(entry)
-    return {"outcomes": outcomes}
+    return outcomes
 
 
-def _run_classical(sc):
+def _weak_value_results(outcomes):
+    return {"outcomes": [
+        dict(entry, complex_weak_value=encode_complex(entry["complex_weak_value"]))
+        if "complex_weak_value" in entry else entry
+        for entry in outcomes
+    ]}
+
+
+def _decode_classical(sc):
     chan = ClassicalChannel(_reals(sc, "transition"))
-    estimates, defined = classical_conditional_expectation(_reals(sc, "px"), chan,
-                                                           _reals(sc, "xvals"))
+    return (_reals(sc, "px"), chan, _reals(sc, "xvals")), sc
+
+
+def _classical_results(result):
+    estimates, defined = result
     return {
         "estimates": [(float(v) if ok else None) for v, ok in zip(estimates, defined)],
         "defined": [bool(b) for b in defined],
     }
 
 
-def _run_qfi_mono(sc):
-    if "sweep" in sc:
-        return _run_qfi_sweep(sc)
-    family = decode_family(_require(sc, "family"))
-    k = decode_channel(_require(sc, "channel"))
+def _decode_qfi_check(sc):
+    family, family_echo = decode_family(_require(sc, "family"))
+    k, channel = decode_channel(_require(sc, "channel"))
     theta = _number(sc.get("theta", 0.0), "theta")
-    report = fisher.monotonicity_check(family, k, theta)
+    return (family, k, theta), dict(sc, family=family_echo, channel=channel)
+
+
+def _qfi_check_results(report):
     return {
         "j_in": report.j_in,
         "j_out": report.j_out,
@@ -337,7 +389,7 @@ def _sweep_draws(gen, dims, count):
                channel_draw(gen, d_in, d_out), float(gen.uniform(-0.5, 0.5)))
 
 
-def _run_qfi_sweep(sc):
+def _decode_qfi_sweep(sc):
     spec = sc["sweep"]
     if not isinstance(spec, dict):
         raise ValidationError("parse", f"field 'sweep' must be an object, got {spec!r}")
@@ -345,11 +397,17 @@ def _run_qfi_sweep(sc):
     dims = [_int(d, "dims") for d in _list(spec.get("dims", [2, 3, 4]), "dims")]
     if not dims:
         raise ValidationError("parse", "field 'dims' must not be empty")
-    rows = rotation_checks(_sweep_draws(rng(_int(sc.get("seed", 0), "seed", minimum=0)),
-                                        dims, count))
+    return (_int(sc.get("seed", 0), "seed", minimum=0), dims, count), sc
+
+
+def _solve_qfi_sweep(seed, dims, count):
+    return rotation_checks(_sweep_draws(rng(seed), dims, count))
+
+
+def _qfi_sweep_results(rows):
     slack, gap = rows[:, 2], abs(rows[:, 2] - rows[:, 3])
     return {
-        "count": count,
+        "count": len(rows),
         "min_slack": float(slack.min()),
         "max_risk_gap": float(gap.max()),
         "all_monotone": bool(slack.min() >= -1e-8),
@@ -379,7 +437,7 @@ def _require_uncertainty(w: gaussian.GaussianWigner, name: str) -> None:
         )
 
 
-def _run_gaussian(sc):
+def _decode_gaussian_scenario(sc):
     wr = _decode_gaussian(_require(sc, "state"))
     we = _decode_gaussian(_require(sc, "effect"))
     _require_uncertainty(wr, "state")
@@ -389,8 +447,19 @@ def _run_gaussian(sc):
         coeffs=_reals(xspec, "coeffs"),
         offset=_number(xspec.get("offset", 0.0), "offset"),
     )
+    return (wr, we, x, _bool(sc.get("numeric_check", False), "numeric_check")), sc
+
+
+def _solve_gaussian(wr, we, x, numeric_check):
+    """(product, estimate, the grid oracle's (∫ΠW, ∫ΠW·X) or None)."""
     product = gaussian.gaussian_product(wr, we)
     estimate = gaussian.quadrature_estimator(wr, we, x)
+    return product, estimate, (gaussian.numeric_wigner_integral([wr, we], x)
+                               if numeric_check else None)
+
+
+def _gaussian_results(result):
+    product, estimate, integrals = result
     results = {
         "estimate": estimate,
         "product": {
@@ -399,23 +468,26 @@ def _run_gaussian(sc):
             "weight": product.weight,
         },
     }
-    if _bool(sc.get("numeric_check", False), "numeric_check"):
-        denom, numer = gaussian.numeric_wigner_integral([wr, we], x)
+    if integrals is not None:
+        denom, numer = integrals
         results["numeric_estimate"] = numer / denom
         results["numeric_gap"] = abs(numer / denom - estimate)
     return results
 
 
-_DISPATCH = {
-    "personick": _run_estimator,
-    "complex": _run_estimator,
-    "weak-value": _run_weak_value,
-    "classical": _run_classical,
-    "qfi-mono": _run_qfi_mono,
-    "gaussian": _run_gaussian,
-    "risk": _run_risk,
+_STAGES = {
+    "personick": (_decode_estimator, lambda *a: personick_estimator(*a), _personick_results),
+    "complex": (_decode_estimator, lambda *a: complex_estimator(*a), _complex_results),
+    "weak-value": (_decode_weak_value, _solve_weak_value, _weak_value_results),
+    "classical": (_decode_classical, lambda *a: classical_conditional_expectation(*a),
+                  _classical_results),
+    "qfi-mono": (_decode_qfi_check, lambda *a: fisher.monotonicity_check(*a),
+                 _qfi_check_results),
+    "gaussian": (_decode_gaussian_scenario, _solve_gaussian, _gaussian_results),
+    "risk": (_decode_risk, lambda *a: schrodinger_risk(*a), lambda risk: {"risk": risk}),
 }
-KINDS = tuple(_DISPATCH)
+_QFI_SWEEP = (_decode_qfi_sweep, _solve_qfi_sweep, _qfi_sweep_results)  # qfi-mono with `sweep`
+KINDS = tuple(_STAGES)
 
 
 # --- file I/O ---------------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 import subprocess
 import sys
 import warnings
@@ -457,7 +459,7 @@ def test_residual_warning_is_recorded_once(monkeypatch):
     monkeypatch.setattr(estimators, "RESIDUAL_WARN", -1.0)
     sc = personick_scenario()
     args = (decode_complex_matrix(sc["rho"]), decode_complex_matrix(sc["x"]),
-            decode_channel(sc["channel"]))
+            decode_channel(sc["channel"])[0])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         estimators.personick_estimator(*args)
@@ -486,6 +488,35 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+MATRIX_FIELDS = {"rho", "x", "xcheck", "u", "env", "rho0", "h"}  # when they hold a list
+MATRIX_LIST_FIELDS = {"kraus", "effects"}
+
+
+def _digest(obj) -> dict:
+    """The echo of a matrix field, recomputed from its decoded array: SHA-256
+    over its entries as little-endian doubles (re, im) in row order, -0.0 as 0.0."""
+    m = decode_complex_matrix(obj)
+    parts = [c + 0.0 for z in m.flat for c in (z.real, z.imag)]
+    blob = struct.pack(f"<{len(parts)}d", *parts)
+    return {"sha256": hashlib.sha256(blob).hexdigest(), "shape": list(m.shape)}
+
+
+def _expected_echo(obj):
+    """A scenario as its report echoes it: each matrix field by its digest,
+    every other field as given."""
+    if not isinstance(obj, dict):
+        return obj
+    echo = {}
+    for field, value in obj.items():
+        if field in MATRIX_FIELDS and isinstance(value, list):
+            echo[field] = _digest(value)
+        elif field in MATRIX_LIST_FIELDS:
+            echo[field] = [_digest(m) for m in value]
+        else:
+            echo[field] = _expected_echo(value)
+    return echo
+
+
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_report_file_is_one_line_of_strict_json(tmp_path, path):
     kind = json.loads(path.read_text())["kind"]
@@ -499,7 +530,7 @@ def test_report_file_is_one_line_of_strict_json(tmp_path, path):
         assert text.endswith("\n") and text.count("\n") == 1
         report = json.loads(text, parse_constant=_reject_constant)
         assert serialize_report(report) + "\n" == text
-        assert report["scenario"] == json.loads(path.read_text())
+        assert report["scenario"] == _expected_echo(json.loads(path.read_text()))
         reports.append(report)
     first, second = (json.dumps(r["results"], sort_keys=True) for r in reports)
     assert first == second
@@ -524,3 +555,75 @@ def test_selftest_diagnostics_time_each_check():
     assert all(t >= 0 for t in elapsed.values())
     assert sum(elapsed.values()) <= diagnostics["elapsed_s"]
     assert "elapsed" not in json.dumps(report["results"])
+
+
+def test_report_times_each_stage():
+    report = run_scenario(personick_scenario())
+    diagnostics = report["diagnostics"]
+    stages = diagnostics["stages"]
+    assert list(stages) == ["decode_s", "solve_s", "encode_s"]
+    assert all(t >= 0 for t in stages.values())
+    assert sum(stages.values()) <= diagnostics["elapsed_s"] + 1e-12
+    assert "decode_s" not in json.dumps(report["results"])
+
+
+def test_matrix_digest_is_canonical_by_value():
+    # 1, [1, 0] and [1, -0.0] are one complex number; so are 0, [0, 0] and [-0.0, -0.0]
+    spellings = [
+        [[1, 0], [0, -1]],
+        [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+        [[[1, -0.0], [-0.0, -0.0]], [[0, -0.0], [-1, -0.0]]],
+    ]
+    echoes = [run_scenario(dict(personick_scenario(), x=x))["scenario"]["x"]
+              for x in spellings]
+    assert echoes[0] == echoes[1] == echoes[2] == _digest(spellings[0])
+    assert echoes[0]["shape"] == [2, 2]
+    moved = run_scenario(dict(personick_scenario(), x=[[1, 0], [0, -0.5]]))["scenario"]["x"]
+    assert moved["sha256"] != echoes[0]["sha256"]
+
+
+def test_kraus_list_echoes_one_digest_per_operator():
+    half = [[np.sqrt(0.5), 0.0], [0.0, np.sqrt(0.5)]]
+    flip = [[0.0, np.sqrt(0.5)], [np.sqrt(0.5), 0.0]]
+    sc = dict(personick_scenario(), channel={"kraus": [half, flip], "note": "bit flip"})
+    echo = run_scenario(sc)["scenario"]["channel"]
+    assert echo == {"kraus": [_digest(half), _digest(flip)], "note": "bit flip"}
+    assert echo["kraus"][0] != echo["kraus"][1]
+
+
+def test_echo_digests_nested_matrix_fields():
+    # a dilation's u and env, and a family's rho0 and h inside a mixture's base
+    swap = np.eye(4)[[0, 2, 1, 3]].tolist()
+    dilation = {"u": swap, "env": [[0.5, 0.0], [0.0, 0.5]], "dims": [2, 2], "kept": [0]}
+    sc = dict(personick_scenario(), channel={"dilation": dilation})
+    assert run_scenario(sc)["scenario"] == _expected_echo(sc)
+    assert run_scenario(sc)["scenario"]["channel"]["dilation"]["u"] == _digest(swap)
+    base = {"type": "unitary_rotation", "rho0": [[0.7, 0.0], [0.0, 0.3]],
+            "h": [[0.0, 1.0], [1.0, 0.0]]}
+    sc = {"kind": "qfi-mono", "theta": 0.1, "channel": {"depolarizing": 2},
+          "family": {"type": "depolarizing_mixture", "p": 0.2, "base": base}}
+    echo = run_scenario(sc)["scenario"]
+    assert echo == _expected_echo(sc)
+    assert echo["family"]["base"]["h"] == _digest(base["h"])
+
+
+def test_dense_kraus_report_does_not_carry_its_matrices():
+    gen = np.random.default_rng(5)
+    d, n_kraus = 64, 4
+    g = gen.standard_normal((n_kraus * d, d)) + 1j * gen.standard_normal((n_kraus * d, d))
+    iso = np.linalg.qr(g)[0]
+    rho = np.diag(gen.random(d) + 0.1)
+    sc = {"kind": "personick", "rho": encode_complex_matrix(rho / np.trace(rho)),
+          "x": encode_complex_matrix(np.diag(np.arange(d, dtype=float))),
+          "channel": {"kraus": [encode_complex_matrix(iso[i * d:(i + 1) * d])
+                                for i in range(n_kraus)]}}
+    report = run_scenario(sc)
+    assert len(json.dumps(report["scenario"], sort_keys=True)) < 2048
+    assert len(report["scenario"]["channel"]["kraus"]) == n_kraus
+
+
+def test_import_does_not_load_hashlib():
+    code = "import sys, qretro; print('hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import SX, SY, SZ
 from qretro import operator_core as core
@@ -28,6 +30,7 @@ from qretro.sampling import (
     random_density,
     random_hermitian,
     random_unitary,
+    rng,
 )
 
 PROJ_X = Povm([(np.eye(2) + SX) / 2, (np.eye(2) - SX) / 2], labels=["+", "-"])
@@ -353,3 +356,29 @@ def test_personick_with_handed_image_matches_its_own(gen):
     assert np.array_equal(plain.estimator, handed.estimator)
     assert (plain.min_risk, plain.residual, plain.support_rank) == \
         (handed.min_risk, handed.residual, handed.support_rank)
+
+
+TOWER = 1e-10  # relative to ‖X‖ for estimators and ‖X‖² for risks
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d_in=st.integers(2, 5), d_mid=st.integers(2, 5),
+       d_out=st.integers(2, 5), case=st.sampled_from(["mixed", "pure", "isometric"]),
+       solve=st.sampled_from([personick_estimator, complex_estimator]))
+def test_retrodiction_tower_property(seed, d_in, d_mid, d_out, case, solve):
+    # retrodicting X through κ₂∘κ₁ from ρ is retrodicting Y = E_{κ₁,ρ}(X)
+    # through κ₂ from κ₁(ρ), and the minimum risks add:
+    # κ₁(ρ)∘Y = κ₁(ρ∘X) gives κ₂κ₁(ρ)∘Z = κ₂κ₁(ρ∘X) (Yκ₁(ρ) = κ₁(Xρ) for complex)
+    gen = rng(seed)
+    if case == "isometric":  # one Kraus operator: κ₁(ρ) has rank d_in < d_mid
+        assume(d_mid > d_in)
+    rho = random_density(gen, d_in, rank=1 if case == "pure" else None)
+    x = random_hermitian(gen, d_in)
+    k1 = random_channel(gen, d_in, d_mid, n_kraus=1 if case == "isometric" else None)
+    k2 = random_channel(gen, d_mid, d_out)
+    direct = solve(rho, x, k1.then(k2))
+    first = solve(rho, x, k1)
+    second = solve(k1(rho), first.estimator, k2)
+    scale = np.linalg.norm(x, 2)
+    assert np.linalg.norm(second.estimator - direct.estimator, 2) <= TOWER * scale
+    assert abs(first.min_risk + second.min_risk - direct.min_risk) <= TOWER * scale**2

@@ -423,6 +423,23 @@ def test_numeric_integral_of_tiny_weights(weight):
     assert mass == moment == pytest.approx(weight, rel=1e-10)
 
 
+@pytest.mark.parametrize("weight", [1e155, 1e300])
+def test_numeric_integral_beyond_the_float_range_is_an_error(weight):
+    # ∫ΠW of two unit Gaussians is weight²/4π, past the largest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="float range"):
+            numeric_wigner_integral([unit(weight=weight)] * 2, points_per_axis=101)
+
+
+def test_numeric_integral_that_underflows_is_zero_without_a_warning():
+    # ∫ΠW = (1e-300)²/4π is below the smallest double: no relative error to report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integrals = numeric_wigner_integral([unit(weight=1e-300)] * 2, points_per_axis=101)
+    assert integrals == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("make", [
     lambda: unit(),
     lambda: LinearQuadrature(coeffs=np.array([1.0, 0.0]), offset=0.5),
