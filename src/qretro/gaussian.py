@@ -183,45 +183,108 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     # lines along the last axis z: on the line through the other axes' point y
     # the exponent is [slope(y), base(y), 1]·[z, 1, −½P_zz·z²] and X is
     # c_z·z + aff(y) (X ≡ 1 without a quadrature).  The y terms, weights and
-    # faces are outer sums, from the last y axis back to keep them small.
-    last = dim - 1
+    # faces are outer sums, from the last y axis back to keep them small.  A
+    # plane is the lines of the last n_modes y axes (81² lines for two modes,
+    # all 801 one-mode lines): their sums are tabled once, and each pass walks
+    # the planes, adding a plane's outer y terms to the tables in that order.
+    last, split = dim - 1, n_modes - 1  # the y axes before `split` index the planes
     ys = [a.reshape((n,) + (1,) * (last - 1 - k)) for k, a in enumerate(axes[:last])]
+    ws = [w.reshape(y.shape) for w, y in zip(axis_w, ys)]
+    faces = [(np.arange(n) % (n - 1) == 0).reshape(y.shape) for y in ys]
     coeffs, aff = (np.zeros(dim), 1.0) if x is None else (x.coeffs, x.offset)
-    slope, base, weight, on_face = lin[last], log_const, 1.0, False
-    for k, y in reversed(list(enumerate(ys))):
-        base = base + ((lin[k] - 0.5 * prec[k, k] * y) * y
-                       - sum(prec[k, j] * y * ys[j] for j in range(k + 1, last)))
-        slope = slope - prec[k, last] * y
-        aff = aff + coeffs[k] * y
-        weight = weight * axis_w[k].reshape(y.shape)
-        on_face = on_face | (np.arange(n) % (n - 1) == 0).reshape(y.shape)
-    weight = np.stack([weight * aff, weight], axis=-1).reshape(-1, 2)
-    slope, base, aff, on_face = map(np.ravel, (slope, base, aff, on_face))
     z, curv, c_z = axes[last], prec[last, last], coeffs[last]
     outer = np.stack([z, np.ones(n), -0.5 * curv * z * z])
 
-    # along a line the exponent is a concave quadratic, so its largest value
-    # on [z₀, z_{n−1}], top, sits at the clamped vertex.  The reference g_ref
-    # is the largest grid value on the line of the largest top, a value the
-    # grid attains: top can overshoot it far.  Exponents are then less `shift`,
-    # g_ref truncated to a multiple of 512 (the sums are scaled back): the
-    # floor lies ≥188 below the peak, exp cannot overflow at the peak, and
-    # ordinary weights stay unshifted.
-    vertex = np.clip(slope / curv, z[0], z[-1])
-    top = base + (slope - 0.5 * curv * vertex) * vertex
-    best = int(np.argmax(top))
-    g_ref = float((base[best] + (slope[best] - 0.5 * curv * z) * z).max())
+    def exponent(slope, base, ks, y):
+        for k in ks:
+            base = base + ((lin[k] - 0.5 * prec[k, k] * y[k]) * y[k]
+                           - sum(prec[k, j] * y[k] * y[j] for j in range(k + 1, last)))
+            slope = slope - prec[k, last] * y[k]
+        return slope, base
+
+    def line_terms(aff, weight, on_face, ks, y, w, face):
+        for k in ks:
+            aff = aff + coeffs[k] * y[k]
+            weight = weight * w[k]
+            on_face = on_face | face[k]
+        return aff, weight, on_face
+
+    inner, outer_ks = range(last - 1, split - 1, -1), range(split - 1, -1, -1)
+    slope_t, base_t = exponent(lin[last], log_const, inner, ys)
+    line_t = [np.ravel(t) for t in line_terms(aff, 1.0, False, inner, ys, ws, faces)]
+    planes = list(np.ndindex((n,) * split))
+
+    def plane(point):
+        """The largest exponent on each line of the plane, top, the lines'
+        slope and base in C order, and lines(i), the aff, weight and face of
+        the lines i.
+
+        Along a line the exponent is a concave quadratic, so its largest value
+        on [z₀, z_{n−1}] sits at the clamped vertex."""
+        y = [axes[k][i] for k, i in enumerate(point)] + ys[split:]
+        slope, base = map(np.ravel, exponent(slope_t, base_t, outer_ks, y))
+        vertex = np.clip(slope / curv, z[0], z[-1])
+        top = base + (slope - 0.5 * curv * vertex) * vertex
+
+        def lines(i):
+            return line_terms(*(t[i] for t in line_t), outer_ks, y,
+                              [axis_w[k][j] for k, j in enumerate(point)],
+                              [j % (n - 1) == 0 for j in point])
+        return top, slope, base, lines
+
+    # the reference g_ref is the largest grid value on the line of the largest
+    # top (the first in C order, or the first NaN), a value the grid attains:
+    # top can overshoot it far.  Exponents are then less `shift`, g_ref
+    # truncated to a multiple of 512 (the sums are scaled back): the floor lies
+    # ≥188 below the peak, exp cannot overflow at the peak, and ordinary
+    # weights stay unshifted.
+    plane_top, best = np.empty(len(planes)), None
+    for p, point in enumerate(planes):
+        top, slope, base, _ = plane(point)
+        j = int(np.argmax(top))
+        if best is None or (best[0] == best[0] and not top[j] <= best[0]):
+            best = top[j], slope[j], base[j]
+        plane_top[p] = top[j]
+    g_ref = float((best[2] + (best[1] - 0.5 * curv * z) * z).max())
     if not np.isfinite(g_ref):
         raise ValidationError("range", f"the integrand's peak exponent is {g_ref}")
     steps = int(np.trunc(g_ref / 512))
     shift = 512.0 * steps
-    base -= shift
-    top -= shift
-    np.maximum(top, _EXP_FLOOR, out=top)  # floored like the grid
-    del vertex
+    plane_top = np.maximum(plane_top - shift, _EXP_FLOOR)  # floored like the grid
+    keep = g_ref - shift - _SKIP_BELOW
 
-    # the kept lines in chunks: one matrix product gives the exponent, a
-    # second each line's sums of w_z·e^G and w_z·z·e^G, and the line weights
+    def columns(slope, base, lines, i):
+        """The lines i as tile columns: slope, base less shift, [weight·aff,
+        weight], aff and face."""
+        aff, weight, on_face = lines(i)
+        wts = np.empty((i.size, 2))
+        wts[:, 1] = weight
+        np.multiply(weight, aff, out=wts[:, 0])
+        return slope[i], base[i] - shift, wts, aff, on_face
+
+    def kept_lines():
+        for p in np.flatnonzero(plane_top >= keep):
+            top, *terms = plane(planes[p])
+            yield columns(*terms, np.flatnonzero(np.maximum(top - shift, _EXP_FLOOR) >= keep))
+
+    def near_lines(bound, read_above, z_edge):
+        """The face lines above `bound` not read yet; the largest z-end face
+        values of all lines above it go into z_edge."""
+        for p in np.flatnonzero(plane_top > bound):
+            top, *terms = plane(planes[p])
+            top = np.maximum(top - shift, _EXP_FLOOR)
+            near = np.flatnonzero(top > bound)
+            cols = slope, base, _, aff, on_face = columns(*terms, near)
+            for zj in z[::n - 1]:
+                e = np.exp(np.maximum(base + (slope - 0.5 * curv * zj) * zj, _EXP_FLOOR))
+                np.maximum(z_edge, [(e * np.abs(aff + c_z * zj)).max(initial=0.0),
+                                    e.max(initial=0.0)], out=z_edge)
+            top = top[near]
+            read = on_face & (top < keep) & (top <= read_above)
+            yield [c[read] for c in cols]
+
+    # the kept lines in tiles: one matrix product gives the exponent, a second
+    # each line's sums of w_z·e^G and w_z·z·e^G, and the line weights
     # [weight·aff, weight] turn those into ∫ΠW·X (with c_z) and ∫ΠW.  Face
     # values (the truncation estimates' |integrand·X|, |integrand|) are at
     # most e^top·x_max and e^top on a line: lines whose bound could trip the
@@ -229,34 +292,39 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     rows = max(_TILE_ROWS, _TILE_POINTS // n)
     lhs, buf = np.ones((rows, 3)), np.empty((rows, n))
     wz = np.stack([axis_w[last], axis_w[last] * z], axis=1)
-    sums, edge, done = np.zeros((2, 2)), np.zeros(2), np.zeros(top.size, dtype=bool)
+    sums, edge = np.zeros((2, 2)), np.zeros(2)
     cell = float(np.prod([a[1] - a[0] for a in axes]))
-    x_max = max(aff.max(), -aff.min()) + abs(c_z) * max(-z[0], z[-1])
+    # rounding is monotone, so aff's extremes over the grid are the tables'
+    # extremes plus each plane's terms
+    aff_range = line_terms(np.array([line_t[0].min(), line_t[0].max()]), 1.0, False,
+                           outer_ks, ys, ws, faces)[0]
+    x_max = max(aff_range.max(), -aff_range.min()) + abs(c_z) * max(-z[0], z[-1])
     least = _unshift(max(w.weight for w in w_list), -steps) * 1e-30  # scale's floor, shifted
-    todo = np.flatnonzero(top >= g_ref - shift - _SKIP_BELOW)
-    while todo.size:
-        done[todo] = True
-        for lo in range(0, todo.size, rows):
-            idx = todo[lo:lo + rows]
-            k = idx.size
-            lhs[:k, 0], lhs[:k, 1] = slope[idx], base[idx]
+    todo, bound, read_above, z_edge = kept_lines(), None, np.inf, np.zeros(2)
+    while True:
+        count = 0
+        for slope, base, weight, aff, on_face in _tiles(todo, rows):
+            k = slope.size
+            count += k
+            lhs[:k, 0], lhs[:k, 1] = slope, base
             t = np.matmul(lhs[:k], outer, out=buf[:k])
             np.maximum(t, _EXP_FLOOR, out=t)
             np.exp(t, out=t)
-            sums += np.take(weight, idx, axis=0).T @ (t @ wz)
-            if (f := on_face[idx]).any():
-                edge = np.maximum(edge, [(t[f] * np.abs(aff[idx[f], None] + c_z * z)).max(),
-                                         t[f].max()])
+            sums += weight.T @ (t @ wz)
+            if on_face.any():
+                edge = np.maximum(edge, [(t[on_face] * np.abs(aff[on_face, None] + c_z * z)).max(),
+                                         t[on_face].max()])
+        if bound is not None:
+            if not count:
+                break  # z_edge holds the faces of the lines above the last bound
+            read_above = min(read_above, bound)
         mass = float(sums[1, 0])
         moment = mass if x is None else float(sums[0, 0] + c_z * sums[1, 1])
         scale = np.maximum(np.abs([moment, mass]), least)
-        near = top > np.log(1e-9 * scale / [x_max or 1.0, 1.0]).min() - np.log(cell) - 1
-        todo = np.flatnonzero(near & on_face & ~done)
-    near = np.flatnonzero(near)
-    for zj in z[::n - 1]:
-        e = np.exp(np.maximum(base[near] + (slope[near] - 0.5 * curv * zj) * zj, _EXP_FLOOR))
-        edge = np.maximum(edge, [(e * np.abs(aff[near] + c_z * zj)).max(initial=0.0),
-                                 e.max(initial=0.0)])
+        bound = np.log(1e-9 * scale / [x_max or 1.0, 1.0]).min() - np.log(cell) - 1
+        z_edge = np.zeros(2)
+        todo = near_lines(bound, read_above, z_edge)
+    edge = np.maximum(edge, z_edge)
 
     integrals = _unshift(mass, steps), _unshift(moment, steps)
     if np.isinf(integrals).any():
@@ -281,3 +349,23 @@ def _unshift(v: float, steps: int) -> float:
             break
         v *= _E512[steps < 0]
     return v
+
+
+def _tiles(blocks, rows: int):
+    """The lines of a stream of column blocks, in order, in tiles of `rows`
+    lines (the last one shorter): a tile may span blocks."""
+    held = None  # the lines of an unfinished tile
+    for block in blocks:
+        if held is not None:
+            m = rows - len(held[0])
+            held = [np.concatenate([h, c[:m]]) for h, c in zip(held, block)]
+            block = [c[m:] for c in block]
+            if len(held[0]) < rows:
+                continue
+            yield held
+        cut = len(block[0]) - len(block[0]) % rows
+        for lo in range(0, cut, rows):
+            yield [c[lo:lo + rows] for c in block]
+        held = [c[cut:] for c in block] if cut < len(block[0]) else None
+    if held is not None:
+        yield held

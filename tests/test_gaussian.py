@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -371,6 +372,20 @@ def test_numeric_integral_skips_negligible_lines(monkeypatch, n_modes, points):
     monkeypatch.setattr(gaussian, "_SKIP_BELOW", np.inf)
     assert numeric_wigner_integral(w_list, x, points) == pytest.approx(
         (mass, moment), rel=1e-12)
+
+
+def test_numeric_integral_memory_stays_near_one_plane(gen):
+    # the two-mode pass holds one plane of 81² lines and one tile at a time,
+    # not per-line arrays over all 81³ lines (about 33 MiB)
+    w_list = [random_gaussian_wigner(gen, 2), random_gaussian_wigner(gen, 2)]
+    x = random_linear_quadrature(gen, 2)
+    tracemalloc.start()
+    try:
+        _oracle(w_list, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_numeric_integral_coarse_grid_reference_peak():
