@@ -138,8 +138,8 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     ±_HALF_WIDTH standard deviations per axis; trapezoid quadrature converges
     spectrally for Gaussians, so modest point counts reach ~1e-8.  Grid lines
     whose integrand stays below 2^-90 of the grid's peak are skipped (the
-    error bound is at _SKIP_BELOW); each other point costs one exp, one floor
-    and a share of two matrix products.
+    error bound is at _SKIP_BELOW); each other point costs one exp and a
+    share of two matrix products, and a floor only in a tile that reaches it.
     """
     w_list = list(w_list)
     if not w_list:
@@ -308,7 +308,8 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
             count += k
             lhs[:k, 0], lhs[:k, 1] = slope, base
             t = np.matmul(lhs[:k], outer, out=buf[:k])
-            np.maximum(t, _EXP_FLOOR, out=t)
+            if t[:, ::n - 1].min() < _EXP_FLOOR:  # the exponent is concave along a line
+                np.maximum(t, _EXP_FLOOR, out=t)
             np.exp(t, out=t)
             sums += weight.T @ (t @ wz)
             if on_face.any():

@@ -374,6 +374,42 @@ def test_numeric_integral_skips_negligible_lines(monkeypatch, n_modes, points):
         (mass, moment), rel=1e-12)
 
 
+@pytest.mark.parametrize("n_modes, points, seed, tile_points",
+                         [(1, None, 3, gaussian._TILE_POINTS), (2, 31, 2, 1 << 10)])
+def test_numeric_integral_floors_the_tiles_that_reach_the_floor(monkeypatch, n_modes,
+                                                                points, seed, tile_points):
+    # an effect 10× narrower than the state: some tiles' kept lines fall below
+    # _EXP_FLOOR towards their z ends and some stay above it.  exp never sees
+    # an exponent below the floor, only the tiles that reach it are floored,
+    # and the integrals still match the brute-force grid
+    monkeypatch.setattr(gaussian, "_TILE_POINTS", tile_points)
+    gen = rng(seed)
+    w_list = narrowed([random_gaussian_wigner(gen, n_modes),
+                       random_gaussian_wigner(gen, n_modes)], 10.0)
+    x = random_linear_quadrature(gen, n_modes)
+    floored, exponents, maximum, exp = [], [], np.maximum, np.exp
+
+    def recording_maximum(a, b, *args, **kwargs):
+        if kwargs.get("out") is a and a.ndim == 2:  # a tile of exponents
+            floored.append(float(a.min()))
+        return maximum(a, b, *args, **kwargs)
+
+    def recording_exp(a, *args, **kwargs):
+        if kwargs.get("out") is a and a.ndim == 2:
+            exponents.append(float(a.min()))
+        return exp(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "maximum", recording_maximum)
+    monkeypatch.setattr(np, "exp", recording_exp)
+    got_pair = _oracle(w_list, x, points)
+    monkeypatch.undo()
+    assert 0 < len(floored) < len(exponents)
+    assert max(floored) < gaussian._EXP_FLOOR <= min(exponents)
+    for got, factor in zip(got_pair, (None, x)):
+        total, magnitude = brute_force_integral(w_list, factor, points or 801)
+        assert abs(got - total) <= 1e-12 * magnitude
+
+
 def test_numeric_integral_memory_stays_near_one_plane(gen):
     # the two-mode pass holds one plane of 81² lines and one tile at a time,
     # not per-line arrays over all 81³ lines (about 33 MiB)
