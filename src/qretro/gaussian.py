@@ -91,6 +91,12 @@ class LinearQuadrature:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "offset", float(self.offset))
 
+    def at(self, point: np.ndarray) -> float:
+        """X at a phase-space point; at the product Gaussian's mean, the estimate."""
+        if self.coeffs.size != point.size:
+            raise ValidationError("shape", "quadrature coefficient length != 2n")
+        return float(self.coeffs @ point + self.offset)
+
 
 def gaussian_product(wr: GaussianWigner, we: GaussianWigner) -> GaussianWigner:
     """Pointwise product of two Gaussians, again Gaussian.
@@ -124,9 +130,7 @@ def gaussian_product(wr: GaussianWigner, we: GaussianWigner) -> GaussianWigner:
 def quadrature_estimator(wr: GaussianWigner, we: GaussianWigner,
                          x: LinearQuadrature) -> float:
     """∫ W_E W_ρ X / ∫ W_E W_ρ for linear X: X evaluated at the product mean."""
-    if x.coeffs.size != wr.mean.size:
-        raise ValidationError("shape", "quadrature coefficient length != 2n")
-    return float(x.coeffs @ gaussian_product(wr, we).mean + x.offset)
+    return x.at(gaussian_product(wr, we).mean)
 
 
 def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,

@@ -453,9 +453,8 @@ def _decode_gaussian_scenario(sc):
 def _solve_gaussian(wr, we, x, numeric_check):
     """(product, estimate, the grid oracle's (∫ΠW, ∫ΠW·X) or None)."""
     product = gaussian.gaussian_product(wr, we)
-    estimate = gaussian.quadrature_estimator(wr, we, x)
-    return product, estimate, (gaussian.numeric_wigner_integral([wr, we], x)
-                               if numeric_check else None)
+    return product, x.at(product.mean), (gaussian.numeric_wigner_integral([wr, we], x)
+                                         if numeric_check else None)
 
 
 def _gaussian_results(result):

@@ -175,6 +175,20 @@ def test_gaussian_numeric_check_false_skips_the_oracle():
     assert "numeric_estimate" not in run_scenario(sc)["results"]
 
 
+def test_gaussian_scenario_builds_the_product_once(monkeypatch):
+    calls, product = [], qretro.gaussian.gaussian_product
+
+    def counting_product(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(qretro.gaussian, "gaussian_product", counting_product)
+    sc = gaussian_scenario(VACUUM, VACUUM)
+    sc["numeric_check"] = False
+    run_scenario(sc)
+    assert len(calls) == 1
+
+
 def test_gaussian_scenario_accepts_vacuum():
     # V + iΩ/2 has smallest eigenvalue exactly 0 at the vacuum I/2
     report = run_scenario(gaussian_scenario(VACUUM, VACUUM))

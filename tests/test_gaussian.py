@@ -82,6 +82,8 @@ def test_estimator_constant_observable(gen):
     we = random_gaussian_wigner(gen, 1)
     x = LinearQuadrature(coeffs=np.zeros(2), offset=3.25)
     assert quadrature_estimator(wr, we, x) == 3.25
+    with pytest.raises(ValidationError, match="^shape:"):
+        quadrature_estimator(wr, we, LinearQuadrature(coeffs=np.zeros(4)))
 
 
 def test_estimator_affine_equivariance(gen):
