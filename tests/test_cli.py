@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qretro
-from qretro import estimators
+from qretro import estimators, selftest
 from qretro import operator_core as core
 from qretro.cli import main
 from qretro.operator_core import ValidationError
@@ -256,6 +256,23 @@ def test_cli_parse_error(tmp_path, capsys):
     path.write_text("{not json")
     rc = main(["personick", "--input", str(path), "--quiet"])
     assert rc == 1
+
+
+def test_selftest_tower_check_rejects_a_perturbed_stage_risk(monkeypatch):
+    # the check holds r₂ = r₁ + r_stage to 1e-9; an r_stage taken from a state
+    # 1e-6 away from κ₁(ρ) breaks the identity
+    gen = lambda: qretro.sampling.rng(0)
+    worst, threshold = selftest._check_postcomposition(gen())
+    assert worst <= threshold
+    apply = selftest.apply_channel
+
+    def perturbed(chan, rho):
+        out = apply(chan, rho)
+        return (1 - 1e-6) * out + 1e-6 * np.eye(out.shape[-1]) / out.shape[-1]
+
+    monkeypatch.setattr(selftest, "apply_channel", perturbed)
+    worst, threshold = selftest._check_postcomposition(gen())
+    assert worst > threshold
 
 
 def test_cli_selftest_deterministic(tmp_path):
