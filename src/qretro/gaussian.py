@@ -21,8 +21,10 @@ import numpy as np
 from .operator_core import ValidationError
 
 OVERLAP_FLOOR = 1e-12
-# the oracle reads tiles of whole last-axis grid lines: about _TILE_POINTS
-# points (a tile stays in cache), at least _TILE_ROWS lines (fewer are slower)
+# the oracle reads whole last-axis grid lines, in C order, in tiles of about
+# _TILE_POINTS points (a tile stays in cache) and at least _TILE_ROWS lines
+# (fewer are slower); a tile may span planes of the walk, so the pass holds
+# one plane and one tile at a time
 _TILE_POINTS, _TILE_ROWS = 1 << 15, 8
 _HALF_WIDTH = 8.0  # each grid axis spans ±8 standard deviations of each Gaussian
 # oracle exponents are floored here (e^-700 ≈ 1e-304): exp is ~20× slower below -708
