@@ -118,8 +118,10 @@ def gaussian_product(wr: GaussianWigner, we: GaussianWigner) -> GaussianWigner:
     mean = cov @ (prec_r @ wr.mean + prec_e @ we.mean)
     sigma_sum = wr.covariance + we.covariance
     delta = wr.mean - we.mean
-    overlap = np.exp(-0.5 * delta @ np.linalg.solve(sigma_sum, delta)) / (
-        (2 * np.pi) ** (dim / 2) * np.sqrt(np.linalg.det(sigma_sum))
+    # log det, not det: det overflows for covariances far past the vacuum's
+    log_det = np.linalg.slogdet(sigma_sum)[1]
+    overlap = np.exp(-0.5 * (delta @ np.linalg.solve(sigma_sum, delta) + log_det)) / (
+        (2 * np.pi) ** (dim / 2)
     )
     weight = wr.weight * we.weight * float(overlap)
     if weight <= OVERLAP_FLOOR:
@@ -183,7 +185,7 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
         log_const += (
             np.log(w.weight)
             - 0.5 * w.mean @ p @ w.mean
-            - 0.5 * (dim * np.log(2 * np.pi) + np.log(np.linalg.det(w.covariance)))
+            - 0.5 * (dim * np.log(2 * np.pi) + np.linalg.slogdet(w.covariance)[1])
         )
 
     # lines along the last axis z: on the line through the other axes' point y

@@ -476,6 +476,19 @@ def test_numeric_integral_of_tiny_weights(weight):
     assert mass == moment == pytest.approx(weight, rel=1e-10)
 
 
+@pytest.mark.parametrize("s", [1e200, 1e300, 1e307])
+def test_broad_gaussians_past_the_determinant_range(s):
+    # det(s·I) overflows past s ≈ 1e154, its logarithm does not.  Two unit
+    # one-mode Gaussians of covariance s·I integrate to 1/4πs, and with
+    # weights √s their product weighs 1/4π
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mass, _ = numeric_wigner_integral([unit(cov=s * np.eye(2))] * 2)
+        product = gaussian_product(*[unit(cov=s * np.eye(2), weight=np.sqrt(s))] * 2)
+    assert abs(mass * 4 * np.pi * s - 1) <= 1e-12
+    assert abs(product.weight * 4 * np.pi - 1) <= 1e-12
+
+
 @pytest.mark.parametrize("weight", [1e155, 1e300])
 def test_numeric_integral_beyond_the_float_range_is_an_error(weight):
     # ∫ΠW of two unit Gaussians is weight²/4π, past the largest double
