@@ -27,14 +27,20 @@ OVERLAP_FLOOR = 1e-12
 # one plane and one tile at a time
 _TILE_POINTS, _TILE_ROWS = 1 << 15, 8
 _HALF_WIDTH = 8.0  # each grid axis spans ±8 standard deviations of each Gaussian
+# the default grid's points per axis: the fewest whose spacing keeps the
+# aliasing bound (_alias_bound) at or below _ALIAS_TARGET, and at most
+# _MAX_POINTS[n_modes]; past the cap the oracle warns once the bound exceeds
+# _ALIAS_WARN, the 1e-6 the oracle's checks allow
+_ALIAS_TARGET, _ALIAS_WARN = 2.0 ** -60, 1e-6
+_MAX_POINTS = {1: 801, 2: 81}
 # oracle exponents are floored here (e^-700 ≈ 1e-304): exp is ~20× slower below -708
 _EXP_FLOOR = -700.0
 # the oracle skips a grid line whose largest exponent lies more than τ below
 # the grid's peak G.  A skipped point weighs at most cell·e^(G−τ) (times |X|
 # in ∫ΠW·X), and the peak point alone puts at least 2^−dim·cell·e^G into ∫ΠW,
 # so N skipped points move ∫ΠW by at most N·2^dim·e^−τ of itself, and ∫ΠW·X
-# by that times max|X|·∫ΠW.  τ = 90·ln 2 and N·2^dim < 2^30 on the default
-# grids keep both below 2^−53, with a factor 2^7 to spare for max|X|.
+# by that times max|X|·∫ΠW.  τ = 90·ln 2 and N·2^dim < 2^30 on grids up to
+# _MAX_POINTS keep both below 2^−53, with a factor 2^7 to spare for max|X|.
 _SKIP_BELOW = 90 * np.log(2)
 _E512 = float(np.exp(512.0)), float(np.exp(-512.0))  # the oracle's shift steps
 
@@ -118,16 +124,18 @@ def gaussian_product(wr: GaussianWigner, we: GaussianWigner) -> GaussianWigner:
     mean = cov @ (prec_r @ wr.mean + prec_e @ we.mean)
     sigma_sum = wr.covariance + we.covariance
     delta = wr.mean - we.mean
+    distance = delta @ np.linalg.solve(sigma_sum, delta)
+    # the floor tests how far apart the two lie against their joint width,
+    # e^(−½δᵀ(Σ_ρ+Σ_E)⁻¹δ): neither weight nor the covariances' scale moves it
+    separation = float(np.exp(-0.5 * distance))
+    if separation <= OVERLAP_FLOOR:
+        raise NegligibleOverlap(
+            "overlap", f"overlap factor {separation:.3e} below {OVERLAP_FLOOR:g}"
+        )
     # log det, not det: det overflows for covariances far past the vacuum's
     log_det = np.linalg.slogdet(sigma_sum)[1]
-    overlap = np.exp(-0.5 * (delta @ np.linalg.solve(sigma_sum, delta) + log_det)) / (
-        (2 * np.pi) ** (dim / 2)
-    )
+    overlap = np.exp(-0.5 * (distance + log_det)) / ((2 * np.pi) ** (dim / 2))
     weight = wr.weight * we.weight * float(overlap)
-    if weight <= OVERLAP_FLOOR:
-        raise NegligibleOverlap(
-            "overlap", f"overlap weight {weight:.3e} below {OVERLAP_FLOOR:g}"
-        )
     return GaussianWigner(mean=mean, covariance=cov, weight=weight)
 
 
@@ -143,11 +151,17 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
 
     X ≡ 1 without a quadrature, and then the two entries are the same float.
     Supported for 1–2 modes.  The grid spans the union of each Gaussian's
-    ±_HALF_WIDTH standard deviations per axis; trapezoid quadrature converges
-    spectrally for Gaussians, so modest point counts reach ~1e-8.  Grid lines
-    whose integrand stays below 2^-90 of the grid's peak are skipped (the
-    error bound is at _SKIP_BELOW); each other point costs one exp and a
-    share of two matrix products, and a floor only in a tile that reaches it.
+    ±_HALF_WIDTH standard deviations per axis.  By Poisson summation a
+    lattice of spacing h integrates a Gaussian whose covariance's smallest
+    eigenvalue is λ to within 2·dim·exp(−½(2π/h)²λ) of the integral.  Without
+    `points_per_axis`, the grid takes the fewest points per axis whose spacing
+    along the widest axis keeps that bound, for the product's λ, at or below
+    2^-60, at least 2 and at most 801 (one mode) or 81 (two modes).  A grid
+    whose bound exceeds 1e-6, a capped or an explicit one, warns with a
+    message that starts "grid spacing".  Grid lines whose integrand stays
+    below 2^-90 of the grid's peak are skipped (the error bound is at
+    _SKIP_BELOW); each other point costs one exp and a share of two matrix
+    products, and a floor only in a tile that reaches it.
     """
     w_list = list(w_list)
     if not w_list:
@@ -160,19 +174,9 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     dim = 2 * n_modes
     if x is not None and x.coeffs.size != dim:
         raise ValidationError("shape", "quadrature coefficient length != 2n")
-    n = points_per_axis or (801 if n_modes == 1 else 81)
-    if n < 2:
+    n = points_per_axis
+    if n is not None and n < 2:
         raise ValidationError("grid", f"need at least 2 points per axis, got {n}")
-
-    axes, axis_w = [], []
-    for i in range(dim):
-        half = [_HALF_WIDTH * np.sqrt(w.covariance[i, i]) for w in w_list]
-        grid = np.linspace(min(w.mean[i] - h for w, h in zip(w_list, half)),
-                           max(w.mean[i] + h for w, h in zip(w_list, half)), n)
-        wvec = np.full(n, grid[1] - grid[0])  # trapezoid weights
-        wvec[[0, -1]] /= 2
-        axes.append(grid)
-        axis_w.append(wvec)
 
     # fold the Gaussian factors into one quadratic form
     prec = np.zeros((dim, dim))
@@ -188,12 +192,33 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
             - 0.5 * (dim * np.log(2 * np.pi) + np.linalg.slogdet(w.covariance)[1])
         )
 
+    box = []
+    for i in range(dim):
+        half = [_HALF_WIDTH * np.sqrt(w.covariance[i, i]) for w in w_list]
+        box.append((min(w.mean[i] - h for w, h in zip(w_list, half)),
+                    max(w.mean[i] + h for w, h in zip(w_list, half))))
+    widest = max(hi - lo for lo, hi in box)
+    # the product's narrowest variance: the smallest eigenvalue of its covariance
+    least_var = 1.0 / float(np.linalg.eigvalsh(prec)[-1])
+    if n is None:  # `fits` is inf or NaN only past the float range: n is then the cap
+        cap, fits = _MAX_POINTS[n_modes], widest / _alias_spacing(least_var, dim)
+        n = cap if not fits <= cap - 1 else max(2, int(np.ceil(fits)) + 1)
+    aliasing = _alias_bound(widest / (n - 1), least_var, dim)
+
+    axes, axis_w = [], []
+    for lo, hi in box:
+        grid = np.linspace(lo, hi, n)
+        wvec = np.full(n, grid[1] - grid[0])  # trapezoid weights
+        wvec[[0, -1]] /= 2
+        axes.append(grid)
+        axis_w.append(wvec)
+
     # lines along the last axis z: on the line through the other axes' point y
     # the exponent is [slope(y), base(y), 1]·[z, 1, −½P_zz·z²] and X is
     # c_z·z + aff(y) (X ≡ 1 without a quadrature).  The y terms, weights and
     # faces are outer sums, from the last y axis back to keep them small.  A
-    # plane is the lines of the last n_modes y axes (81² lines for two modes,
-    # all 801 one-mode lines): their sums are tabled once, and each pass walks
+    # plane is the lines of the last n_modes y axes (n² lines for two modes,
+    # all n one-mode lines): their sums are tabled once, and each pass walks
     # the planes, adding a plane's outer y terms to the tables in that order.
     last, split = dim - 1, n_modes - 1  # the y axes before `split` index the planes
     ys = [a.reshape((n,) + (1,) * (last - 1 - k)) for k, a in enumerate(axes[:last])]
@@ -340,15 +365,33 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
         raise ValidationError(
             "range", f"the grid integrals exceed the float range (largest double "
             f"{np.finfo(float).max:.3e}): ln ∫ΠW ≈ {np.log(mass) + shift:.1f}")
+    problems = []
+    if aliasing > _ALIAS_WARN:
+        problems.append(
+            f"grid spacing {widest / (n - 1):.3e} leaves an aliasing error bound "
+            f"{aliasing:.3e} relative to the integrals, above {_ALIAS_WARN:g}: the "
+            f"product's narrowest standard deviation is {np.sqrt(least_var):.3e}")
     # an integral that underflows to 0.0 has no relative error to report
     if integrals[0] and (edge * cell > 1e-9 * scale).any():
         errors = [_unshift(float(e * cell), steps) for e in edge]
-        warnings.warn(
+        problems.append(
             f"grid truncation error estimates {errors[0]:.3e}, {errors[1]:.3e} are large "
-            f"relative to the integrals {integrals[1]:.3e}, {integrals[0]:.3e} of ΠW·X, ΠW",
-            stacklevel=2,
-        )
+            f"relative to the integrals {integrals[1]:.3e}, {integrals[0]:.3e} of ΠW·X, ΠW")
+    if problems:
+        warnings.warn("; ".join(problems), stacklevel=2)
     return integrals
+
+
+def _alias_bound(h: float, variance: float, dim: int) -> float:
+    """The trapezoid lattice of spacing h integrates a dim-dimensional Gaussian
+    whose covariance's smallest eigenvalue is `variance` to within this much of
+    the integral, by Poisson summation: the nearest aliases sit 2π/h out."""
+    return 2 * dim * float(np.exp(-2 * (np.pi * np.sqrt(variance) / h) ** 2))
+
+
+def _alias_spacing(variance: float, dim: int) -> float:
+    """The largest spacing h with _alias_bound(h, variance, dim) ≤ _ALIAS_TARGET."""
+    return 2 * np.pi * np.sqrt(variance / (2 * np.log(2 * dim / _ALIAS_TARGET)))
 
 
 def _unshift(v: float, steps: int) -> float:

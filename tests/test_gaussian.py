@@ -119,6 +119,19 @@ def test_estimator_negligible_overlap():
         quadrature_estimator(wr, we, LinearQuadrature(coeffs=np.array([1.0, 0.0])))
 
 
+@pytest.mark.parametrize("weight", [1.0, 1e-9, 1e-11, 1e-12])
+def test_overlap_floor_ignores_the_effect_weight(weight):
+    # a vacuum effect displaced by 0.3 from the vacuum state: the effect's
+    # weight cancels in the estimate and scales the product's weight, and
+    # the overlap floor tests neither
+    x = LinearQuadrature(coeffs=np.array([1.0, 0.0]))
+    vacuum = unit(cov=np.eye(2) / 2)
+    effect = unit(mean=(0.3, 0.0), cov=np.eye(2) / 2, weight=weight)
+    assert quadrature_estimator(vacuum, effect, x) == pytest.approx(0.15, abs=1e-15)
+    assert gaussian_product(vacuum, effect).weight == pytest.approx(
+        weight * np.exp(-0.045) / (2 * np.pi), rel=1e-14)
+
+
 def test_numeric_integral_normalization():
     assert numeric_wigner_integral([unit()])[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -255,6 +268,21 @@ def _oracle(*args, **kwargs):
         return numeric_wigner_integral(*args, **kwargs)
 
 
+@contextlib.contextmanager
+def points_read():
+    """The grid points the oracle reads, one entry per exponent product: a
+    tile's product has one entry per point."""
+    read, matmul = [], np.matmul
+
+    def counting_matmul(a, b, out=None):
+        read.append(a.shape[0] * b.shape[1])
+        return matmul(a, b, out=out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "matmul", counting_matmul)
+        yield read
+
+
 def narrowed(w_list, shrink):
     """The state and its effects, the effects' covariances divided by `shrink`.
 
@@ -302,13 +330,14 @@ def test_numeric_integral_uneven_tiles(monkeypatch, gen, tile_points, tile_rows,
 
 
 def test_numeric_integral_default_tiles_uneven(gen):
-    # the default one-mode grid, 801 rows of 801 points, fills the default
+    # the largest one-mode grid, 801 rows of 801 points, fills the default
     # tiles of whole rows unevenly
     assert 801 % (gaussian._TILE_POINTS // 801) and gaussian._TILE_POINTS // 801 > 1
     wr = random_gaussian_wigner(gen, 1)
     x = random_linear_quadrature(gen, 1)
     total, magnitude = brute_force_integral([wr], x, 801)
-    assert abs(numeric_wigner_integral([wr], x)[1] - total) <= 1e-12 * magnitude
+    got = numeric_wigner_integral([wr], x, points_per_axis=801)[1]
+    assert abs(got - total) <= 1e-12 * magnitude
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -352,7 +381,7 @@ def test_truncation_warning_matches_brute_force_faces(seed, n_modes, count, poin
     assert any("truncation" in str(w.message) for w in caught) == any(trips)
 
 
-@pytest.mark.parametrize("n_modes, points", [(1, None), (2, 41)])
+@pytest.mark.parametrize("n_modes, points", [(1, 801), (2, 41)])
 def test_numeric_integral_skips_negligible_lines(monkeypatch, n_modes, points):
     # a product narrower than the grid: the entries of the exponent products
     # count the points read, fewer than half of the grid's, and reading them
@@ -361,23 +390,15 @@ def test_numeric_integral_skips_negligible_lines(monkeypatch, n_modes, points):
     w_list = narrowed([random_gaussian_wigner(gen, n_modes),
                        random_gaussian_wigner(gen, n_modes)], 30.0)
     x = random_linear_quadrature(gen, n_modes)
-    read, matmul = [], np.matmul
-
-    def counting_matmul(a, b, out=None):
-        read.append(a.shape[0] * b.shape[1])
-        return matmul(a, b, out=out)
-
-    monkeypatch.setattr(np, "matmul", counting_matmul)
-    mass, moment = numeric_wigner_integral(w_list, x, points)
-    monkeypatch.undo()
-    assert 0 < sum(read) < (points or 801) ** (2 * n_modes) / 2
+    with points_read() as read:
+        mass, moment = _oracle(w_list, x, points)
+    assert 0 < sum(read) < points ** (2 * n_modes) / 2
     monkeypatch.setattr(gaussian, "_SKIP_BELOW", np.inf)
-    assert numeric_wigner_integral(w_list, x, points) == pytest.approx(
-        (mass, moment), rel=1e-12)
+    assert _oracle(w_list, x, points) == pytest.approx((mass, moment), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_modes, points, seed, tile_points",
-                         [(1, None, 3, gaussian._TILE_POINTS), (2, 31, 2, 1 << 10)])
+                         [(1, 801, 3, gaussian._TILE_POINTS), (2, 31, 2, 1 << 10)])
 def test_numeric_integral_floors_the_tiles_that_reach_the_floor(monkeypatch, n_modes,
                                                                 points, seed, tile_points):
     # an effect 10× narrower than the state: some tiles' kept lines fall below
@@ -408,8 +429,69 @@ def test_numeric_integral_floors_the_tiles_that_reach_the_floor(monkeypatch, n_m
     assert 0 < len(floored) < len(exponents)
     assert max(floored) < gaussian._EXP_FLOOR <= min(exponents)
     for got, factor in zip(got_pair, (None, x)):
-        total, magnitude = brute_force_integral(w_list, factor, points or 801)
+        total, magnitude = brute_force_integral(w_list, factor, points)
         assert abs(got - total) <= 1e-12 * magnitude
+
+
+def physical_pair(gen, squeeze, thermal):
+    """A two-mode state and effect with V = O·Z·diag(ν, ν)·Z·Oᵀ/2: Z squeezes
+    by e^(∓r), O is a passive interferometer and ν ≥ 1, so V + iΩ/2 ≥ 0."""
+    def covariance():
+        q, _ = np.linalg.qr(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)))
+        o = np.block([[q.real, -q.imag], [q.imag, q.real]])
+        r, nu = gen.uniform(0, squeeze, 2), gen.uniform(1, thermal, 2)
+        return o @ np.diag(np.tile(nu, 2) * np.exp(np.concatenate([-2 * r, 2 * r]))) @ o.T / 2
+    return [GaussianWigner(mean=gen.uniform(-1, 1, 4), covariance=covariance(),
+                           weight=weight) for weight in (1.0, gen.uniform(0.5, 2.0))]
+
+
+def test_default_grid_is_sized_from_the_product(gen):
+    # a physical two-mode pair is resolved to 2^-60 by fewer points per axis
+    # than the 81-point cap, and the estimate still matches the closed form
+    w_list = physical_pair(gen, 0.3, 1.2)
+    x = random_linear_quadrature(gen, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with points_read() as default_read:
+            mass, moment = numeric_wigner_integral(w_list, x)
+        with points_read() as capped_read:
+            numeric_wigner_integral(w_list, x, points_per_axis=81)
+    assert 0 < sum(default_read) < sum(capped_read)
+    assert moment / mass == pytest.approx(quadrature_estimator(*w_list, x), abs=1e-12)
+
+
+def test_default_grid_stays_at_the_cap_for_a_narrow_product(gen):
+    # an effect 30× narrower than the state needs more than 81 points per
+    # axis: the default grid is the 81-point one, to the last bit
+    w_list = narrowed(physical_pair(gen, 0.3, 1.2), 30.0)
+    x = random_linear_quadrature(gen, 2)
+    assert _oracle(w_list, x) == _oracle(w_list, x, 81)
+
+
+def test_grid_spacing_warning_flags_unresolved_products():
+    # two-mode draws as in acceptance criterion 6: the default grid resolves
+    # them, and warns for none.  With the effect 10× or 30× narrower a grid
+    # within the 81-point cap either meets the spacing bound, and then
+    # matches the closed form, or warns; every 30× narrower product needs
+    # more than 81 points per axis
+    gen = rng(606)
+    for _ in range(10):
+        w_list = [random_gaussian_wigner(gen, 2),
+                  random_gaussian_wigner(gen, 2, weight=float(gen.uniform(0.3, 2.0)))]
+        x = random_linear_quadrature(gen, 2)
+        for shrink in (1.0, 10.0, 30.0):
+            pair = narrowed(w_list, shrink)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                mass, moment = numeric_wigner_integral(pair, x)
+            messages = [str(w.message) for w in caught]
+            if shrink == 1.0 or not messages:
+                assert not messages and shrink < 30.0
+                assert moment / mass == pytest.approx(quadrature_estimator(*pair, x),
+                                                      abs=1e-12)
+            else:
+                assert len(messages) == 1 and messages[0].startswith("grid spacing")
+                assert "truncation" not in messages[0]
 
 
 def test_numeric_integral_memory_stays_near_one_plane(gen):
