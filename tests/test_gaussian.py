@@ -501,7 +501,7 @@ def test_numeric_integral_memory_stays_near_one_plane(gen):
     x = random_linear_quadrature(gen, 2)
     tracemalloc.start()
     try:
-        _oracle(w_list, x)
+        _oracle(w_list, x, points_per_axis=81)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
