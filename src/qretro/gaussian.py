@@ -13,6 +13,7 @@ carry arbitrary positive weight and the weights cancel in the estimator.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -112,9 +113,24 @@ def gaussian_product(wr: GaussianWigner, we: GaussianWigner) -> GaussianWigner:
     The returned weight is the full integral of the product, i.e. the
     denominator ∫ W_E W_ρ of the estimator.
     """
+    mean, cov, distance, sigma_sum = _product_moments(wr, we)
+    # log det, not det: det overflows for covariances far past the vacuum's
+    log_det = np.linalg.slogdet(sigma_sum)[1]
+    overlap = np.exp(-0.5 * (distance + log_det)) / ((2 * np.pi) ** (mean.size / 2))
+    weight = wr.weight * we.weight * float(overlap)
+    return GaussianWigner(mean=mean, covariance=cov, weight=weight)
+
+
+def quadrature_estimator(wr: GaussianWigner, we: GaussianWigner,
+                         x: LinearQuadrature) -> float:
+    """∫ W_E W_ρ X / ∫ W_E W_ρ for linear X: X at the product mean (its weight unformed)."""
+    return x.at(_product_moments(wr, we)[0])
+
+
+def _product_moments(wr: GaussianWigner, we: GaussianWigner):
+    """The product's mean and covariance, δᵀ(Σ_ρ+Σ_E)⁻¹δ and Σ_ρ+Σ_E."""
     if wr.n_modes != we.n_modes:
         raise ValidationError("shape", "mode counts differ")
-    dim = wr.mean.size
     try:
         prec_r = np.linalg.inv(wr.covariance)
         prec_e = np.linalg.inv(we.covariance)
@@ -132,17 +148,7 @@ def gaussian_product(wr: GaussianWigner, we: GaussianWigner) -> GaussianWigner:
         raise NegligibleOverlap(
             "overlap", f"overlap factor {separation:.3e} below {OVERLAP_FLOOR:g}"
         )
-    # log det, not det: det overflows for covariances far past the vacuum's
-    log_det = np.linalg.slogdet(sigma_sum)[1]
-    overlap = np.exp(-0.5 * (distance + log_det)) / ((2 * np.pi) ** (dim / 2))
-    weight = wr.weight * we.weight * float(overlap)
-    return GaussianWigner(mean=mean, covariance=cov, weight=weight)
-
-
-def quadrature_estimator(wr: GaussianWigner, we: GaussianWigner,
-                         x: LinearQuadrature) -> float:
-    """∫ W_E W_ρ X / ∫ W_E W_ρ for linear X: X evaluated at the product mean."""
-    return x.at(gaussian_product(wr, we).mean)
+    return mean, cov, distance, sigma_sum
 
 
 def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
@@ -158,10 +164,13 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     along the widest axis keeps that bound, for the product's λ, at or below
     2^-60, at least 2 and at most 801 (one mode) or 81 (two modes).  A grid
     whose bound exceeds 1e-6, a capped or an explicit one, warns with a
-    message that starts "grid spacing".  Grid lines whose integrand stays
-    below 2^-90 of the grid's peak are skipped (the error bound is at
-    _SKIP_BELOW); each other point costs one exp and a share of two matrix
-    products, and a floor only in a tile that reaches it.
+    message that starts "grid spacing".  The box's faces cut off the
+    product's tails; a closed-form bound on them (_truncation_bound) above
+    1e-9 of either integral warns "grid truncation".  The spacing and that
+    bound read the product's moments from the folded exponent (prec, lin);
+    the integrals do not, so the oracle stays an independent check of the
+    closed form.  Grid lines whose integrand stays below 2^-90 of the grid's
+    peak are skipped (the error bound is at _SKIP_BELOW).
     """
     w_list = list(w_list)
     if not w_list:
@@ -192,11 +201,9 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
             - 0.5 * (dim * np.log(2 * np.pi) + np.linalg.slogdet(w.covariance)[1])
         )
 
-    box = []
-    for i in range(dim):
-        half = [_HALF_WIDTH * np.sqrt(w.covariance[i, i]) for w in w_list]
-        box.append((min(w.mean[i] - h for w, h in zip(w_list, half)),
-                    max(w.mean[i] + h for w, h in zip(w_list, half))))
+    means = np.array([w.mean for w in w_list])
+    half = _HALF_WIDTH * np.sqrt([np.diag(w.covariance) for w in w_list])
+    box = list(zip((means - half).min(axis=0), (means + half).max(axis=0)))
     widest = max(hi - lo for lo, hi in box)
     # the product's narrowest variance: the smallest eigenvalue of its covariance
     least_var = 1.0 / float(np.linalg.eigvalsh(prec)[-1])
@@ -205,65 +212,48 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
         n = cap if not fits <= cap - 1 else max(2, int(np.ceil(fits)) + 1)
     aliasing = _alias_bound(widest / (n - 1), least_var, dim)
 
-    axes, axis_w = [], []
-    for lo, hi in box:
-        grid = np.linspace(lo, hi, n)
-        wvec = np.full(n, grid[1] - grid[0])  # trapezoid weights
-        wvec[[0, -1]] /= 2
-        axes.append(grid)
-        axis_w.append(wvec)
+    axes = [np.linspace(lo, hi, n) for lo, hi in box]
+    axis_w = [(a[1] - a[0]) * np.r_[0.5, np.ones(n - 2), 0.5] for a in axes]  # trapezoid
 
     # lines along the last axis z: on the line through the other axes' point y
     # the exponent is [slope(y), base(y), 1]·[z, 1, −½P_zz·z²] and X is
-    # c_z·z + aff(y) (X ≡ 1 without a quadrature).  The y terms, weights and
-    # faces are outer sums, from the last y axis back to keep them small.  A
-    # plane is the lines of the last n_modes y axes (n² lines for two modes,
-    # all n one-mode lines): their sums are tabled once, and each pass walks
-    # the planes, adding a plane's outer y terms to the tables in that order.
+    # c_z·z + aff(y) (X ≡ 1 without a quadrature).  The y terms and weights
+    # are outer sums, from the last y axis back to keep them small.  A plane
+    # is the lines of the last n_modes y axes (n² lines for two modes, all n
+    # one-mode lines): their sums are tabled once, and each pass walks the
+    # planes, adding a plane's outer y terms to the tables in that order.
     last, split = dim - 1, n_modes - 1  # the y axes before `split` index the planes
     ys = [a.reshape((n,) + (1,) * (last - 1 - k)) for k, a in enumerate(axes[:last])]
     ws = [w.reshape(y.shape) for w, y in zip(axis_w, ys)]
-    faces = [(np.arange(n) % (n - 1) == 0).reshape(y.shape) for y in ys]
     coeffs, aff = (np.zeros(dim), 1.0) if x is None else (x.coeffs, x.offset)
     z, curv, c_z = axes[last], prec[last, last], coeffs[last]
     outer = np.stack([z, np.ones(n), -0.5 * curv * z * z])
 
-    def exponent(slope, base, ks, y):
+    def line_terms(slope, base, aff, weight, ks, y, w):
         for k in ks:
             base = base + ((lin[k] - 0.5 * prec[k, k] * y[k]) * y[k]
                            - sum(prec[k, j] * y[k] * y[j] for j in range(k + 1, last)))
             slope = slope - prec[k, last] * y[k]
-        return slope, base
-
-    def line_terms(aff, weight, on_face, ks, y, w, face):
-        for k in ks:
             aff = aff + coeffs[k] * y[k]
             weight = weight * w[k]
-            on_face = on_face | face[k]
-        return aff, weight, on_face
+        return slope, base, aff, weight
 
     inner, outer_ks = range(last - 1, split - 1, -1), range(split - 1, -1, -1)
-    slope_t, base_t = exponent(lin[last], log_const, inner, ys)
-    line_t = [np.ravel(t) for t in line_terms(aff, 1.0, False, inner, ys, ws, faces)]
+    table = line_terms(lin[last], log_const, aff, 1.0, inner, ys, ws)
     planes = list(np.ndindex((n,) * split))
 
     def plane(point):
-        """The largest exponent on each line of the plane, top, the lines'
-        slope and base in C order, and lines(i), the aff, weight and face of
-        the lines i.
+        """The largest exponent on each line of the plane, top, and the lines'
+        slope, base, aff and weight, in C order.
 
         Along a line the exponent is a concave quadratic, so its largest value
         on [z₀, z_{n−1}] sits at the clamped vertex."""
         y = [axes[k][i] for k, i in enumerate(point)] + ys[split:]
-        slope, base = map(np.ravel, exponent(slope_t, base_t, outer_ks, y))
+        w = [axis_w[k][i] for k, i in enumerate(point)] + ws[split:]
+        slope, base, aff, weight = map(np.ravel, line_terms(*table, outer_ks, y, w))
         vertex = np.clip(slope / curv, z[0], z[-1])
         top = base + (slope - 0.5 * curv * vertex) * vertex
-
-        def lines(i):
-            return line_terms(*(t[i] for t in line_t), outer_ks, y,
-                              [axis_w[k][j] for k, j in enumerate(point)],
-                              [j % (n - 1) == 0 for j in point])
-        return top, slope, base, lines
+        return top, slope, base, aff, weight
 
     # the reference g_ref is the largest grid value on the line of the largest
     # top (the first in C order, or the first NaN), a value the grid attains:
@@ -273,7 +263,7 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     # weights stay unshifted.
     plane_top, best = np.empty(len(planes)), None
     for p, point in enumerate(planes):
-        top, slope, base, _ = plane(point)
+        top, slope, base, _, _ = plane(point)
         j = int(np.argmax(top))
         if best is None or (best[0] == best[0] and not top[j] <= best[0]):
             best = top[j], slope[j], base[j]
@@ -283,82 +273,32 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
         raise ValidationError("range", f"the integrand's peak exponent is {g_ref}")
     steps = int(np.trunc(g_ref / 512))
     shift = 512.0 * steps
-    plane_top = np.maximum(plane_top - shift, _EXP_FLOOR)  # floored like the grid
-    keep = g_ref - shift - _SKIP_BELOW
-
-    def columns(slope, base, lines, i):
-        """The lines i as tile columns: slope, base less shift, [weight·aff,
-        weight], aff and face."""
-        aff, weight, on_face = lines(i)
-        wts = np.empty((i.size, 2))
-        wts[:, 1] = weight
-        np.multiply(weight, aff, out=wts[:, 0])
-        return slope[i], base[i] - shift, wts, aff, on_face
+    keep = g_ref - shift - _SKIP_BELOW  # above _EXP_FLOOR: the floor moves no line across
 
     def kept_lines():
-        for p in np.flatnonzero(plane_top >= keep):
-            top, *terms = plane(planes[p])
-            yield columns(*terms, np.flatnonzero(np.maximum(top - shift, _EXP_FLOOR) >= keep))
+        for p in np.flatnonzero(plane_top - shift >= keep):
+            top, slope, base, aff, weight = plane(planes[p])
+            i = np.flatnonzero(top - shift >= keep)
+            yield slope[i], base[i] - shift, np.stack([weight[i] * aff[i], weight[i]], 1)
 
-    def near_lines(bound, read_above, z_edge):
-        """The face lines above `bound` not read yet; the largest z-end face
-        values of all lines above it go into z_edge."""
-        for p in np.flatnonzero(plane_top > bound):
-            top, *terms = plane(planes[p])
-            top = np.maximum(top - shift, _EXP_FLOOR)
-            near = np.flatnonzero(top > bound)
-            cols = slope, base, _, aff, on_face = columns(*terms, near)
-            for zj in z[::n - 1]:
-                e = np.exp(np.maximum(base + (slope - 0.5 * curv * zj) * zj, _EXP_FLOOR))
-                np.maximum(z_edge, [(e * np.abs(aff + c_z * zj)).max(initial=0.0),
-                                    e.max(initial=0.0)], out=z_edge)
-            top = top[near]
-            read = on_face & (top < keep) & (top <= read_above)
-            yield [c[read] for c in cols]
-
-    # the kept lines in tiles: one matrix product gives the exponent, a second
-    # each line's sums of w_z·e^G and w_z·z·e^G, and the line weights
-    # [weight·aff, weight] turn those into ∫ΠW·X (with c_z) and ∫ΠW.  Face
-    # values (the truncation estimates' |integrand·X|, |integrand|) are at
-    # most e^top·x_max and e^top on a line: lines whose bound could trip the
-    # test (with e to spare) are read exactly, skipped ones on a face in full.
+    # the kept lines in tiles of columns slope, base less shift and the line
+    # weights [weight·aff, weight]: one matrix product gives the exponent, a
+    # second each line's sums of w_z·e^G and w_z·z·e^G, and the line weights
+    # turn those into ∫ΠW·X (with c_z) and ∫ΠW
     rows = max(_TILE_ROWS, _TILE_POINTS // n)
     lhs, buf = np.ones((rows, 3)), np.empty((rows, n))
     wz = np.stack([axis_w[last], axis_w[last] * z], axis=1)
-    sums, edge = np.zeros((2, 2)), np.zeros(2)
-    cell = float(np.prod([a[1] - a[0] for a in axes]))
-    # rounding is monotone, so aff's extremes over the grid are the tables'
-    # extremes plus each plane's terms
-    aff_range = line_terms(np.array([line_t[0].min(), line_t[0].max()]), 1.0, False,
-                           outer_ks, ys, ws, faces)[0]
-    x_max = max(aff_range.max(), -aff_range.min()) + abs(c_z) * max(-z[0], z[-1])
-    least = _unshift(max(w.weight for w in w_list), -steps) * 1e-30  # scale's floor, shifted
-    todo, bound, read_above, z_edge = kept_lines(), None, np.inf, np.zeros(2)
-    while True:
-        count = 0
-        for slope, base, weight, aff, on_face in _tiles(todo, rows):
-            k = slope.size
-            count += k
-            lhs[:k, 0], lhs[:k, 1] = slope, base
-            t = np.matmul(lhs[:k], outer, out=buf[:k])
-            if t[:, ::n - 1].min() < _EXP_FLOOR:  # the exponent is concave along a line
-                np.maximum(t, _EXP_FLOOR, out=t)
-            np.exp(t, out=t)
-            sums += weight.T @ (t @ wz)
-            if on_face.any():
-                edge = np.maximum(edge, [(t[on_face] * np.abs(aff[on_face, None] + c_z * z)).max(),
-                                         t[on_face].max()])
-        if bound is not None:
-            if not count:
-                break  # z_edge holds the faces of the lines above the last bound
-            read_above = min(read_above, bound)
-        mass = float(sums[1, 0])
-        moment = mass if x is None else float(sums[0, 0] + c_z * sums[1, 1])
-        scale = np.maximum(np.abs([moment, mass]), least)
-        bound = np.log(1e-9 * scale / [x_max or 1.0, 1.0]).min() - np.log(cell) - 1
-        z_edge = np.zeros(2)
-        todo = near_lines(bound, read_above, z_edge)
-    edge = np.maximum(edge, z_edge)
+    sums = np.zeros((2, 2))
+    for slope, base, weight in _tiles(kept_lines(), rows):
+        k = slope.size
+        lhs[:k, 0], lhs[:k, 1] = slope, base
+        t = np.matmul(lhs[:k], outer, out=buf[:k])
+        if t[:, ::n - 1].min() < _EXP_FLOOR:  # the exponent is concave along a line
+            np.maximum(t, _EXP_FLOOR, out=t)
+        np.exp(t, out=t)
+        sums += weight.T @ (t @ wz)
+    mass = float(sums[1, 0])
+    moment = mass if x is None else float(sums[0, 0] + c_z * sums[1, 1])
 
     integrals = _unshift(mass, steps), _unshift(moment, steps)
     if np.isinf(integrals).any():
@@ -371,15 +311,51 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
             f"grid spacing {widest / (n - 1):.3e} leaves an aliasing error bound "
             f"{aliasing:.3e} relative to the integrals, above {_ALIAS_WARN:g}: the "
             f"product's narrowest standard deviation is {np.sqrt(least_var):.3e}")
-    # an integral that underflows to 0.0 has no relative error to report
-    if integrals[0] and (edge * cell > 1e-9 * scale).any():
-        errors = [_unshift(float(e * cell), steps) for e in edge]
-        problems.append(
-            f"grid truncation error estimates {errors[0]:.3e}, {errors[1]:.3e} are large "
-            f"relative to the integrals {integrals[1]:.3e}, {integrals[0]:.3e} of ΠW·X, ΠW")
+    # an integral that underflows to 0.0 has no relative error to report.  The
+    # grid leaves out the lattice beyond each face and half of it on the face:
+    # at most the tails from half a step (an end weight) inside the face
+    if integrals[0]:
+        least = _unshift(max(w.weight for w in w_list), -steps) * 1e-30  # shifted
+        inside = [(a[0] + w[0], a[-1] - w[0]) for a, w in zip(axes, axis_w)]
+        errors = _truncation_bound(prec, lin, log_const - shift, inside, coeffs, aff)
+        if (errors > 1e-9 * np.maximum(np.abs([moment, mass]), least)).any():
+            errors = [_unshift(float(e), steps) for e in errors]
+            problems.append(
+                f"grid truncation error bounds {errors[0]:.3e}, {errors[1]:.3e} exceed 1e-9 "
+                f"of the integrals {integrals[1]:.3e}, {integrals[0]:.3e} of ΠW·X, ΠW")
     if problems:
         warnings.warn("; ".join(problems), stacklevel=2)
     return integrals
+
+
+def _truncation_bound(prec, lin, log_const, box, coeffs, offset) -> np.ndarray:
+    """Bounds on ∫|ΠW·X| and ∫ΠW beyond the faces of the box, summed over
+    them, for ΠW = e^(log_const + lin·x − ½xᵀ·prec·x) and X = coeffs·x + offset.
+
+    ΠW is its integral e^(log_const + ½lin·m)·√det(2πS) times the density of
+    N(m, S), S = prec⁻¹ and m = S·lin.  Along axis i, X − E X = b·(x_i − m_i)
+    + ε with b = (S c)_i / S_ii and ε independent of x_i, so beyond a face
+    α ≥ 0 standard deviations out, where the mass is P, E[|X|] ≤
+    (|E X| + √Var ε)·P + |b|·√S_ii·φ(α).  Past α ≥ 1 both tails decrease, so
+    a lattice's sums beyond a face are at most their integrals from half a
+    step inside it; a nearer face warns on its mass alone."""
+    cov = np.linalg.inv(prec)
+    mean = cov @ lin
+    log_total = log_const + 0.5 * (lin @ mean + mean.size * np.log(2 * np.pi)
+                                   - np.linalg.slogdet(prec)[1])
+    ex, sc = coeffs @ mean + offset, cov @ coeffs
+    var = coeffs @ sc
+    moment = mass = 0.0
+    for i, (lo, hi) in enumerate(box):
+        sd, b = math.sqrt(cov[i, i]), sc[i] / cov[i, i]
+        spread = abs(ex) + math.sqrt(max(var - b * sc[i], 0.0))
+        for a in ((hi - mean[i]) / sd, (mean[i] - lo) / sd):
+            p = 0.5 * math.erfc(a / math.sqrt(2))
+            phi = math.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
+            mass += p
+            moment += spread * p + abs(b) * sd * phi
+    with np.errstate(over="ignore", invalid="ignore"):  # inf only past the float range
+        return np.exp(log_total) * np.array([moment, mass])
 
 
 def _alias_bound(h: float, variance: float, dim: int) -> float:
@@ -406,18 +382,12 @@ def _unshift(v: float, steps: int) -> float:
 def _tiles(blocks, rows: int):
     """The lines of a stream of column blocks, in order, in tiles of `rows`
     lines (the last one shorter): a tile may span blocks."""
-    held = None  # the lines of an unfinished tile
+    held = []  # the columns of an unfinished tile
     for block in blocks:
-        if held is not None:
-            m = rows - len(held[0])
-            held = [np.concatenate([h, c[:m]]) for h, c in zip(held, block)]
-            block = [c[m:] for c in block]
-            if len(held[0]) < rows:
-                continue
-            yield held
+        block = [np.concatenate([h, c]) for h, c in zip(held, block)] if held else block
         cut = len(block[0]) - len(block[0]) % rows
         for lo in range(0, cut, rows):
             yield [c[lo:lo + rows] for c in block]
-        held = [c[cut:] for c in block] if cut < len(block[0]) else None
-    if held is not None:
+        held = [c[cut:] for c in block]
+    if held and len(held[0]):
         yield held
