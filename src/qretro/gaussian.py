@@ -24,15 +24,15 @@ from .operator_core import ValidationError
 OVERLAP_FLOOR = 1e-12
 # the oracle reads whole last-axis grid lines, in C order, in tiles of about
 # _TILE_POINTS points (a tile stays in cache) and at least _TILE_ROWS lines
-# (fewer are slower); a tile may span planes of the walk, so the pass holds
-# one plane and one tile at a time
+# (fewer are slower); a tile lies within one plane of the walk, so the pass
+# holds one plane and one tile at a time
 _TILE_POINTS, _TILE_ROWS = 1 << 15, 8
 _HALF_WIDTH = 8.0  # each grid axis spans ±8 standard deviations of each Gaussian
 # the default grid's points per axis: the fewest whose spacing keeps the
 # aliasing bound (_alias_bound) at or below _ALIAS_TARGET, and at most
-# _MAX_POINTS[n_modes]; past the cap the oracle warns once the bound exceeds
-# _ALIAS_WARN, the 1e-6 the oracle's checks allow
-_ALIAS_TARGET, _ALIAS_WARN = 2.0 ** -60, 1e-6
+# _MAX_POINTS[n_modes].  The oracle warns when that bound, or the truncation
+# bound relative to either integral, exceeds _WARN_ABOVE
+_ALIAS_TARGET, _WARN_ABOVE = 2.0 ** -60, 1e-9
 _MAX_POINTS = {1: 801, 2: 81}
 # oracle exponents are floored here (e^-700 ≈ 1e-304): exp is ~20× slower below -708
 _EXP_FLOOR = -700.0
@@ -162,15 +162,15 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     eigenvalue is λ to within 2·dim·exp(−½(2π/h)²λ) of the integral.  Without
     `points_per_axis`, the grid takes the fewest points per axis whose spacing
     along the widest axis keeps that bound, for the product's λ, at or below
-    2^-60, at least 2 and at most 801 (one mode) or 81 (two modes).  A grid
-    whose bound exceeds 1e-6, a capped or an explicit one, warns with a
-    message that starts "grid spacing".  The box's faces cut off the
-    product's tails; a closed-form bound on them (_truncation_bound) above
-    1e-9 of either integral warns "grid truncation".  The spacing and that
-    bound read the product's moments from the folded exponent (prec, lin);
-    the integrals do not, so the oracle stays an independent check of the
-    closed form.  Grid lines whose integrand stays below 2^-90 of the grid's
-    peak are skipped (the error bound is at _SKIP_BELOW).
+    2^-60, at least 2 and at most 801 (one mode) or 81 (two modes).  One
+    threshold, 1e-9, serves both error bounds: a grid, capped or explicit,
+    whose aliasing bound exceeds it warns "grid spacing", and a closed-form
+    bound on the tails the box's faces cut off (_truncation_bound) above it
+    of either integral warns "grid truncation".  Both read the product's
+    moments from the folded exponent (prec, lin); the integrals do not, so
+    the oracle stays an independent check of the closed form.  Tiles of
+    whole last-axis lines lie within one plane; lines whose integrand stays
+    below 2^-90 of the grid's peak are skipped (the bound is at _SKIP_BELOW).
     """
     w_list = list(w_list)
     if not w_list:
@@ -225,7 +225,7 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     last, split = dim - 1, n_modes - 1  # the y axes before `split` index the planes
     ys = [a.reshape((n,) + (1,) * (last - 1 - k)) for k, a in enumerate(axes[:last])]
     ws = [w.reshape(y.shape) for w, y in zip(axis_w, ys)]
-    coeffs, aff = (np.zeros(dim), 1.0) if x is None else (x.coeffs, x.offset)
+    coeffs, offset = (np.zeros(dim), 1.0) if x is None else (x.coeffs, x.offset)
     z, curv, c_z = axes[last], prec[last, last], coeffs[last]
     outer = np.stack([z, np.ones(n), -0.5 * curv * z * z])
 
@@ -239,7 +239,7 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
         return slope, base, aff, weight
 
     inner, outer_ks = range(last - 1, split - 1, -1), range(split - 1, -1, -1)
-    table = line_terms(lin[last], log_const, aff, 1.0, inner, ys, ws)
+    table = line_terms(lin[last], log_const, offset, 1.0, inner, ys, ws)
     planes = list(np.ndindex((n,) * split))
 
     def plane(point):
@@ -256,47 +256,43 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
         return top, slope, base, aff, weight
 
     # the reference g_ref is the largest grid value on the line of the largest
-    # top (the first in C order, or the first NaN), a value the grid attains:
-    # top can overshoot it far.  Exponents are then less `shift`, g_ref
-    # truncated to a multiple of 512 (the sums are scaled back): the floor lies
-    # ≥188 below the peak, exp cannot overflow at the peak, and ordinary
-    # weights stay unshifted.
-    plane_top, best = np.empty(len(planes)), None
+    # top (np.argmax: the first in C order, or the first NaN); top can
+    # overshoot the grid far.  Exponents are then less `shift`, g_ref cut to a
+    # multiple of 512 (the sums are scaled back; ordinary weights stay
+    # unshifted): the floor lies ≥188 below g_ref, and exp, which overflows
+    # past 709, cannot at a grid peak <197 above it.  The peak lies at most
+    # P_zz·h²/8 above g_ref, below 0.12 on a grid whose spacing does not warn.
+    peaks = np.empty((len(planes), 3))  # each plane's largest top, its slope and base
     for p, point in enumerate(planes):
         top, slope, base, _, _ = plane(point)
-        j = int(np.argmax(top))
-        if best is None or (best[0] == best[0] and not top[j] <= best[0]):
-            best = top[j], slope[j], base[j]
-        plane_top[p] = top[j]
-    g_ref = float((best[2] + (best[1] - 0.5 * curv * z) * z).max())
+        j = np.argmax(top)
+        peaks[p] = top[j], slope[j], base[j]
+    _, slope, base = peaks[np.argmax(peaks[:, 0])]
+    g_ref = float((base + (slope - 0.5 * curv * z) * z).max())
     if not np.isfinite(g_ref):
         raise ValidationError("range", f"the integrand's peak exponent is {g_ref}")
     steps = int(np.trunc(g_ref / 512))
     shift = 512.0 * steps
     keep = g_ref - shift - _SKIP_BELOW  # above _EXP_FLOOR: the floor moves no line across
 
-    def kept_lines():
-        for p in np.flatnonzero(plane_top - shift >= keep):
-            top, slope, base, aff, weight = plane(planes[p])
-            i = np.flatnonzero(top - shift >= keep)
-            yield slope[i], base[i] - shift, np.stack([weight[i] * aff[i], weight[i]], 1)
-
-    # the kept lines in tiles of columns slope, base less shift and the line
-    # weights [weight·aff, weight]: one matrix product gives the exponent, a
-    # second each line's sums of w_z·e^G and w_z·z·e^G, and the line weights
-    # turn those into ∫ΠW·X (with c_z) and ∫ΠW
+    # each kept plane's kept lines in tiles of `rows`: one matrix product of
+    # [slope, base less shift, 1] gives the exponent, a second each line's
+    # sums of w_z·e^G and w_z·z·e^G, and the line weights [weight·aff,
+    # weight] turn those into ∫ΠW·X (with c_z) and ∫ΠW
     rows = max(_TILE_ROWS, _TILE_POINTS // n)
     lhs, buf = np.ones((rows, 3)), np.empty((rows, n))
     wz = np.stack([axis_w[last], axis_w[last] * z], axis=1)
     sums = np.zeros((2, 2))
-    for slope, base, weight in _tiles(kept_lines(), rows):
-        k = slope.size
-        lhs[:k, 0], lhs[:k, 1] = slope, base
-        t = np.matmul(lhs[:k], outer, out=buf[:k])
-        if t[:, ::n - 1].min() < _EXP_FLOOR:  # the exponent is concave along a line
-            np.maximum(t, _EXP_FLOOR, out=t)
-        np.exp(t, out=t)
-        sums += weight.T @ (t @ wz)
+    for p in np.flatnonzero(peaks[:, 0] - shift >= keep):
+        top, slope, base, aff, weight = plane(planes[p])
+        kept = np.flatnonzero(top - shift >= keep)
+        for i in (kept[lo:lo + rows] for lo in range(0, kept.size, rows)):
+            lhs[:i.size, 0], lhs[:i.size, 1] = slope[i], base[i] - shift
+            t = np.matmul(lhs[:i.size], outer, out=buf[:i.size])
+            if t[:, ::n - 1].min() < _EXP_FLOOR:  # the exponent is concave along a line
+                np.maximum(t, _EXP_FLOOR, out=t)
+            np.exp(t, out=t)
+            sums += np.stack([weight[i] * aff[i], weight[i]], 1).T @ (t @ wz)
     mass = float(sums[1, 0])
     moment = mass if x is None else float(sums[0, 0] + c_z * sums[1, 1])
 
@@ -306,10 +302,10 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
             "range", f"the grid integrals exceed the float range (largest double "
             f"{np.finfo(float).max:.3e}): ln ∫ΠW ≈ {np.log(mass) + shift:.1f}")
     problems = []
-    if aliasing > _ALIAS_WARN:
+    if aliasing > _WARN_ABOVE:
         problems.append(
             f"grid spacing {widest / (n - 1):.3e} leaves an aliasing error bound "
-            f"{aliasing:.3e} relative to the integrals, above {_ALIAS_WARN:g}: the "
+            f"{aliasing:.3e} relative to the integrals, above {_WARN_ABOVE:g}: the "
             f"product's narrowest standard deviation is {np.sqrt(least_var):.3e}")
     # an integral that underflows to 0.0 has no relative error to report.  The
     # grid leaves out the lattice beyond each face and half of it on the face:
@@ -317,12 +313,13 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     if integrals[0]:
         least = _unshift(max(w.weight for w in w_list), -steps) * 1e-30  # shifted
         inside = [(a[0] + w[0], a[-1] - w[0]) for a, w in zip(axes, axis_w)]
-        errors = _truncation_bound(prec, lin, log_const - shift, inside, coeffs, aff)
-        if (errors > 1e-9 * np.maximum(np.abs([moment, mass]), least)).any():
+        errors = _truncation_bound(prec, lin, log_const - shift, inside, coeffs, offset)
+        if (errors > _WARN_ABOVE * np.maximum(np.abs([moment, mass]), least)).any():
             errors = [_unshift(float(e), steps) for e in errors]
             problems.append(
-                f"grid truncation error bounds {errors[0]:.3e}, {errors[1]:.3e} exceed 1e-9 "
-                f"of the integrals {integrals[1]:.3e}, {integrals[0]:.3e} of ΠW·X, ΠW")
+                f"grid truncation error bounds {errors[0]:.3e}, {errors[1]:.3e} exceed "
+                f"{_WARN_ABOVE:g} of the integrals {integrals[1]:.3e}, {integrals[0]:.3e} "
+                "of ΠW·X, ΠW")
     if problems:
         warnings.warn("; ".join(problems), stacklevel=2)
     return integrals
@@ -378,16 +375,3 @@ def _unshift(v: float, steps: int) -> float:
         v *= _E512[steps < 0]
     return v
 
-
-def _tiles(blocks, rows: int):
-    """The lines of a stream of column blocks, in order, in tiles of `rows`
-    lines (the last one shorter): a tile may span blocks."""
-    held = []  # the columns of an unfinished tile
-    for block in blocks:
-        block = [np.concatenate([h, c]) for h, c in zip(held, block)] if held else block
-        cut = len(block[0]) - len(block[0]) % rows
-        for lo in range(0, cut, rows):
-            yield [c[lo:lo + rows] for c in block]
-        held = [c[cut:] for c in block]
-    if held and len(held[0]):
-        yield held

@@ -381,6 +381,8 @@ POVM_EFFECTS = [np.diag([1.0, 0.0]).tolist(), np.diag([0.0, 1.0]).tolist()]
     ({"identity": "x"}, "'identity'"),
     ({"kraus": 5}, "'kraus'"),
     ({"povm": {"effects": POVM_EFFECTS, "labels": 3}}, "'labels'"),
+    (5, "channel must be an object"),
+    ({"unknown": 1}, "unrecognized channel spec"),
 ])
 def test_cli_channel_spec_wrong_type(tmp_path, capsys, channel, message):
     sc = personick_scenario()
@@ -445,11 +447,31 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
     # rho is checked even where every outcome falls below the probability floor
     ({"kind": "weak-value", "rho": np.zeros((2, 2)).tolist(),
       "x": np.diag([1.0, -1.0]).tolist(), "povm": {"effects": POVM_EFFECTS}}, "trace"),
+    ({"kind": "qfi-mono", "family": {"type": "nope"}, "channel": {"depolarizing": 2}},
+     "parse"),
+    ({"kind": "qfi-mono", "family": {"type": "diagonal_line", "p0": [0.5, 0.5],
+                                     "slope": [0.1, -0.1]},
+      "channel": {"depolarizing": 2}, "theta": "a"}, "parse"),
 ])
 def test_cli_domain_errors_exit_cleanly(tmp_path, capsys, scenario, invariant):
     rc = main([scenario["kind"], "--input", _write(tmp_path, scenario), "--quiet"])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {invariant}:")
+
+
+def test_cli_weak_value_zero_probability_outcome(tmp_path):
+    # ρ = diag(1, 0) never gives the outcome diag(0, 1): that outcome reports
+    # its probability and `undefined`, and the other keeps its weak values
+    sc = {"kind": "weak-value", "rho": np.diag([1.0, 0.0]).tolist(),
+          "x": [[2.0, 1.0], [1.0, -1.0]], "povm": {"effects": POVM_EFFECTS}}
+    out = tmp_path / "report.json"
+    rc = main(["weak-value", "--input", _write(tmp_path, sc), "--output", str(out),
+               "--quiet"])
+    assert rc == 0
+    seen, never = json.loads(out.read_text())["results"]["outcomes"]
+    assert seen["probability"] == 1.0 and seen["weak_value"] == pytest.approx(2.0)
+    assert seen["complex_weak_value"] == pytest.approx([2.0, 0.0])
+    assert never == {"label": 1, "undefined": True, "probability": 0.0}
 
 
 @pytest.mark.parametrize("x, accepted", [

@@ -369,7 +369,7 @@ def test_truncation_warning_matches_brute_force_faces(seed, n_modes, count, half
     # the truncation bound is sound: a default grid that raises no warning,
     # on any box, has both integrals within 1e-9 of the closed form, besides
     # the aliasing error its spacing leaves (below 2^-60 under the cap, and
-    # silent up to 1e-6 at it)
+    # silent up to 1e-9 at it)
     gen = rng(seed)
     w_list = narrowed([random_gaussian_wigner(gen, n_modes,
                                               weight=float(gen.uniform(0.3, 2.0)))
@@ -505,6 +505,23 @@ def test_grid_spacing_warning_flags_unresolved_products():
             else:
                 assert len(messages) == 1 and messages[0].startswith("grid spacing")
                 assert "truncation" not in messages[0]
+
+
+def test_grid_spacing_warning_at_the_cap_above_1e_9():
+    # one two-mode Gaussian with standard deviations (1, 1, 1, 0.2): its ±8σ
+    # box is 16 wide, so the 81-point cap spaces the grid by h = 0.2, and the
+    # aliasing bound 2·dim·exp(−2(π·0.2/h)²) = 8e^(−2π²) ≈ 2.1e-8 lies
+    # between 1e-9 and 1e-6.  The default grid is the capped one, and it warns
+    g = GaussianWigner(mean=np.zeros(4), covariance=np.diag([1.0, 1.0, 1.0, 0.04]))
+    bound = 8 * np.exp(-2 * np.pi ** 2)
+    assert 1e-9 < bound < 1e-6
+    with pytest.warns(UserWarning) as caught:
+        default = numeric_wigner_integral([g])
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1 and messages[0].startswith("grid spacing 2.000e-01")
+    assert f"aliasing error bound {bound:.3e}" in messages[0]
+    with pytest.warns(UserWarning, match="^grid spacing"):
+        assert default == numeric_wigner_integral([g], points_per_axis=81)
 
 
 def test_numeric_integral_memory_stays_near_one_plane(gen):
