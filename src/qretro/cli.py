@@ -75,7 +75,7 @@ def main(argv=None) -> int:
         report = run_scenario(scenario)
         _emit(report, args)
         return EXIT_OK
-    except (ValidationError, FileNotFoundError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalFailure, np.linalg.LinAlgError) as exc:

@@ -493,10 +493,14 @@ KINDS = tuple(_STAGES)
 
 def load_scenario(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError("parse", f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError("parse", f"{path}: byte {exc.start} is not UTF-8") from exc
+    except OSError as exc:
+        raise ValidationError("parse", f"{path}: {exc.strerror}") from exc
 
 
 def serialize_report(report: dict) -> str:
@@ -510,6 +514,11 @@ def serialize_report(report: dict) -> str:
 
 def write_report(report: dict, path) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(serialize_report(report) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(serialize_report(report) + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise ValidationError("output", f"{path}: {exc.strerror}") from exc

@@ -7,8 +7,6 @@ from conftest import SX, SY, SZ
 from qretro import operator_core as core
 from qretro.channels import (
     Povm,
-    channel_from_classical,
-    channel_from_dilation,
     channel_from_povm,
     depolarizing_channel,
     identity_channel,
@@ -29,7 +27,6 @@ from qretro.sampling import (
     random_channel,
     random_density,
     random_hermitian,
-    random_unitary,
     rng,
 )
 
@@ -67,19 +64,6 @@ def test_heisenberg_trivials(gen):
     expected = np.trace(rho @ x @ x).real
     assert heisenberg_risk(rho0, x, np.zeros((2, 2)), np.eye(4), [2, 2], [1]) == \
         pytest.approx(expected, abs=1e-12)
-
-
-def test_pictures_agree_on_random_dilations(gen):
-    for _ in range(20):
-        u = random_unitary(gen, 4)
-        rho = random_density(gen, 2)
-        env = random_density(gen, 2)
-        x = random_hermitian(gen, 2)
-        xcheck = random_hermitian(gen, 2)
-        chan = channel_from_dilation(u, env, [2, 2], kept=[1])
-        hs = heisenberg_risk(core.tensor(rho, env), x, xcheck, u, [2, 2], [1])
-        ss = schrodinger_risk(rho, x, chan, xcheck)
-        assert hs == pytest.approx(ss, abs=1e-10 * max(1.0, abs(ss)))
 
 
 def test_personick_identity_channel(gen):
@@ -186,23 +170,6 @@ def test_classical_zero_probability_flagged():
     assert np.isnan(est[1])
 
 
-def test_classical_reduction_matches_personick(gen):
-    for _ in range(10):
-        n = int(gen.integers(2, 7))
-        px = gen.random(n) + 0.05
-        px /= px.sum()
-        xvals = gen.standard_normal(n)
-        t = gen.random((int(gen.integers(2, 7)), n)) + 0.05
-        c = ClassicalChannel(t / t.sum(axis=0, keepdims=True))
-        est, defined = classical_conditional_expectation(px, c, xvals)
-        result = personick_estimator(np.diag(px.astype(complex)),
-                                     np.diag(xvals.astype(complex)),
-                                     channel_from_classical(c))
-        m = result.estimator
-        assert np.abs(m - np.diag(np.diag(m))).max() <= 1e-10
-        np.testing.assert_allclose(np.diag(m).real[defined], est[defined], atol=1e-10)
-
-
 def test_complex_estimator_identity_channel(gen):
     rho = random_density(gen, 3)
     x = random_hermitian(gen, 3) + 1j * random_hermitian(gen, 3)
@@ -300,17 +267,6 @@ def test_personick_optimality_and_stationarity(gen):
             deriv = (schrodinger_risk(rho, x, chan, result.estimator + h * o)
                      - schrodinger_risk(rho, x, chan, result.estimator - h * o)) / (2 * h)
             assert abs(deriv) <= 1e-8
-
-
-def test_complex_risk_never_exceeds_hermitian(gen):
-    for _ in range(20):
-        d_in = int(gen.integers(2, 5))
-        rho = random_density(gen, d_in)
-        x = random_hermitian(gen, d_in)
-        chan = random_channel(gen, d_in, int(gen.integers(2, 5)))
-        herm = personick_estimator(rho, x, chan).min_risk
-        cplx = complex_estimator(rho, x, chan).min_risk
-        assert cplx <= herm + 1e-9
 
 
 def test_min_risk_monotone_under_postcomposition(gen):

@@ -170,17 +170,6 @@ def test_numeric_integral_without_quadrature_returns_one_float_twice(gen, n_mode
     assert mass == moment
 
 
-def test_numeric_matches_closed_form_one_mode(gen):
-    for _ in range(5):
-        wr = random_gaussian_wigner(gen, 1)
-        we = random_gaussian_wigner(gen, 1, weight=float(gen.uniform(0.3, 2.0)))
-        x = random_linear_quadrature(gen, 1)
-        closed = quadrature_estimator(wr, we, x)
-        denom, numer = numeric_wigner_integral([wr, we], x)
-        ratio = numer / denom
-        assert ratio == pytest.approx(closed, abs=1e-6)
-
-
 def test_numeric_matches_closed_form_two_modes(gen):
     for _ in range(2):
         wr = random_gaussian_wigner(gen, 2)
