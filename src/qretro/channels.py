@@ -1,17 +1,17 @@
 """Completely positive trace-preserving maps in their common guises.
 
-Every channel is stored as a list of Kraus operators; every constructor
-(Stinespring dilation, classical transition matrix, classical-quantum
-ensemble, measurement map, partial trace) lowers to it, so application and
-CPTP validation follow one uniform path.  The dilation, classical-quantum
-and measurement lowerings make Kraus operators from the eigenpairs of the
-environment state, the ensemble states or the effects; an eigenvalue below
-KRAUS_CUTOFF, such as a pure environment's zeros, makes none.  A dilation
-is the isometry of each environment eigenpair followed by the partial
-trace, whose Kraus operators are the one place the kept and traced factors
-are laid out.
-The list is not minimal: composition multiplies Kraus counts, so it can
-exceed the Choi rank.
+Every channel is stored as a (…, K, d_out, d_in) array of Kraus operators;
+every constructor (Stinespring dilation, classical transition matrix,
+classical-quantum ensemble, measurement map, partial trace) lowers to it,
+so application and CPTP validation follow one uniform path.  The dilation,
+classical-quantum and measurement lowerings make Kraus operators from one
+stacked spectrum of the environment state, the ensemble states or the
+effects; an eigenvalue below KRAUS_CUTOFF, such as a pure environment's
+zeros, makes none.  A dilation is the isometry of each environment
+eigenpair followed by the partial trace, whose Kraus operators are the one
+place the kept and traced factors are laid out.
+The Kraus count is not minimal: composition multiplies Kraus counts, so it
+can exceed the Choi rank.
 Each Kraus contraction is a pair of BLAS matrix products, O(K·d³).
 """
 
@@ -162,18 +162,17 @@ def channel_from_dilation(u, env, dims, kept) -> QuantumChannel:
         raise ValidationError("dims", "env dimension inconsistent with dims")
     # the isometry √λ·U(I ⊗ |v⟩) of each eigenpair of env, then each Kraus
     # operator of the partial trace, with v the slow index
-    iso = np.array([root * (u @ np.kron(np.eye(d_a), vec.reshape(-1, 1)))
-                    for _, root, vec in _kraus_roots([spec])])
+    _, roots, vecs = _kraus_roots(spec)
+    iso = roots[:, None, None] * (u @ np.kron(np.eye(d_a), vecs[:, :, None]))
     kraus = partial_trace_channel(dims, kept).kraus @ iso[:, None]
     return QuantumChannel(kraus.reshape(-1, *kraus.shape[-2:]))
 
 
-def _kraus_roots(spectra):
-    """(i, √λ, v) for each eigenpair (λ, v) of the i-th spectrum with λ ≥ KRAUS_CUTOFF."""
-    for i, spec in enumerate(spectra):
-        for lam, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
-            if lam >= KRAUS_CUTOFF:
-                yield i, np.sqrt(lam), vec
+def _kraus_roots(spec: Spectrum):
+    """Arrays (i, √λ, v) over the eigenpairs (λ, v) with λ ≥ KRAUS_CUTOFF, by
+    stack element, then by eigenpair; i is the tuple of their stack indices."""
+    keep = np.nonzero(spec.eigenvalues >= KRAUS_CUTOFF)
+    return keep[:-1], np.sqrt(spec.eigenvalues[keep]), spec.eigenvectors.swapaxes(-1, -2)[keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,25 +207,24 @@ class ClassicalChannel:
 class Povm:
     """Positive operator-valued measure: PSD effects summing to identity.
 
-    `spectra` holds the one `eigh` of each effect that the PSD check reads.
+    `effects` is one (n, d, d) array, checked as a stack, so a failure names
+    its effect, as in `effect[1]`; `spectra` is its one `eigh`, which the PSD
+    check and `channel_from_povm` read.
     """
 
-    effects: tuple
+    effects: np.ndarray
     labels: tuple
-    spectra: tuple
+    spectra: Spectrum
 
     def __init__(self, effects, labels=None):
-        eff = tuple(as_hermitian(e, name="effect") for e in effects)
-        if not eff:
+        if not len(effects):
             raise ValidationError("povm", "empty effect list")
-        dim = eff[0].shape[-1]
-        if any(e.shape != (dim, dim) for e in eff):
-            raise ValidationError("shape", "effects must share one dimension")
-        spectra = tuple(Spectrum.of(e) for e in eff)
-        for i, spec in enumerate(spectra):
-            spec.require_psd(f"effect[{i}]")
-        total = sum(eff)
-        if float(np.abs(total - np.eye(dim)).max()) > CPTP_TOL:
+        eff = as_hermitian(effects, name="effect")
+        if eff.ndim != 3:
+            raise ValidationError("shape", f"effects must stack to (n, d, d), got {eff.shape}")
+        spectra = Spectrum.of(eff)
+        spectra.require_psd("effect")
+        if float(np.abs(eff.sum(axis=0) - np.eye(eff.shape[-1])).max()) > CPTP_TOL:
             raise ValidationError("completeness", "effects must sum to identity")
         labels = tuple(range(len(eff))) if labels is None else tuple(labels)
         if len(labels) != len(eff):
@@ -240,7 +238,7 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[-1]
 
     def effect(self, label):
         try:
@@ -251,45 +249,30 @@ class Povm:
 
 def channel_from_classical(c: ClassicalChannel) -> QuantumChannel:
     """Kraus operators {√P(y|x) |y⟩⟨x|}; embeds a classical channel."""
-    t = c.transition
-    kraus = []
-    for y in range(c.n_out):
-        for x in range(c.n_in):
-            p = t[y, x]
-            if p == 0.0:
-                continue
-            k = np.zeros((c.n_out, c.n_in), dtype=complex)
-            k[y, x] = np.sqrt(p)
-            kraus.append(k)
+    y, x = np.nonzero(c.transition)
+    kraus = np.zeros((len(y), c.n_out, c.n_in), dtype=complex)
+    kraus[np.arange(len(y)), y, x] = np.sqrt(c.transition[y, x])
     return QuantumChannel(kraus)
 
 
 def channel_from_cq_ensemble(states) -> QuantumChannel:
     """κ(ρ) = Σ_x ρ_x ⟨x|ρ|x⟩ for a classical-quantum ensemble {ρ_x}."""
-    spectra = [_density_with_spectrum(s, name=f"state {x}")[1]
-               for x, s in enumerate(states)]
-    n_in = len(spectra)
-    if not n_in:
+    if not len(states):
         raise ValidationError("ensemble", "empty ensemble")
-    d_out = spectra[0].eigenvectors.shape[-1]
-    if any(spec.eigenvectors.shape != (d_out, d_out) for spec in spectra):
-        raise ValidationError("shape", "ensemble states must share one dimension")
-    kraus = []
-    for x, root, vec in _kraus_roots(spectra):
-        k = np.zeros((d_out, n_in), dtype=complex)
-        k[:, x] = root * vec
-        kraus.append(k)
+    states, spec = _density_with_spectrum(states, name="state")
+    if states.ndim != 3:
+        raise ValidationError("shape", f"states must stack to (n, d, d), got {states.shape}")
+    (x,), roots, vecs = _kraus_roots(spec)
+    kraus = np.zeros((len(x), states.shape[-1], len(states)), dtype=complex)
+    kraus[np.arange(len(x)), :, x] = roots[:, None] * vecs
     return QuantumChannel(kraus)
 
 
 def channel_from_povm(p: Povm) -> QuantumChannel:
     """Measurement map κ(ρ) = Σ_y [tr E(y)ρ] |y⟩⟨y|, from the effects' spectra."""
-    n_out = len(p.effects)
-    kraus = []
-    for y, root, vec in _kraus_roots(p.spectra):
-        k = np.zeros((n_out, p.dim), dtype=complex)
-        k[y, :] = root * vec.conj()
-        kraus.append(k)
+    (y,), roots, vecs = _kraus_roots(p.spectra)
+    kraus = np.zeros((len(y), len(p.effects), p.dim), dtype=complex)
+    kraus[np.arange(len(y)), y, :] = roots[:, None] * vecs.conj()
     return QuantumChannel(kraus)
 
 
@@ -303,8 +286,7 @@ def partial_trace_channel(dims, keep) -> QuantumChannel:
     ident = np.eye(d_total, dtype=complex)
     t = ident.reshape(dims + [d_total]).transpose(keep + traced + [len(dims)])
     blocks = t.reshape(d_keep, d_tr, d_total)
-    kraus = [blocks[:, e, :] for e in range(d_tr)]
-    return QuantumChannel(kraus)
+    return QuantumChannel(blocks.transpose(1, 0, 2))
 
 
 def identity_channel(dim: int) -> QuantumChannel:

@@ -61,7 +61,8 @@ def main(argv=None) -> int:
             if not args.quiet:
                 for check in report["results"]["checks"]:
                     status = "pass" if check["passed"] else "FAIL"
-                    print(f"{status}  {check['name']}: worst {check['worst']:.3e} "
+                    worst = "not finite" if check["worst"] is None else f"{check['worst']:.3e}"
+                    print(f"{status}  {check['name']}: worst {worst} "
                           f"(threshold {check['threshold']:.3e})", file=sys.stderr)
             return EXIT_OK if report["results"]["all_passed"] else EXIT_SELFTEST
 

@@ -77,7 +77,10 @@ def trace(m):
 
 def as_square(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a non-empty square complex ndarray (or stack of them), rejecting NaN/Inf."""
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except ValueError:  # ragged rows, or an entry that is not a number
+        raise ValidationError("shape", f"{name} must be a rectangular array of numbers") from None
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValidationError("shape", f"{name} must be square and non-empty, "
                                        f"got shape {m.shape}")

@@ -83,12 +83,10 @@ def random_channel(gen, dim_in: int, dim_out: int | None = None,
 
 def random_povm(gen, dim: int, n_outcomes: int) -> Povm:
     """Random POVM: positive pieces normalized by their sum's inverse square root."""
-    pieces = [random_psd(gen, dim) + 1e-3 * np.eye(dim) for _ in range(n_outcomes)]
-    total = sum(pieces)
-    w, v = np.linalg.eigh(total)
+    pieces = np.array([random_psd(gen, dim) for _ in range(n_outcomes)]) + 1e-3 * np.eye(dim)
+    w, v = np.linalg.eigh(sum(pieces))  # in order; `.sum(axis=0)` may pair terms
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    effects = [hermitian_part(inv_sqrt @ p @ inv_sqrt) for p in pieces]
-    return Povm(effects)
+    return Povm(hermitian_part(inv_sqrt @ pieces @ inv_sqrt))
 
 
 def random_classical_channel(gen, n_in: int, n_out: int) -> ClassicalChannel:

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -216,8 +217,7 @@ def run_scenario(scenario: dict) -> dict:
         raise ValidationError("parse", f"unknown kind {kind!r}; expected one of {KINDS}")
     sweep = kind == "qfi-mono" and "sweep" in scenario
     decode, solve, encode = _QFI_SWEEP if sweep else _STAGES[kind]
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
+    with recorded_warnings() as caught:
         start = time.perf_counter()
         inputs, echo = decode(scenario)
         decoded = time.perf_counter()
@@ -225,7 +225,6 @@ def run_scenario(scenario: dict) -> dict:
         solved = time.perf_counter()
         results = encode(result)
         encoded = time.perf_counter()
-        caught = [str(w.message) for w in wlist]
     stages = {"decode_s": decoded - start, "solve_s": solved - decoded,
               "encode_s": encoded - solved}
     return {
@@ -234,6 +233,15 @@ def run_scenario(scenario: dict) -> dict:
         "diagnostics": {"warnings": caught, "elapsed_s": encoded - start,
                         "stages": stages, "provenance": provenance()},
     }
+
+
+@contextmanager
+def recorded_warnings():
+    """Yield a list that receives the message of each warning raised inside."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield caught
+        caught[:] = [str(w.message) for w in caught]
 
 
 def provenance() -> dict:

@@ -33,7 +33,13 @@ from .estimators import (
     weak_value,
 )
 from .operator_core import ValidationError
-from .scenario import _sweep_draws, provenance, rotation_checks
+from .scenario import _sweep_draws, provenance, recorded_warnings, rotation_checks
+
+
+def _largest(*values) -> float:
+    """The largest value, NaN if any is NaN, which the builtin `max` can drop."""
+    return float(np.max(values))
+
 
 def _check_jordan_hermitian(gen):
     worst = 0.0
@@ -43,7 +49,7 @@ def _check_jordan_hermitian(gen):
         b = sampling.random_hermitian(gen, d)
         j = core.jordan_product(a, b)
         scale = max(1.0, float(np.abs(j).max()))
-        worst = max(worst, float(np.abs(j - j.conj().T).max()) / scale)
+        worst = _largest(worst, float(np.abs(j - j.conj().T).max()) / scale)
     return {"anti-Hermitian part": (worst, 1e-13)}
 
 
@@ -53,7 +59,7 @@ def _check_jordan_trace_identity(gen):
         d = int(gen.integers(2, 9))
         x, y, z = (sampling.random_hermitian(gen, d) for _ in range(3))
         scale = np.linalg.norm(x) * np.linalg.norm(y) * np.linalg.norm(z)
-        worst = max(worst, core.jordan_trace_gap(x, y, z) / scale)
+        worst = _largest(worst, core.jordan_trace_gap(x, y, z) / scale)
     return {"trace identity gap": (worst, 1e-12)}
 
 
@@ -64,11 +70,11 @@ def _check_partial_trace(gen):
         a = sampling.random_density(gen, da)
         b = sampling.random_hermitian(gen, db)
         prod = core.tensor(a, b)
-        worst = max(worst, float(np.abs(
+        worst = _largest(worst, float(np.abs(
             core.partial_trace(prod, [da, db], {0}) - a * np.trace(b)
         ).max()))
         m = sampling.random_density(gen, da * db)
-        worst = max(worst, abs(
+        worst = _largest(worst, abs(
             np.trace(core.partial_trace(m, [da, db], {1})) - np.trace(m)
         ))
     return {"partial trace gap": (float(worst), 1e-12)}
@@ -81,8 +87,8 @@ def _check_solve_jordan(gen):
         a = sampling.random_psd(gen, d) + 0.1 * np.eye(d)
         b = sampling.random_hermitian(gen, d)
         x, residual = core.solve_jordan(a, b)
-        worst = max(worst, residual / max(1.0, float(np.linalg.norm(b))))
-        worst = max(worst, float(np.abs(x - x.conj().T).max()))
+        worst = _largest(worst, residual / max(1.0, float(np.linalg.norm(b))))
+        worst = _largest(worst, float(np.abs(x - x.conj().T).max()))
     return {"residual": (worst, 1e-10)}
 
 
@@ -94,10 +100,10 @@ def _check_penrose(gen):
         h = sampling.random_psd(gen, d, rank=rank)
         p = core.support_projector(h)
         hplus = core.pseudo_inverse_psd(h)
-        worst = max(worst, float(np.abs(p @ p - p).max()))
-        worst = max(worst, float(np.abs(h @ hplus - p).max()))
-        worst = max(worst, float(np.abs(h @ hplus @ h - h).max())
-                    / max(1.0, float(np.abs(h).max())))
+        worst = _largest(worst, float(np.abs(p @ p - p).max()))
+        worst = _largest(worst, float(np.abs(h @ hplus - p).max()))
+        worst = _largest(worst, float(np.abs(h @ hplus @ h - h).max())
+                         / max(1.0, float(np.abs(h).max())))
     return {"Penrose gap": (worst, 1e-10)}
 
 
@@ -115,11 +121,11 @@ def _check_channel_cptp(gen):
     for _ in range(5):
         for dim_in, chan in _random_channels(gen):
             report = validate_cptp(chan)
-            worst = max(worst, report.tp_deviation, -report.choi_min_eigenvalue)
+            worst = _largest(worst, report.tp_deviation, -report.choi_min_eigenvalue)
             rho = sampling.random_density(gen, dim_in)
             out = apply_channel(chan, rho)
-            worst = max(worst, abs(np.trace(out) - 1.0))
-            worst = max(worst, -float(np.linalg.eigvalsh(
+            worst = _largest(worst, abs(np.trace(out) - 1.0))
+            worst = _largest(worst, -float(np.linalg.eigvalsh(
                 core.hermitian_part(out)).min()))
     return {"CPTP deviation": (float(worst), 1e-10)}
 
@@ -137,12 +143,12 @@ def _check_dilation_bridge(gen):
         xcheck = sampling.random_hermitian(gen, [da, db][kept])
         hs = heisenberg_risk(core.tensor(rho, env), x, xcheck, u, [da, db], [kept])
         ss = schrodinger_risk(rho, x, chan, xcheck)
-        worst = max(worst, abs(hs - ss) / max(1.0, abs(ss)))
+        worst = _largest(worst, abs(hs - ss) / max(1.0, abs(ss)))
         # the Kraus form must also match the explicit dilation formula
         direct = core.partial_trace(
             u @ core.tensor(rho, env) @ u.conj().T, [da, db], {kept}
         )
-        worst = max(worst, float(np.abs(apply_channel(chan, rho) - direct).max()))
+        worst = _largest(worst, float(np.abs(apply_channel(chan, rho) - direct).max()))
     return {"picture gap": (worst, 1e-10)}
 
 
@@ -155,11 +161,11 @@ def _check_personick_optimality(gen):
         chan = sampling.random_channel(gen, d_in, d_out)
         result = personick_estimator(rho, x, chan)
         direct = schrodinger_risk(rho, x, chan, result.estimator)
-        decomposition = max(decomposition, abs(direct - result.min_risk))
+        decomposition = _largest(decomposition, abs(direct - result.min_risk))
         for _ in range(50):
             o = sampling.random_hermitian(gen, d_out, scale=float(gen.uniform(0.01, 1.0)))
             perturbed = schrodinger_risk(rho, x, chan, result.estimator + o)
-            slack = max(slack, result.min_risk - perturbed)
+            slack = _largest(slack, result.min_risk - perturbed)
     return {"perturbation slack": (slack, 1e-9),
             "risk decomposition gap": (decomposition, 1e-9)}
 
@@ -176,13 +182,13 @@ def _check_classical_reduction(gen):
         for y in range(n_out):
             py = sum(c.transition[y, x] * px[x] for x in range(n_in))
             bayes = sum(c.transition[y, x] * px[x] * xvals[x] for x in range(n_in)) / py
-            bayes_gap = max(bayes_gap, abs(est[y] - bayes) if defined[y] else np.inf)
+            bayes_gap = _largest(bayes_gap, abs(est[y] - bayes) if defined[y] else np.inf)
         # and the quantum embedding must agree
         m = personick_estimator(np.diag(px.astype(complex)), np.diag(xvals.astype(complex)),
                                 channel_from_classical(c)).estimator
-        off_diagonal = max(off_diagonal, float(np.abs(m - np.diag(np.diag(m))).max()))
-        bayes_gap = max(bayes_gap,
-                        float(np.abs(np.diag(m).real[defined] - est[defined]).max()))
+        off_diagonal = _largest(off_diagonal, float(np.abs(m - np.diag(np.diag(m))).max()))
+        bayes_gap = _largest(bayes_gap,
+                             float(np.abs(np.diag(m).real[defined] - est[defined]).max()))
     return {"Bayes gap": (bayes_gap, 1e-10), "off-diagonal": (off_diagonal, 1e-10)}
 
 
@@ -196,9 +202,9 @@ def _check_weak_values(gen):
         est = personick_estimator(rho, x, channel_from_povm(povm)).estimator
         for i, label in enumerate(povm.labels):
             wv = weak_value(rho, x, povm, label)
-            diagonal = max(diagonal, abs(est[i, i].real - wv))
-            complex_real = max(complex_real,
-                               abs(complex_weak_value(rho, x, povm, label).real - wv))
+            diagonal = _largest(diagonal, abs(est[i, i].real - wv))
+            complex_real = _largest(complex_real,
+                                    abs(complex_weak_value(rho, x, povm, label).real - wv))
     return {"estimator-diagonal gap": (diagonal, 1e-10),
             "complex-real gap": (complex_real, 1e-12)}
 
@@ -212,7 +218,7 @@ def _check_complex_vs_hermitian(gen):
         chan = sampling.random_channel(gen, d_in, d_out)
         herm = personick_estimator(rho, x, chan).min_risk
         cplx = complex_estimator(rho, x, chan).min_risk
-        worst = max(worst, cplx - herm)
+        worst = _largest(worst, cplx - herm)
     return {"complex risk excess": (worst, 1e-9)}
 
 
@@ -230,7 +236,7 @@ def _check_postcomposition(gen):
         r2 = personick_estimator(rho, x, first.then(second)).min_risk
         r_stage = personick_estimator(apply_channel(first, rho), stage.estimator,
                                       second).min_risk
-        worst = max(worst, abs(r2 - stage.min_risk - r_stage))
+        worst = _largest(worst, abs(r2 - stage.min_risk - r_stage))
     return {"tower gap": (worst, 1e-9)}
 
 
@@ -251,8 +257,8 @@ def _gaussian_oracle_gaps(gen, n_modes, draws):
         closed = gaussian.quadrature_estimator(wr, we, x)
         product_weight = gaussian.gaussian_product(wr, we).weight
         denom, numer = gaussian.numeric_wigner_integral([wr, we], x)
-        estimate = max(estimate, abs(numer / denom - closed))
-        weight = max(weight, abs(denom - product_weight) / product_weight)
+        estimate = _largest(estimate, abs(numer / denom - closed))
+        weight = _largest(weight, abs(denom - product_weight) / product_weight)
     return {"oracle gap": (estimate, 1e-6), "product weight gap": (weight, 1e-6)}
 
 
@@ -279,11 +285,12 @@ CHECKS = [
 
 
 def _verdict(figures):
-    """The largest figure, each over its own threshold if the thresholds differ."""
+    """The largest figure, each over its own threshold if the thresholds
+    differ; None, which fails, if any figure is NaN or infinite."""
     values, thresholds = zip(*figures.values())
-    if len(set(thresholds)) == 1:
-        return max(values), thresholds[0]
-    return max(v / t for v, t in figures.values()), 1.0
+    if len(set(thresholds)) > 1:
+        values, thresholds = [v / t for v, t in figures.values()], [1.0]
+    return (_largest(*values) if np.isfinite(values).all() else None), thresholds[0]
 
 
 def run_selftest(seed: int = 0) -> dict:
@@ -293,26 +300,25 @@ def run_selftest(seed: int = 0) -> dict:
     start = time.perf_counter()
     checks = []
     check_elapsed = {}
-    all_passed = True
-    for index, (name, fn) in enumerate(CHECKS):
-        # one deterministic substream per check, stable across processes
-        gen = sampling.rng((seed << 16) + index)
-        check_start = time.perf_counter()
-        worst, threshold = _verdict(fn(gen))
-        check_elapsed[name] = time.perf_counter() - check_start
-        passed = bool(worst <= threshold)
-        all_passed = all_passed and passed
-        checks.append({
-            "name": name,
-            "passed": passed,
-            "worst": float(worst),
-            "threshold": threshold,
-        })
+    with recorded_warnings() as caught:
+        for index, (name, fn) in enumerate(CHECKS):
+            # one deterministic substream per check, stable across processes
+            gen = sampling.rng((seed << 16) + index)
+            check_start = time.perf_counter()
+            worst, threshold = _verdict(fn(gen))
+            check_elapsed[name] = time.perf_counter() - check_start
+            checks.append({
+                "name": name,
+                "passed": worst is not None and worst <= threshold,
+                "worst": worst,
+                "threshold": threshold,
+            })
     return {
         "scenario": {"kind": "selftest", "seed": seed},
-        "results": {"checks": checks, "all_passed": all_passed},
+        "results": {"checks": checks,
+                    "all_passed": all(check["passed"] for check in checks)},
         "diagnostics": {
-            "warnings": [],
+            "warnings": caught,
             "elapsed_s": time.perf_counter() - start,
             "check_elapsed_s": check_elapsed,
             "provenance": provenance(),

@@ -29,7 +29,8 @@ def _worst(runs):
     worst = {}
     for figures in runs:
         for name, (value, threshold) in figures.items():
-            worst[name] = (max(value, worst.get(name, (value,))[0]), threshold)
+            worst[name] = (selftest._largest(value, worst.get(name, (value,))[0]),
+                           threshold)
     return worst
 
 

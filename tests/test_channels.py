@@ -221,9 +221,7 @@ def test_povm_validation():
         Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
 
-def test_channel_from_povm_reads_the_povm_spectra(gen, monkeypatch):
-    # a Povm makes one eigh per effect; channel_from_povm makes none
-    effects = random_povm(gen, 3, 4).effects
+def _count_eigensolves(monkeypatch):
     count = {"n": 0}
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -233,13 +231,41 @@ def test_channel_from_povm_reads_the_povm_spectra(gen, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return count
+
+
+def test_channel_from_povm_reads_the_povm_spectra(gen, monkeypatch):
+    # a Povm makes one eigh of its stacked effects; channel_from_povm makes none
+    effects = random_povm(gen, 3, 4).effects
+    count = _count_eigensolves(monkeypatch)
     povm = Povm(effects)
-    assert count["n"] == 4
+    assert count["n"] == 1
     chan = channel_from_povm(povm)
-    assert count["n"] == 4
+    assert count["n"] == 1
     rho = random_density(gen, 3)
     expected = np.diag([np.trace(e @ rho) for e in povm.effects])
     np.testing.assert_allclose(chan(rho), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_cq_ensemble_makes_one_eigensolve(gen, monkeypatch, k):
+    states = [random_density(gen, 3) for _ in range(k)]
+    count = _count_eigensolves(monkeypatch)
+    chan = channel_from_cq_ensemble(states)
+    assert count["n"] == 1
+    np.testing.assert_allclose(chan(np.eye(k) / k), sum(states) / k, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_povm_and_ensemble_failures_name_the_element(gen, k):
+    effects = random_povm(gen, 3, 3).effects.copy()
+    effects[k, 0, 1] += 1e-3
+    with pytest.raises(ValidationError, match=rf"^hermiticity: effect\[{k}\] deviates"):
+        Povm(effects)
+    states = [random_density(gen, 3) for _ in range(3)]
+    states[k] = 1.5 * states[k]
+    with pytest.raises(ValidationError, match=rf"^trace: state\[{k}\] has trace 1.5"):
+        channel_from_cq_ensemble(states)
 
 
 def test_partial_trace_channel_trivial(gen):

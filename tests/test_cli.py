@@ -211,7 +211,36 @@ def test_report_round_trip():
 
 def test_selftest_seed_variation_passes():
     for seed in (1, 2, 3):
-        assert run_selftest(seed=seed)["results"]["all_passed"]
+        report = run_selftest(seed=seed)
+        assert report["results"]["all_passed"]
+        assert report["diagnostics"]["warnings"] == []
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_selftest_fails_a_nan_figure(tmp_path, monkeypatch, capsys):
+    # the builtin max drops a NaN; the selftest must not
+    monkeypatch.setattr(selftest, "schrodinger_risk", lambda *args: float("nan"))
+    out = tmp_path / "report.json"
+    rc = main(["selftest", "--seed", "0", "--output", str(out)])
+    assert rc == 3
+    report = _strict_json(out.read_text())
+    checks = {check["name"]: check for check in report["results"]["checks"]}
+    for name in ("personick_optimality", "dilation_bridge"):
+        assert not checks[name]["passed"] and checks[name]["worst"] is None
+    assert not report["results"]["all_passed"]
+    assert "FAIL  dilation_bridge: worst not finite" in capsys.readouterr().err
+
+
+def test_selftest_reports_its_warnings(monkeypatch):
+    monkeypatch.setattr(estimators, "RESIDUAL_WARN", -1.0)
+    warned = run_selftest(seed=0)["diagnostics"]["warnings"]
+    assert warned and all("normal-equation residual" in w for w in warned)
 
 
 def _write(tmp_path, scenario, name="scenario.json"):

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from qretro import estimators, fisher, scenario
 from qretro import operator_core as core
-from qretro.channels import QuantumChannel, apply_channel
+from qretro.channels import (
+    Povm,
+    QuantumChannel,
+    apply_channel,
+    channel_from_cq_ensemble,
+    identity_channel,
+)
 from qretro.estimators import personick_estimator
 from qretro.fisher import RankChangeError, StateFamily, monotonicity_check, sld
 from qretro.operator_core import ValidationError
@@ -270,6 +276,32 @@ def test_personick_rejects_stacks_that_do_not_broadcast(gen):
     x = np.array([random_hermitian(gen, 2)] * 2)
     with pytest.raises(ValidationError, match="^shape: rho and x stacks"):
         personick_estimator(rho, x, random_channel(gen, 2, 2))
+
+
+# --- a ragged nested list is a shape error -----------------------------------------
+
+RAGGED = [[1, 0], [0]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: core.as_density(RAGGED),
+    lambda: core.jordan_product(RAGGED, np.eye(2)),
+    lambda: core.solve_jordan(np.eye(2), RAGGED),
+    lambda: apply_channel(identity_channel(2), RAGGED),
+    lambda: personick_estimator(RAGGED, np.eye(2), identity_channel(2)),
+    lambda: estimators.complex_estimator(np.eye(2) / 2, RAGGED, identity_channel(2)),
+    lambda: estimators.schrodinger_risk(np.eye(2) / 2, np.eye(2), identity_channel(2),
+                                        RAGGED),
+    lambda: estimators.weak_value(RAGGED, np.eye(2), Povm([np.eye(2)]), 0),
+    lambda: Povm([np.eye(2), RAGGED]),
+    lambda: channel_from_cq_ensemble([np.eye(2) / 2, RAGGED]),
+], ids=["as_density", "jordan_product", "solve_jordan", "apply_channel",
+        "personick_estimator", "complex_estimator", "schrodinger_risk", "weak_value",
+        "Povm", "channel_from_cq_ensemble"])
+def test_ragged_input_is_a_shape_error(call):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.invariant == "shape"
 
 
 # --- functions of one operator reject a stack ----------------------------------------
