@@ -24,7 +24,6 @@ from .channels import (
 )
 from .estimators import (
     EstimationResult,
-    ZeroProbabilityOutcome,
     classical_conditional_expectation,
     complex_estimator,
     complex_weak_value,

@@ -83,15 +83,16 @@ class QuantumChannel:
 
 
 def _as_kraus(kraus) -> np.ndarray:
-    """A non-empty Kraus list as a (…, K, d_out, d_in) complex array."""
+    """A non-empty Kraus list of non-empty operators as a (…, K, d_out, d_in)
+    complex array."""
     if not len(kraus):
         raise ValidationError("kraus", "empty Kraus list")
     try:
         kraus = np.asarray(kraus, dtype=complex)
     except ValueError:  # ragged: the operators differ in shape
         kraus = None
-    if kraus is None or kraus.ndim < 3:
-        raise ValidationError("kraus", "Kraus operators must share one 2-D shape")
+    if kraus is None or kraus.ndim < 3 or 0 in kraus.shape:
+        raise ValidationError("kraus", "Kraus operators must share one non-empty 2-D shape")
     return kraus
 
 
@@ -183,8 +184,8 @@ class ClassicalChannel:
 
     def __post_init__(self):
         t = np.asarray(self.transition, dtype=float)
-        if t.ndim != 2:
-            raise ValidationError("shape", "transition must be a 2-D matrix")
+        if t.ndim != 2 or 0 in t.shape:
+            raise ValidationError("shape", "transition must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(t)):
             raise ValidationError("finite", "transition contains NaN or Inf entries")
         if t.min() < 0:
@@ -229,7 +230,7 @@ class Povm:
         labels = tuple(range(len(eff))) if labels is None else tuple(labels)
         if len(labels) != len(eff):
             raise ValidationError("labels", f"{len(labels)} labels for {len(eff)} effects")
-        # JSON labels may be lists, which do not hash: compare, as `effect` does
+        # JSON labels may be lists, which do not hash: compare them by ==
         if any(labels.index(y) != i for i, y in enumerate(labels)):
             raise ValidationError("labels", f"outcome labels {list(labels)!r} repeat")
         object.__setattr__(self, "effects", eff)
@@ -239,12 +240,6 @@ class Povm:
     @property
     def dim(self) -> int:
         return self.effects.shape[-1]
-
-    def effect(self, label):
-        try:
-            return self.effects[self.labels.index(label)]
-        except ValueError:
-            raise ValidationError("label", f"unknown outcome label {label!r}") from None
 
 
 def channel_from_classical(c: ClassicalChannel) -> QuantumChannel:

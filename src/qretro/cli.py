@@ -46,10 +46,11 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _emit(report: dict, args) -> None:
+    text = serialize_report(report)  # a report JSON cannot hold fails under --quiet too
     if args.output:
         write_report(report, args.output)
     if not args.quiet:
-        print(serialize_report(report))
+        print(text)
 
 
 def main(argv=None) -> int:

@@ -23,10 +23,6 @@ WEAKVALUE_FLOOR = 1e-12
 RESIDUAL_WARN = 1e-8
 
 
-class ZeroProbabilityOutcome(ValidationError):
-    """Conditional estimate requested at a (near-)zero-probability outcome."""
-
-
 @dataclass(frozen=True)
 class EstimationResult:
     """A minimum-risk estimator, Hermitian (Personick) or complex, or a stack of them."""
@@ -120,28 +116,36 @@ def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationR
     )
 
 
-def _outcome(rho, x, p: Povm, y):
-    """E(y) and tr E(y)ρ for checked ρ and x, above the probability floor."""
+def _conditional(numer, prob):
+    """(numer / prob, defined), NaN and False where prob ≤ WEAKVALUE_FLOOR.  Real
+    and imaginary parts divide separately, each rounded once: numpy's complex
+    division multiplies by a rounded reciprocal."""
+    defined = prob > WEAKVALUE_FLOOR
+    values = np.full(numer.shape, np.nan, dtype=numer.dtype)
+    values.real[defined] = numer.real[defined] / prob[defined]
+    if np.iscomplexobj(numer):
+        values.imag[defined] = numer.imag[defined] / prob[defined]
+    return values, defined
+
+
+def _probabilities(rho, x, p: Povm):
+    """tr E(y)ρ by outcome, for checked ρ and x of the POVM's dimension."""
     if rho.shape != (p.dim, p.dim) or x.shape != rho.shape:
         raise ValidationError(
             "shape", f"rho/x shapes {rho.shape}/{x.shape} != POVM dim {p.dim}"
         )
-    e = p.effect(y)
-    prob = float(np.trace(e @ rho).real)
-    if prob <= WEAKVALUE_FLOOR:
-        raise ZeroProbabilityOutcome(
-            "probability",
-            f"outcome {y!r} has probability {prob:.3e}; conditional undefined"
-        )
-    return e, prob
+    return np.array([np.trace(e @ rho).real for e in p.effects])
 
 
-def weak_value(rho, x, p: Povm, y) -> float:
-    """Real weak value tr E(y)(ρ∘X) / tr E(y)ρ at outcome y."""
+def weak_value(rho, x, p: Povm):
+    """Real weak values tr E(y)(ρ∘X) / tr E(y)ρ by outcome in label order, as
+    (values, defined) like `classical_conditional_expectation`."""
     rho = core.as_density(rho)
     x = core.as_hermitian(x, name="x")
-    e, prob = _outcome(rho, x, p, y)
-    return _real(np.trace(e @ core._jordan(rho, x)), "weak value") / prob
+    prob = _probabilities(rho, x, p)
+    jordan = core._jordan(rho, x)
+    numer = _real([np.trace(e @ jordan) for e in p.effects], "weak value")
+    return _conditional(numer, prob)
 
 
 def classical_conditional_expectation(px, c: ClassicalChannel, xvals):
@@ -158,12 +162,7 @@ def classical_conditional_expectation(px, c: ClassicalChannel, xvals):
         raise ValidationError("finite", "px/xvals contain NaN or Inf entries")
     if px.min() < 0 or abs(px.sum() - 1.0) > 1e-12:
         raise ValidationError("probability", "px must be a probability vector")
-    py = c.transition @ px
-    numer = c.transition @ (px * xvals)
-    defined = py > WEAKVALUE_FLOOR
-    estimates = np.full(c.n_out, np.nan)
-    estimates[defined] = numer[defined] / py[defined]
-    return estimates, defined
+    return _conditional(c.transition @ (px * xvals), c.transition @ px)
 
 
 def complex_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
@@ -188,9 +187,9 @@ def complex_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
     )
 
 
-def complex_weak_value(rho, x, p: Povm, y) -> complex:
-    """Complex weak value tr E(y)Xρ / tr E(y)ρ at outcome y."""
+def complex_weak_value(rho, x, p: Povm):
+    """Complex weak values tr E(y)Xρ / tr E(y)ρ by outcome, as (values, defined)."""
     rho = core.as_density(rho)
     x = core.as_square(x, "x")
-    e, prob = _outcome(rho, x, p, y)
-    return complex(np.trace(e @ x @ rho)) / prob
+    prob = _probabilities(rho, x, p)
+    return _conditional(np.array([np.trace(e @ x @ rho) for e in p.effects]), prob)

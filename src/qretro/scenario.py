@@ -34,7 +34,6 @@ from .channels import (
     partial_trace_channel,
 )
 from .estimators import (
-    ZeroProbabilityOutcome,
     classical_conditional_expectation,
     complex_estimator,
     complex_weak_value,
@@ -294,19 +293,18 @@ def _decode_weak_value(sc):
 def _solve_weak_value(rho, x, povm):
     """Per outcome: its probability and, where the estimators define them, its
     complex weak value and its real weak value (for x that `as_hermitian` accepts)."""
+    values, defined = complex_weak_value(rho, x, povm)
+    columns = {"complex_weak_value": values.tolist()}
+    try:
+        columns["weak_value"] = weak_value(rho, x, povm)[0].tolist()
+    except ValidationError as exc:  # after complex_weak_value only x can fail here
+        if exc.invariant != "hermiticity":
+            raise
     outcomes = []
-    for label in povm.labels:
-        entry = {"label": label}
-        try:
-            entry["complex_weak_value"] = complex_weak_value(rho, x, povm, label)
-            entry["weak_value"] = weak_value(rho, x, povm, label)
-        except ZeroProbabilityOutcome:
-            entry["undefined"] = True
-        except ValidationError as exc:  # after complex_weak_value only x can fail here
-            if exc.invariant != "hermiticity" or "complex_weak_value" not in entry:
-                raise
-        entry["probability"] = float(np.trace(povm.effect(label) @ rho).real)
-        outcomes.append(entry)
+    for i, (label, e) in enumerate(zip(povm.labels, povm.effects)):
+        entry = ({name: column[i] for name, column in columns.items()} if defined[i]
+                 else {"undefined": True})
+        outcomes.append(dict(entry, label=label, probability=float(np.trace(e @ rho).real)))
     return outcomes
 
 
@@ -500,9 +498,14 @@ KINDS = tuple(_STAGES)
 # --- file I/O ---------------------------------------------------------------
 
 def load_scenario(path) -> dict:
+    """A scenario file's JSON, without the NaN, Infinity and -Infinity tokens
+    that `json.load` would otherwise read as floats."""
+    def reject(token):
+        raise ValidationError("parse", f"{path}: {token} is not a JSON number")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ValidationError("parse", f"{path}:{exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
@@ -515,16 +518,21 @@ def serialize_report(report: dict) -> str:
     """One line of compact JSON; `python -m json.tool` pretty-prints it.
 
     Without an indent, `json.dumps` runs on CPython's C encoder: a d=64
-    report encodes about twice as fast and half as large as with one.
+    report encodes about twice as fast and half as large as with one.  A
+    NaN or infinite number, which JSON cannot hold, is a `range` error.
     """
-    return json.dumps(report, sort_keys=True)
+    try:
+        return json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError("range", f"report holds a non-finite number: {exc}") from exc
 
 
 def write_report(report: dict, path) -> None:
+    text = serialize_report(report) + "\n"  # before the temporary file exists
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(serialize_report(report) + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
         if os.path.isfile(tmp):

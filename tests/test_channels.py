@@ -130,6 +130,14 @@ def test_dilation_matches_explicit_formula(gen):
             np.testing.assert_allclose(chan(rho), direct, atol=1e-10)
 
 
+def test_environment_eigenvalue_1e_8_makes_kraus_operators(gen):
+    # KRAUS_CUTOFF (1e-14) drops an environment's zeros, not a weight of 1e-8:
+    # 2 environment eigenpairs × 2 traced basis states
+    env = np.diag([1 - 1e-8, 1e-8])
+    chan = channel_from_dilation(random_unitary(gen, 4), env, [2, 2], [0])
+    assert chan.kraus.shape == (4, 2, 2)
+
+
 def test_dilation_rejects_nonunitary(gen):
     with pytest.raises(ValidationError):
         channel_from_dilation(np.eye(4) * 0.5, random_density(gen, 2),
@@ -306,7 +314,10 @@ def test_validate_cptp_rejects_subnormalized():
     lambda: channel_from_cq_ensemble([]),
     lambda: core.embed(np.diag([1.0, -1.0]), [2, 2], 5),
     lambda: core.embed(np.diag([1.0, -1.0]), [2, 2], -1),  # not the last factor
-], ids=["ragged-kraus", "empty-ensemble", "factor-5", "factor-minus-1"])
+    lambda: ClassicalChannel(np.zeros((2, 0))),
+    lambda: QuantumChannel([np.zeros((1, 0))]),
+], ids=["ragged-kraus", "empty-ensemble", "factor-5", "factor-minus-1", "empty-classical",
+        "empty-kraus"])
 def test_malformed_library_calls_raise_validation_errors(call):
     with pytest.raises(ValidationError):
         call()

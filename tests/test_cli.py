@@ -26,6 +26,7 @@ from qretro.scenario import (
 from qretro.selftest import run_selftest
 
 IDENTITY_2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def personick_scenario():
@@ -151,13 +152,12 @@ def test_gaussian_scenario_rejects_sub_vacuum_covariance(tmp_path, capsys,
     ("state", "mean", [float("nan"), 0.0]),
     ("effect", "weight", float("inf")),
 ])
-def test_gaussian_scenario_rejects_non_finite_input(tmp_path, capsys, part, field,
-                                                    value):
+def test_gaussian_scenario_rejects_non_finite_input(part, field, value):
+    # a scenario file cannot hold NaN or Infinity; a scenario built in Python can
     sc = gaussian_scenario(VACUUM, VACUUM)
     sc[part][field] = value
-    rc = main(["gaussian", "--input", _write(tmp_path, sc), "--quiet"])
-    assert rc == 1
-    assert "error: finite:" in capsys.readouterr().err
+    with pytest.raises(ValidationError, match="^finite:"):
+        run_scenario(sc)
 
 
 @pytest.mark.parametrize("value", ["false", 0, []])
@@ -372,12 +372,12 @@ def test_decode_mixed_and_wide_integer_matrices():
     assert decode_complex_matrix([[2**70, 0], [0, 1]])[0, 0] == 2.0**70
 
 
-def test_cli_classical_nan_transition(tmp_path, capsys):
+def test_cli_classical_nan_transition():
+    # a scenario file cannot hold NaN; a scenario built in Python can
     sc = {"kind": "classical", "px": [0.5, 0.5], "xvals": [0.0, 1.0],
           "transition": [[float("nan"), 0.5], [0.5, 0.5]]}
-    rc = main(["classical", "--input", _write(tmp_path, sc), "--quiet"])
-    assert rc == 1
-    assert "error: finite:" in capsys.readouterr().err
+    with pytest.raises(ValidationError, match="^finite:"):
+        run_scenario(sc)
 
 
 @pytest.mark.parametrize("rho, x", [
@@ -394,6 +394,14 @@ def test_cli_weak_value_dimension_mismatch(tmp_path, capsys, rho, x):
 
 
 POVM_EFFECTS = [np.diag([1.0, 0.0]).tolist(), np.diag([0.0, 1.0]).tolist()]
+
+
+def _overflowing(name, field):
+    """A golden scenario with one entry of `field` set to 1e308, which
+    overflows its result to NaN."""
+    sc = json.loads((SCENARIO_DIR / name).read_text())
+    sc[field][0][0] = [1e308, 0.0]
+    return sc
 
 
 @pytest.mark.parametrize("channel, message", [
@@ -461,7 +469,7 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
     ({"kind": "qfi-mono", "family": {"type": "diagonal_exponential", "p0": [0.5, 0.5],
                                      "weights": [1.0]},
       "channel": {"depolarizing": 2}}, "shape"),
-    # with two outcomes labelled 0, effect(0) would answer for both
+    # two outcomes labelled 0 could not be told apart in the report
     ({"kind": "weak-value", "rho": (np.eye(2) / 2).tolist(),
       "x": np.diag([1.0, -1.0]).tolist(),
       "povm": {"effects": POVM_EFFECTS, "labels": [0, 0]}}, "labels"),
@@ -473,11 +481,35 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
     ({"kind": "qfi-mono", "family": {"type": "diagonal_line", "p0": [0.5, 0.5],
                                      "slope": [0.1, -0.1]},
       "channel": {"depolarizing": 2}, "theta": "a"}, "parse"),
+    # an operator with a zero dimension
+    ({**personick_scenario(), "channel": {"classical": [[], []]}}, "shape"),
+    ({**personick_scenario(), "channel": {"kraus": [[[]]]}}, "kraus"),
+    # a report that would hold NaN: JSON cannot
+    (_overflowing("risk_identity.json", "xcheck"), "range"),
+    (_overflowing("weak_value_qubit.json", "x"), "range"),
+    # json.dumps writes the NaN, Infinity and -Infinity tokens; JSON has none
+    ({"kind": "weak-value", "rho": (np.eye(2) / 2).tolist(),
+      "x": np.diag([1.0, -1.0]).tolist(),
+      "povm": {"effects": POVM_EFFECTS, "labels": [float("nan"), 1]}}, "parse"),
+    ({"kind": "weak-value", "rho": (np.eye(2) / 2).tolist(),
+      "x": np.diag([1.0, -1.0]).tolist(),
+      "povm": {"effects": POVM_EFFECTS, "labels": [float("inf"), -float("inf")]}}, "parse"),
 ])
 def test_cli_domain_errors_exit_cleanly(tmp_path, capsys, scenario, invariant):
     rc = main([scenario["kind"], "--input", _write(tmp_path, scenario), "--quiet"])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {invariant}:")
+
+
+def test_non_finite_report_leaves_no_file(tmp_path, capsys):
+    # serialized before the temporary file is opened, so neither is left
+    out = tmp_path / "report.json"
+    sc = _overflowing("risk_identity.json", "xcheck")
+    rc = main(["risk", "--input", _write(tmp_path, sc), "--output", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: range:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
 def test_cli_weak_value_zero_probability_outcome(tmp_path):
@@ -571,7 +603,7 @@ def test_complex_results_keys():
     assert sorted(run_scenario(sc)["results"]) == ["estimator", "min_risk", "residual"]
 
 
-SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 def _reject_constant(name):

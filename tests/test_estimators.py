@@ -13,7 +13,6 @@ from qretro.channels import (
 )
 from qretro.channels import ClassicalChannel
 from qretro.estimators import (
-    ZeroProbabilityOutcome,
     classical_conditional_expectation,
     complex_estimator,
     complex_weak_value,
@@ -90,46 +89,63 @@ def test_personick_incompatible_measurement():
     result = personick_estimator(np.eye(2) / 2, SZ, channel_from_povm(PROJ_X))
     np.testing.assert_allclose(result.estimator, np.zeros((2, 2)), atol=1e-12)
     assert result.min_risk == pytest.approx(1.0, abs=1e-12)
-    for label in ("+", "-"):
-        assert weak_value(np.eye(2) / 2, SZ, PROJ_X, label) == pytest.approx(
-            0.0, abs=1e-12)
+    values, defined = weak_value(np.eye(2) / 2, SZ, PROJ_X)
+    assert defined.tolist() == [True, True]
+    np.testing.assert_allclose(values, [0.0, 0.0], atol=1e-12)
 
 
 def test_weak_value_trivial_povm(gen):
     rho = random_density(gen, 2)
     x = random_hermitian(gen, 2)
     povm = Povm([np.eye(2)], labels=["all"])
-    assert weak_value(rho, x, povm, "all") == pytest.approx(
-        np.trace(rho @ x).real, abs=1e-12)
+    [value], _ = weak_value(rho, x, povm)
+    assert value == pytest.approx(np.trace(rho @ x).real, abs=1e-12)
 
 
 def test_weak_value_eigenstate():
     rho = np.diag([0.0, 1.0])  # eigenstate of sigma_z, eigenvalue -1
     povm = Povm([np.diag([0.3, 0.7]), np.diag([0.7, 0.3])], labels=[0, 1])
-    for y in (0, 1):
-        assert weak_value(rho, SZ, povm, y) == pytest.approx(-1.0, abs=1e-12)
+    np.testing.assert_allclose(weak_value(rho, SZ, povm)[0], [-1.0, -1.0], atol=1e-12)
 
 
 def test_weak_value_plus_outcome():
     rho = np.diag([1.0, 0.0])
-    assert weak_value(rho, SX, PROJ_X, "+") == pytest.approx(1.0, abs=1e-12)
+    values, _ = weak_value(rho, SX, PROJ_X)  # in label order: "+", then "-"
+    assert values[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weak_value_zero_probability_outcome():
+    # the outcome "b" never happens: NaN and flagged, as a classical outcome is
     rho = np.diag([1.0, 0.0])
     povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["a", "b"])
-    with pytest.raises(ZeroProbabilityOutcome):
-        weak_value(rho, SZ, povm, "b")
+    for conditional in (weak_value, complex_weak_value):
+        values, defined = conditional(rho, SZ, povm)
+        assert defined.tolist() == [True, False]
+        assert values[0] == 1.0 and np.isnan(values[1])
 
 
 def test_weak_values_reject_dimension_mismatch():
     rho = np.eye(3) / 3
     with pytest.raises(ValidationError, match="shape"):
-        weak_value(rho, np.eye(3), PROJ_X, "+")
+        weak_value(rho, np.eye(3), PROJ_X)
     with pytest.raises(ValidationError, match="shape"):
-        complex_weak_value(rho, np.eye(3), PROJ_X, "+")
+        complex_weak_value(rho, np.eye(3), PROJ_X)
     with pytest.raises(ValidationError, match="shape"):
-        complex_weak_value(np.eye(2) / 2, np.eye(3), PROJ_X, "+")
+        complex_weak_value(np.eye(2) / 2, np.eye(3), PROJ_X)
+
+
+@pytest.mark.parametrize("p, defined", [(1e-6, True), (1e-13, False)])
+def test_conditionals_share_the_probability_floor(p, defined):
+    # WEAKVALUE_FLOOR (1e-12) lies between the two: the second outcome is
+    # defined at probability 1e-6 and not at 1e-13, for all three conditionals
+    povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    rho = np.diag([1 - p, p])
+    classical = ClassicalChannel(np.eye(2))
+    for values, flags in (weak_value(rho, SZ, povm), complex_weak_value(rho, SZ, povm),
+                          classical_conditional_expectation([1 - p, p], classical, [1, -1])):
+        assert flags.tolist() == [True, defined]
+        assert values[0] == 1.0
+        assert values[1] == -1.0 if defined else np.isnan(values[1])
 
 
 def test_classical_rejects_non_finite():
@@ -220,17 +236,16 @@ def test_complex_estimator_matches_complex_weak_values(gen):
     povm = Povm([(np.eye(2) + SZ) / 2, (np.eye(2) - SZ) / 2], labels=[0, 1])
     chan = channel_from_povm(povm)
     result = complex_estimator(rho, x, chan)
-    for y in (0, 1):
-        expected = complex_weak_value(rho, x, povm, y)
-        assert result.estimator[y, y] == pytest.approx(expected, abs=1e-10)
+    expected, _ = complex_weak_value(rho, x, povm)
+    np.testing.assert_allclose(np.diag(result.estimator), expected, atol=1e-10)
 
 
 def test_complex_weak_value_trivial(gen):
     rho = random_density(gen, 2)
     x = SX + 1j * SY
     povm = Povm([np.eye(2)], labels=["all"])
-    assert complex_weak_value(rho, x, povm, "all") == pytest.approx(
-        complex(np.trace(x @ rho)), abs=1e-12)
+    [value], _ = complex_weak_value(rho, x, povm)
+    assert value == pytest.approx(complex(np.trace(x @ rho)), abs=1e-12)
 
 
 def test_complex_weak_value_real_part_matches_hermitian(gen):
@@ -238,14 +253,13 @@ def test_complex_weak_value_real_part_matches_hermitian(gen):
         rho = random_density(gen, 2)
         x = random_hermitian(gen, 2)
         povm = Povm([(np.eye(2) + SX) / 2, (np.eye(2) - SX) / 2], labels=[0, 1])
-        for y in (0, 1):
-            cwv = complex_weak_value(rho, x, povm, y)
-            assert cwv.real == pytest.approx(weak_value(rho, x, povm, y), abs=1e-12)
+        cwv, _ = complex_weak_value(rho, x, povm)
+        np.testing.assert_allclose(cwv.real, weak_value(rho, x, povm)[0], atol=1e-12)
 
 
 def test_complex_weak_value_purely_imaginary():
     rho = np.diag([1.0, 0.0])
-    assert complex_weak_value(rho, SY, PROJ_X, "+") == pytest.approx(1j, abs=1e-12)
+    assert complex_weak_value(rho, SY, PROJ_X)[0][0] == pytest.approx(1j, abs=1e-12)
 
 
 def test_personick_optimality_and_stationarity(gen):

@@ -230,6 +230,12 @@ def test_as_density_validation():
         core.as_density(np.array([[np.nan, 0], [0, 1]]))
 
 
+def test_state_with_eigenvalue_minus_1e_6_is_not_psd():
+    # PSD_TOL (1e-10) forgives rounding, not a negative eigenvalue of 1e-6
+    with pytest.raises(ValidationError, match="^psd:"):
+        core.as_density(np.diag([1 + 1e-6, -1e-6]))
+
+
 @pytest.mark.parametrize("check", [core.as_square, core.as_hermitian, core.as_density])
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
 def test_zero_size_matrices_are_rejected(check, shape):

@@ -292,7 +292,7 @@ RAGGED = [[1, 0], [0]]
     lambda: estimators.complex_estimator(np.eye(2) / 2, RAGGED, identity_channel(2)),
     lambda: estimators.schrodinger_risk(np.eye(2) / 2, np.eye(2), identity_channel(2),
                                         RAGGED),
-    lambda: estimators.weak_value(RAGGED, np.eye(2), Povm([np.eye(2)]), 0),
+    lambda: estimators.weak_value(RAGGED, np.eye(2), Povm([np.eye(2)])),
     lambda: Povm([np.eye(2), RAGGED]),
     lambda: channel_from_cq_ensemble([np.eye(2) / 2, RAGGED]),
 ], ids=["as_density", "jordan_product", "solve_jordan", "apply_channel",
@@ -318,8 +318,8 @@ def _single_operator_calls(gen):
         lambda: estimators.heisenberg_risk(np.array([np.kron(rho, rho)] * 2),
                                            x, x, u, [2, 2], [1]),
         lambda: estimators.complex_estimator(stack, xs, k),
-        lambda: estimators.weak_value(stack, xs, povm, 0),
-        lambda: estimators.complex_weak_value(stack, xs, povm, 0),
+        lambda: estimators.weak_value(stack, xs, povm),
+        lambda: estimators.complex_weak_value(stack, xs, povm),
         lambda: core.embed(xs, [2, 2], 0),
         lambda: core.partial_trace(np.array([np.kron(rho, rho)] * 2), [2, 2], {0}),
         lambda: channels.channel_from_dilation(np.array([u, u]), rho, [2, 2], [0]),
