@@ -74,6 +74,7 @@ class QuantumChannel:
             raise ValidationError(
                 "shape", f"cannot compose: {other.dim_in} != {self.dim_out}"
             )
+        stack_shape("composed channel", self.kraus.shape[:-3], other.kraus.shape[:-3])
         # every product B_b A_a, ordered with b the slow index
         prod = other.kraus[..., :, None, :, :] @ self.kraus[..., None, :, :, :]
         return QuantumChannel(prod.reshape(*prod.shape[:-4], -1, *prod.shape[-2:]))

@@ -4,7 +4,7 @@
     qretro selftest [--seed N] [--output report.json] [--quiet]
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure,
-3 invariant failure in selftest.
+3 invariant failure in selftest, including a check that raised.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 def _emit(report: dict, args) -> None:
     text = serialize_report(report)  # a report JSON cannot hold fails under --quiet too
     if args.output:
-        write_report(report, args.output)
+        write_report(text, args.output)
     if not args.quiet:
         print(text)
 
@@ -63,8 +63,9 @@ def main(argv=None) -> int:
                 for check in report["results"]["checks"]:
                     status = "pass" if check["passed"] else "FAIL"
                     worst = "not finite" if check["worst"] is None else f"{check['worst']:.3e}"
+                    raised = f"; raised {check['error']}" if "error" in check else ""
                     print(f"{status}  {check['name']}: worst {worst} "
-                          f"(threshold {check['threshold']:.3e})", file=sys.stderr)
+                          f"(threshold {check['threshold']:.3e}){raised}", file=sys.stderr)
             return EXIT_OK if report["results"]["all_passed"] else EXIT_SELFTEST
 
         scenario = load_scenario(args.input)

@@ -184,7 +184,9 @@ def monotonicity_check(family: StateFamily, k: QuantumChannel,
 def _diagonal(p0, direction, name: str):
     """p0 and a direction beside it, as float vectors of one length."""
     p0, direction = np.asarray(p0, dtype=float), np.asarray(direction, dtype=float)
-    if p0.ndim != 1 or direction.shape != p0.shape:
+    if p0.ndim != 1:
+        raise ValidationError("shape", f"p0 must be 1-D, got shape {p0.shape}")
+    if direction.shape != p0.shape:
         raise ValidationError("shape", f"p0 {p0.shape} and {name} {direction.shape} differ")
     return p0, direction
 
@@ -227,12 +229,17 @@ def unitary_rotation_family(rho0, h) -> StateFamily:
     """
     rho0 = core.as_density(rho0, name="rho0")
     h = core.as_hermitian(h, name="h")
+    if rho0.shape[-1] != h.shape[-1]:
+        raise ValidationError("shape", f"rho0 {rho0.shape} and h {h.shape} differ in dimension")
+    stack = core.stack_shape("rho0 and h", rho0.shape[:-2], h.shape[:-2])
     spec = core.Spectrum.of(h)
     v, vh = spec.eigenvectors, core.dagger(spec.eigenvectors)
     d0 = -1j * (h @ rho0 - rho0 @ h)
 
     def rotate(m, t):
-        phases = np.exp(-1j * np.asarray(t, dtype=float)[..., None] * spec.eigenvalues)
+        t = np.asarray(t, dtype=float)
+        core.stack_shape("family and theta", stack, t.shape)
+        phases = np.exp(-1j * t[..., None] * spec.eigenvalues)
         u = (v * phases[..., None, :]) @ vh
         return u @ m @ core.dagger(u)
 

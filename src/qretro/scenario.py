@@ -527,12 +527,12 @@ def serialize_report(report: dict) -> str:
         raise ValidationError("range", f"report holds a non-finite number: {exc}") from exc
 
 
-def write_report(report: dict, path) -> None:
-    text = serialize_report(report) + "\n"  # before the temporary file exists
+def write_report(text: str, path) -> None:
+    """Write a report serialized by `serialize_report`, and a newline, to `path`."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
         os.replace(tmp, path)
     except OSError as exc:
         if os.path.isfile(tmp):

@@ -1,10 +1,12 @@
 """Built-in invariant suite, runnable from the CLI with a fixed seed.
 
-Each check exercises one invariant on seeded random fixtures and returns
-its figures, each a worst case with its pinned threshold.  A check draws
-only inside its loop, so k calls on one generator draw what a loop of k
-times the draws would: the acceptance criteria run these checks that way,
-on their own seeds.  The suite is deterministic given the seed.
+Each check exercises one invariant on seeded random fixtures and yields
+its figures as (figure, value) pairs; `CHECKS` holds each figure's pinned
+threshold, and `figures` folds the pairs into each figure's worst case.
+A check draws only while it is iterated, so k runs chained on one
+generator draw what a loop of k times the draws would: the acceptance
+criteria run these checks that way, on their own seeds.  The suite is
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .estimators import (
     schrodinger_risk,
     weak_value,
 )
-from .operator_core import ValidationError
+from .operator_core import NumericalFailure, ValidationError
 from .scenario import _sweep_draws, provenance, recorded_warnings, rotation_checks
 
 
@@ -42,69 +44,59 @@ def _largest(*values) -> float:
 
 
 def _check_jordan_hermitian(gen):
-    worst = 0.0
     for _ in range(50):
         d = int(gen.integers(2, 9))
         a = sampling.random_hermitian(gen, d)
         b = sampling.random_hermitian(gen, d)
         j = core.jordan_product(a, b)
         scale = max(1.0, float(np.abs(j).max()))
-        worst = _largest(worst, float(np.abs(j - j.conj().T).max()) / scale)
-    return {"anti-Hermitian part": (worst, 1e-13)}
+        yield "anti-Hermitian part", float(np.abs(j - j.conj().T).max()) / scale
 
 
 def _check_jordan_trace_identity(gen):
-    worst = 0.0
     for _ in range(200):
         d = int(gen.integers(2, 9))
         x, y, z = (sampling.random_hermitian(gen, d) for _ in range(3))
         scale = np.linalg.norm(x) * np.linalg.norm(y) * np.linalg.norm(z)
-        worst = _largest(worst, core.jordan_trace_gap(x, y, z) / scale)
-    return {"trace identity gap": (worst, 1e-12)}
+        yield "trace identity gap", core.jordan_trace_gap(x, y, z) / scale
 
 
 def _check_partial_trace(gen):
-    worst = 0.0
     for _ in range(20):
         da, db = int(gen.integers(2, 4)), int(gen.integers(2, 4))
         a = sampling.random_density(gen, da)
         b = sampling.random_hermitian(gen, db)
         prod = core.tensor(a, b)
-        worst = _largest(worst, float(np.abs(
+        yield "partial trace gap", np.abs(
             core.partial_trace(prod, [da, db], {0}) - a * np.trace(b)
-        ).max()))
+        )
         m = sampling.random_density(gen, da * db)
-        worst = _largest(worst, abs(
+        yield "partial trace gap", abs(
             np.trace(core.partial_trace(m, [da, db], {1})) - np.trace(m)
-        ))
-    return {"partial trace gap": (float(worst), 1e-12)}
+        )
 
 
 def _check_solve_jordan(gen):
-    worst = 0.0
     for _ in range(20):
         d = int(gen.integers(2, 7))
         a = sampling.random_psd(gen, d) + 0.1 * np.eye(d)
         b = sampling.random_hermitian(gen, d)
         x, residual = core.solve_jordan(a, b)
-        worst = _largest(worst, residual / max(1.0, float(np.linalg.norm(b))))
-        worst = _largest(worst, float(np.abs(x - x.conj().T).max()))
-    return {"residual": (worst, 1e-10)}
+        yield "residual", residual / max(1.0, float(np.linalg.norm(b)))
+        yield "residual", np.abs(x - x.conj().T)
 
 
 def _check_penrose(gen):
-    worst = 0.0
     for _ in range(20):
         d = int(gen.integers(3, 7))
         rank = int(gen.integers(1, d))
         h = sampling.random_psd(gen, d, rank=rank)
         p = core.support_projector(h)
         hplus = core.pseudo_inverse_psd(h)
-        worst = _largest(worst, float(np.abs(p @ p - p).max()))
-        worst = _largest(worst, float(np.abs(h @ hplus - p).max()))
-        worst = _largest(worst, float(np.abs(h @ hplus @ h - h).max())
-                         / max(1.0, float(np.abs(h).max())))
-    return {"Penrose gap": (worst, 1e-10)}
+        yield "Penrose gap", np.abs(p @ p - p)
+        yield "Penrose gap", np.abs(h @ hplus - p)
+        yield "Penrose gap", (float(np.abs(h @ hplus @ h - h).max())
+                              / max(1.0, float(np.abs(h).max())))
 
 
 def _random_channels(gen):
@@ -117,21 +109,17 @@ def _random_channels(gen):
 
 
 def _check_channel_cptp(gen):
-    worst = 0.0
     for _ in range(5):
         for dim_in, chan in _random_channels(gen):
             report = validate_cptp(chan)
-            worst = _largest(worst, report.tp_deviation, -report.choi_min_eigenvalue)
+            yield "CPTP deviation", (report.tp_deviation, -report.choi_min_eigenvalue)
             rho = sampling.random_density(gen, dim_in)
             out = apply_channel(chan, rho)
-            worst = _largest(worst, abs(np.trace(out) - 1.0))
-            worst = _largest(worst, -float(np.linalg.eigvalsh(
-                core.hermitian_part(out)).min()))
-    return {"CPTP deviation": (float(worst), 1e-10)}
+            yield "CPTP deviation", abs(np.trace(out) - 1.0)
+            yield "CPTP deviation", -np.linalg.eigvalsh(core.hermitian_part(out))
 
 
 def _check_dilation_bridge(gen):
-    worst = 0.0
     for _ in range(20):
         da, db = int(gen.integers(2, 4)), int(gen.integers(2, 4))
         u = sampling.random_unitary(gen, da * db)
@@ -143,17 +131,15 @@ def _check_dilation_bridge(gen):
         xcheck = sampling.random_hermitian(gen, [da, db][kept])
         hs = heisenberg_risk(core.tensor(rho, env), x, xcheck, u, [da, db], [kept])
         ss = schrodinger_risk(rho, x, chan, xcheck)
-        worst = _largest(worst, abs(hs - ss) / max(1.0, abs(ss)))
+        yield "picture gap", abs(hs - ss) / max(1.0, abs(ss))
         # the Kraus form must also match the explicit dilation formula
         direct = core.partial_trace(
             u @ core.tensor(rho, env) @ u.conj().T, [da, db], {kept}
         )
-        worst = _largest(worst, float(np.abs(apply_channel(chan, rho) - direct).max()))
-    return {"picture gap": (worst, 1e-10)}
+        yield "picture gap", np.abs(apply_channel(chan, rho) - direct)
 
 
 def _check_personick_optimality(gen):
-    slack = decomposition = 0.0
     for _ in range(5):
         d_in, d_out = int(gen.integers(2, 7)), int(gen.integers(2, 7))
         rho = sampling.random_density(gen, d_in)
@@ -161,17 +147,14 @@ def _check_personick_optimality(gen):
         chan = sampling.random_channel(gen, d_in, d_out)
         result = personick_estimator(rho, x, chan)
         direct = schrodinger_risk(rho, x, chan, result.estimator)
-        decomposition = _largest(decomposition, abs(direct - result.min_risk))
+        yield "risk decomposition gap", abs(direct - result.min_risk)
         for _ in range(50):
             o = sampling.random_hermitian(gen, d_out, scale=float(gen.uniform(0.01, 1.0)))
             perturbed = schrodinger_risk(rho, x, chan, result.estimator + o)
-            slack = _largest(slack, result.min_risk - perturbed)
-    return {"perturbation slack": (slack, 1e-9),
-            "risk decomposition gap": (decomposition, 1e-9)}
+            yield "perturbation slack", result.min_risk - perturbed
 
 
 def _check_classical_reduction(gen):
-    bayes_gap = off_diagonal = 0.0
     for _ in range(10):
         n_in, n_out = int(gen.integers(2, 7)), int(gen.integers(2, 7))
         px = sampling.random_probability_vector(gen, n_in)
@@ -182,18 +165,15 @@ def _check_classical_reduction(gen):
         for y in range(n_out):
             py = sum(c.transition[y, x] * px[x] for x in range(n_in))
             bayes = sum(c.transition[y, x] * px[x] * xvals[x] for x in range(n_in)) / py
-            bayes_gap = _largest(bayes_gap, abs(est[y] - bayes) if defined[y] else np.inf)
+            yield "Bayes gap", abs(est[y] - bayes) if defined[y] else np.inf
         # and the quantum embedding must agree
         m = personick_estimator(np.diag(px.astype(complex)), np.diag(xvals.astype(complex)),
                                 channel_from_classical(c)).estimator
-        off_diagonal = _largest(off_diagonal, float(np.abs(m - np.diag(np.diag(m))).max()))
-        bayes_gap = _largest(bayes_gap,
-                             float(np.abs(np.diag(m).real[defined] - est[defined]).max()))
-    return {"Bayes gap": (bayes_gap, 1e-10), "off-diagonal": (off_diagonal, 1e-10)}
+        yield "off-diagonal", np.abs(m - np.diag(np.diag(m)))
+        yield "Bayes gap", np.abs(np.diag(m).real[defined] - est[defined])
 
 
 def _check_weak_values(gen):
-    diagonal = complex_real = complex_diagonal = 0.0
     for _ in range(20):
         d = int(gen.integers(2, 4))
         rho = sampling.random_density(gen, d)
@@ -202,18 +182,14 @@ def _check_weak_values(gen):
         chan = channel_from_povm(povm)
         est = personick_estimator(rho, x, chan).estimator
         wv, cwv = weak_value(rho, x, povm)[0], complex_weak_value(rho, x, povm)[0]
-        diagonal = _largest(diagonal, *abs(np.diag(est).real - wv))
-        complex_real = _largest(complex_real, *abs(cwv.real - wv))
+        yield "estimator-diagonal gap", abs(np.diag(est).real - wv)
+        yield "complex-real gap", abs(cwv.real - wv)
         # tr E(y)Xρ, not tr E(y)ρX: their real parts agree, their imaginary parts do not
         cest = complex_estimator(rho, x, chan).estimator
-        complex_diagonal = _largest(complex_diagonal, *abs(np.diag(cest) - cwv))
-    return {"estimator-diagonal gap": (diagonal, 1e-10),
-            "complex-real gap": (complex_real, 1e-12),
-            "complex-estimator-diagonal gap": (complex_diagonal, 1e-10)}
+        yield "complex-estimator-diagonal gap", abs(np.diag(cest) - cwv)
 
 
 def _check_complex_vs_hermitian(gen):
-    worst = 0.0
     for _ in range(20):
         d_in, d_out = int(gen.integers(2, 5)), int(gen.integers(2, 5))
         rho = sampling.random_density(gen, d_in)
@@ -221,12 +197,10 @@ def _check_complex_vs_hermitian(gen):
         chan = sampling.random_channel(gen, d_in, d_out)
         herm = personick_estimator(rho, x, chan).min_risk
         cplx = complex_estimator(rho, x, chan).min_risk
-        worst = _largest(worst, cplx - herm)
-    return {"complex risk excess": (worst, 1e-9)}
+        yield "complex risk excess", cplx - herm
 
 
 def _check_postcomposition(gen):
-    worst = 0.0
     for _ in range(20):
         d = int(gen.integers(2, 4))
         rho = sampling.random_density(gen, d)
@@ -239,19 +213,17 @@ def _check_postcomposition(gen):
         r2 = personick_estimator(rho, x, first.then(second)).min_risk
         r_stage = personick_estimator(apply_channel(first, rho), stage.estimator,
                                       second).min_risk
-        worst = _largest(worst, abs(r2 - stage.min_risk - r_stage))
-    return {"tower gap": (worst, 1e-9)}
+        yield "tower gap", abs(r2 - stage.min_risk - r_stage)
 
 
 def _check_qfi_monotonicity(gen):
     slack, risk = rotation_checks(_sweep_draws(gen, [2, 3, 4], 50))[:, 2:].T
-    return {"slack deficit": (float(-slack.min()), 1e-8),
-            "risk gap": (float(abs(slack - risk).max()), 1e-8)}
+    yield "slack deficit", -slack
+    yield "risk gap", abs(slack - risk)
 
 
 def _gaussian_oracle_gaps(gen, n_modes, draws):
     """The closed-form estimate and product weight against the grid oracle."""
-    estimate = weight = 0.0
     for _ in range(draws):
         wr = sampling.random_gaussian_wigner(gen, n_modes)
         we = sampling.random_gaussian_wigner(gen, n_modes,
@@ -260,55 +232,129 @@ def _gaussian_oracle_gaps(gen, n_modes, draws):
         closed = gaussian.quadrature_estimator(wr, we, x)
         product_weight = gaussian.gaussian_product(wr, we).weight
         denom, numer = gaussian.numeric_wigner_integral([wr, we], x)
-        estimate = _largest(estimate, abs(numer / denom - closed))
-        weight = _largest(weight, abs(denom - product_weight) / product_weight)
-    return {"oracle gap": (estimate, 1e-6), "product weight gap": (weight, 1e-6)}
+        yield "oracle gap", abs(numer / denom - closed)
+        yield "product weight gap", abs(denom - product_weight) / product_weight
 
 
 def _check_gaussian_oracle(gen):
     return _gaussian_oracle_gaps(gen, 1, 5)
 
 
-CHECKS = [
-    ("jordan_hermitian", _check_jordan_hermitian),
-    ("jordan_trace_identity", _check_jordan_trace_identity),
-    ("partial_trace", _check_partial_trace),
-    ("solve_jordan_roundtrip", _check_solve_jordan),
-    ("penrose_identities", _check_penrose),
-    ("channel_cptp", _check_channel_cptp),
-    ("dilation_bridge", _check_dilation_bridge),
-    ("personick_optimality", _check_personick_optimality),
-    ("classical_reduction", _check_classical_reduction),
-    ("weak_values", _check_weak_values),
-    ("complex_vs_hermitian", _check_complex_vs_hermitian),
-    ("postcomposition_monotone", _check_postcomposition),
-    ("qfi_monotonicity", _check_qfi_monotonicity),
-    ("gaussian_oracle", _check_gaussian_oracle),
-]
+def _hermitian_basis(d):
+    """An orthonormal basis of the d×d Hermitian matrices under ⟨A, B⟩ = tr AB."""
+    units = np.eye(d * d).reshape(d, d, d, d)  # units[j, k] = |j⟩⟨k|
+    j, k = np.triu_indices(d, 1)
+    return np.concatenate([units[range(d), range(d)],
+                           (units[j, k] + units[k, j]) / np.sqrt(2),
+                           1j * (units[j, k] - units[k, j]) / np.sqrt(2)])
 
 
-def _verdict(figures):
+def _heisenberg_optimum(rho0, x, u, dims, kept):
+    """Ohki's optimum, solved on the dilated space alone: the X̌ on factor
+    `kept` that minimizes tr ρ₀[X⊗I − U†(X̌ on kept)U]².
+
+    With Y_j = U†(B_j on kept)U over an orthonormal Hermitian basis B_j, the
+    coefficients of X̌ solve G c = h, G_ij = tr ρ₀(Y_i∘Y_j) and
+    h_i = tr ρ₀(Y_i∘(X⊗I)).  G is the matrix of X̌ ↦ κ(ρ)∘X̌, because
+    tr ρ₀(Y∘Y') = tr κ(ρ)(X̌∘X̌'): its eigenvalues are (λ_i + λ_j)/2 over
+    κ(ρ)'s, so rcond = SUPPORT_TOL/2 drops what `solve_jordan` drops.  Its
+    kernel is the X̌ supported on the kernel of κ(ρ), and the least-squares
+    solution of minimum norm is orthogonal to that kernel, so it is zero
+    there: Personick's canonical choice, which `solve_jordan` makes too.
+    """
+    basis = _hermitian_basis(dims[kept])
+    y = u.conj().T @ np.array([core.embed(b, dims, kept) for b in basis]) @ u
+    gram = core.trace(rho0 @ y[:, None] @ y).real
+    h = core.trace(rho0 @ y @ core.embed(x, dims, 0)).real
+    coeffs = np.linalg.lstsq(gram, h, rcond=core.SUPPORT_TOL / 2)[0]
+    return np.tensordot(coeffs, basis, 1)
+
+
+def _check_heisenberg_optimum(gen):
+    for _ in range(20):
+        for figure in ("full-rank gap", "rank-deficient gap"):
+            full = figure == "full-rank gap"
+            da, db, kept = int(gen.integers(2, 5)), int(gen.integers(2, 4)), int(gen.integers(2))
+            u = sampling.random_unitary(gen, da * db)
+            env = sampling.random_density(gen, db, rank=db if full else 1)
+            rank = da if full else int(gen.integers(1, da + 1))
+            rho = sampling.random_density(gen, da, rank=rank)
+            x = sampling.random_hermitian(gen, da)
+            ohki = _heisenberg_optimum(core.tensor(rho, env), x, u, [da, db], kept)
+            chan = channel_from_dilation(u, env, [da, db], [kept])
+            yield figure, np.abs(ohki - personick_estimator(rho, x, chan).estimator)
+
+
+# name → (check, {figure: threshold}); a check's index seeds its substream
+CHECKS = {
+    "jordan_hermitian": (_check_jordan_hermitian, {"anti-Hermitian part": 1e-13}),
+    "jordan_trace_identity": (_check_jordan_trace_identity, {"trace identity gap": 1e-12}),
+    "partial_trace": (_check_partial_trace, {"partial trace gap": 1e-12}),
+    "solve_jordan_roundtrip": (_check_solve_jordan, {"residual": 1e-10}),
+    "penrose_identities": (_check_penrose, {"Penrose gap": 1e-10}),
+    "channel_cptp": (_check_channel_cptp, {"CPTP deviation": 1e-10}),
+    "dilation_bridge": (_check_dilation_bridge, {"picture gap": 1e-10}),
+    "personick_optimality": (_check_personick_optimality,
+                             {"perturbation slack": 1e-9, "risk decomposition gap": 1e-9}),
+    "classical_reduction": (_check_classical_reduction,
+                            {"Bayes gap": 1e-10, "off-diagonal": 1e-10}),
+    "weak_values": (_check_weak_values, {"estimator-diagonal gap": 1e-10,
+                                         "complex-real gap": 1e-12,
+                                         "complex-estimator-diagonal gap": 1e-10}),
+    "complex_vs_hermitian": (_check_complex_vs_hermitian, {"complex risk excess": 1e-9}),
+    "postcomposition_monotone": (_check_postcomposition, {"tower gap": 1e-9}),
+    "qfi_monotonicity": (_check_qfi_monotonicity, {"slack deficit": 1e-8, "risk gap": 1e-8}),
+    "gaussian_oracle": (_check_gaussian_oracle,
+                        {"oracle gap": 1e-6, "product weight gap": 1e-6}),
+    # last, so that adding it moved no other check's substream
+    "heisenberg_optimum": (_check_heisenberg_optimum,
+                           {"full-rank gap": 1e-10, "rank-deficient gap": 1e-9}),
+}
+
+
+def figures(thresholds, pairs) -> dict:
+    """{figure: (worst, threshold)}: each figure's largest value over the
+    (figure, value) pairs, from 0.0, over every element of an array value,
+    and NaN if any value is NaN."""
+    worst = dict.fromkeys(thresholds, 0.0)
+    for figure, value in pairs:
+        worst[figure] = _largest(worst[figure], *np.ravel(value))
+    return {figure: (worst[figure], threshold) for figure, threshold in thresholds.items()}
+
+
+def _verdict(folded):
     """The largest figure, each over its own threshold if the thresholds
     differ; None, which fails, if any figure is NaN or infinite."""
-    values, thresholds = zip(*figures.values())
+    values, thresholds = zip(*folded.values())
     if len(set(thresholds)) > 1:
-        values, thresholds = [v / t for v, t in figures.values()], [1.0]
+        values, thresholds = [v / t for v, t in folded.values()], [1.0]
     return (_largest(*values) if np.isfinite(values).all() else None), thresholds[0]
 
 
 def run_selftest(seed: int = 0) -> dict:
-    """Run every invariant check with one seed; failures are the output."""
+    """Run every invariant check with one seed; failures are the output.
+
+    A check that raises fails with `worst` None and the exception under
+    `error`; the checks after it still run.
+    """
     if seed < 0:
         raise ValidationError("seed", f"seed must be a non-negative integer, got {seed}")
     start = time.perf_counter()
     checks = []
     check_elapsed = {}
     with recorded_warnings() as caught:
-        for index, (name, fn) in enumerate(CHECKS):
+        for index, (name, (check, thresholds)) in enumerate(CHECKS.items()):
             # one deterministic substream per check, stable across processes
             gen = sampling.rng((seed << 16) + index)
             check_start = time.perf_counter()
-            worst, threshold = _verdict(fn(gen))
+            error = None
+            try:
+                worst, threshold = _verdict(figures(thresholds, check(gen)))
+            except (ValueError, ArithmeticError, NumericalFailure) as exc:
+                # a check that raised fails; ValueError covers ValidationError
+                # and numpy's LinAlgError
+                worst, threshold = _verdict({f: (np.nan, t) for f, t in thresholds.items()})
+                error = f"{type(exc).__name__}: {exc}"
             check_elapsed[name] = time.perf_counter() - check_start
             checks.append({
                 "name": name,
@@ -316,6 +362,8 @@ def run_selftest(seed: int = 0) -> dict:
                 "worst": worst,
                 "threshold": threshold,
             })
+            if error is not None:
+                checks[-1]["error"] = error
     return {
         "scenario": {"kind": "selftest", "seed": seed},
         "results": {"checks": checks,

@@ -1,7 +1,8 @@
 """Acceptance gate: every criterion at its pinned tolerance.
 
-Criteria 1–6 run the selftest's checks, each several times on its own seed,
-and hold each figure to the check's threshold.  Run with
+Criteria 1–6 chain several runs of a selftest check on their own seed, fold
+them with `selftest.figures`, and hold each figure to its threshold in
+`selftest.CHECKS`.  Run with
 `pytest tests/test_acceptance.py -v -s` to see one pass/fail line per
 criterion.
 """
@@ -9,6 +10,7 @@ criterion.
 import json
 import time
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -24,14 +26,10 @@ def _report(name, passed, detail=""):
     assert passed, f"{name}: {detail}"
 
 
-def _worst(runs):
-    """Each figure's largest value over several runs of a check, with its threshold."""
-    worst = {}
-    for figures in runs:
-        for name, (value, threshold) in figures.items():
-            worst[name] = (selftest._largest(value, worst.get(name, (value,))[0]),
-                           threshold)
-    return worst
+def _figures(name, gen, runs, *after):
+    """A check's figures over `runs` runs chained on `gen`, then the `after` pairs."""
+    check, thresholds = selftest.CHECKS[name]
+    return selftest.figures(thresholds, chain(*(check(gen) for _ in range(runs)), *after))
 
 
 def _within(figures):
@@ -45,7 +43,7 @@ def _describe(figures):
 def test_criterion_1_picture_equivalence():
     gen = rng(101)
     start = time.perf_counter()
-    figures = _worst([selftest._check_dilation_bridge(gen) for _ in range(5)])
+    figures = _figures("dilation_bridge", gen, 5)
     elapsed = time.perf_counter() - start
     _report("criterion 1: picture equivalence",
             _within(figures) and elapsed < 10.0,
@@ -55,7 +53,7 @@ def test_criterion_1_picture_equivalence():
 def test_criterion_2_personick_optimality():
     gen = rng(202)
     start = time.perf_counter()
-    figures = _worst([selftest._check_personick_optimality(gen) for _ in range(20)])
+    figures = _figures("personick_optimality", gen, 20)
     elapsed = time.perf_counter() - start
     _report("criterion 2: optimality of the normal equation",
             _within(figures) and elapsed < 30.0,
@@ -64,7 +62,7 @@ def test_criterion_2_personick_optimality():
 
 def test_criterion_3_classical_reduction():
     gen = rng(303)
-    figures = _worst([selftest._check_classical_reduction(gen) for _ in range(5)])
+    figures = _figures("classical_reduction", gen, 5)
     bsc = ClassicalChannel([[0.8, 0.2], [0.2, 0.8]])
     est, _ = classical_conditional_expectation([0.5, 0.5], bsc, [0.0, 1.0])
     bsc_gap = max(abs(est[0] - 0.2), abs(est[1] - 0.8))
@@ -75,13 +73,13 @@ def test_criterion_3_classical_reduction():
 
 def test_criterion_4_weak_values():
     gen = rng(404)
-    figures = _worst([selftest._check_weak_values(gen) for _ in range(10)])
+    figures = _figures("weak_values", gen, 10)
     _report("criterion 4: weak values", _within(figures), _describe(figures))
 
 
 def test_criterion_5_qfi_monotonicity():
     gen = rng(505)
-    figures = _worst([selftest._check_qfi_monotonicity(gen) for _ in range(4)])
+    figures = _figures("qfi_monotonicity", gen, 4)
     family = fisher.unitary_rotation_family(random_density(gen, 3),
                                             random_hermitian(gen, 3))
     ident = fisher.monotonicity_check(family, identity_channel(3), 0.2)
@@ -92,8 +90,7 @@ def test_criterion_5_qfi_monotonicity():
     _report("criterion 5: QFI monotonicity",
             _within(figures) and abs(ident.slack) <= 1e-10 and depol.j_out <= 1e-10
             and fisher_gap <= 1e-8,
-            f"min slack {-figures['slack deficit'][0]:.3e}, "
-            f"max risk gap {figures['risk gap'][0]:.3e}, "
+            f"{_describe(figures)}, "
             f"identity slack {ident.slack:.3e}, depolarized J_out {depol.j_out:.3e}, "
             f"classical Fisher gap {fisher_gap:.3e}")
 
@@ -103,9 +100,8 @@ def test_criterion_6_gaussian_estimator():
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        runs = [selftest._check_gaussian_oracle(gen) for _ in range(10)]
-        runs.append(selftest._gaussian_oracle_gaps(gen, 2, 20))
-    figures = _worst(runs)
+        figures = _figures("gaussian_oracle", gen, 10,
+                           selftest._gaussian_oracle_gaps(gen, 2, 20))
     # the oracle may warn only that its own grid error bound is loose
     messages = [str(w.message) for w in caught]
     wr = random_gaussian_wigner(gen, 1)

@@ -1,8 +1,10 @@
 import hashlib
+import inspect
 import json
 import struct
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import qretro
-from qretro import estimators, selftest
+from qretro import channels, estimators, fisher, selftest
 from qretro import operator_core as core
 from qretro.cli import main
 from qretro.operator_core import ValidationError
@@ -237,6 +239,72 @@ def test_selftest_fails_a_nan_figure(tmp_path, monkeypatch, capsys):
     assert "FAIL  dilation_bridge: worst not finite" in capsys.readouterr().err
 
 
+# --- planted faults: the selftest fails each one, and raises for none ----------------
+
+def _mutant(fn, old, new):
+    """`fn` compiled again from its source, with `old`, which occurs once, as `new`."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+# name: (module, attribute, (old source, new source) or a new value)
+FAULTS = {
+    "jordan-without-half": (core, "_jordan", ("(a @ b + b @ a) / 2", "(a @ b + b @ a)")),
+    "transpose-for-dagger": (channels, "apply_channel",
+                             ("t @ dagger(a)", "t @ a.swapaxes(-1, -2)")),
+    "support-tol-1e-3": (core, "SUPPORT_TOL", 1e-3),
+    "complex-rhs-rho-x": (estimators, "complex_estimator",
+                          ("apply_channel(k, x @ rho)", "apply_channel(k, rho @ x)")),
+    "povm-kraus-unconjugated": (channels, "channel_from_povm", ("vecs.conj()", "vecs")),
+    "pushed-derivative-scaled": (fisher, "_push",
+                                 ("_tangent(apply_channel(k, drho))",
+                                  "_tangent((1 + 1e-7) * apply_channel(k, drho))")),
+    "bayes-numerator-scaled": (estimators, "classical_conditional_expectation",
+                               ("c.transition @ (px * xvals)",
+                                "(1 + 1e-9) * c.transition @ (px * xvals)")),
+    "environment-vectors-conjugated": (channels, "channel_from_dilation",
+                                       ("vecs[:, :, None]", "vecs.conj()[:, :, None]")),
+    "complex-weak-value-e-rho-x": (estimators, "complex_weak_value",
+                                   ("e @ x @ rho", "e @ rho @ x")),
+    "support-tol-0": (core, "SUPPORT_TOL", 0.0),
+    "solve-jordan-every-nonzero-denominator": (
+        core, "solve_jordan", ("keep = denom > SUPPORT_TOL * spectrum.wmax[..., None, None]",
+                               "keep = denom != 0")),
+}
+
+
+def _plant(monkeypatch, fault):
+    """Plant a fault in its module and in every qretro module that imported it by name."""
+    module, name, change = FAULTS[fault]
+    original = getattr(module, name)
+    planted = _mutant(original, *change) if isinstance(change, tuple) else change
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "qretro" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, planted)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_selftest_fails_a_planted_fault(monkeypatch, fault):
+    _plant(monkeypatch, fault)
+    report = run_selftest(seed=0)
+    assert not report["results"]["all_passed"]
+
+
+def test_selftest_check_that_raises_fails_and_the_rest_run(tmp_path, monkeypatch, capsys):
+    _plant(monkeypatch, "jordan-without-half")
+    out = tmp_path / "report.json"
+    assert main(["selftest", "--seed", "0", "--output", str(out)]) == 3
+    checks = {check["name"]: check for check in _strict_json(out.read_text())["results"]["checks"]}
+    assert list(checks) == list(selftest.CHECKS)
+    raised = {name for name, check in checks.items() if "error" in check}
+    assert raised and all(not checks[n]["passed"] and checks[n]["worst"] is None
+                          for n in raised)
+    assert "raised ValidationError: risk: negative risk" in capsys.readouterr().err
+
+
 def test_selftest_reports_its_warnings(monkeypatch):
     monkeypatch.setattr(estimators, "RESIDUAL_WARN", -1.0)
     warned = run_selftest(seed=0)["diagnostics"]["warnings"]
@@ -282,8 +350,9 @@ def test_cli_parse_error(tmp_path, capsys):
 def test_selftest_tower_check_rejects_a_perturbed_stage_risk(monkeypatch):
     # the check holds r₂ = r₁ + r_stage to 1e-9; an r_stage taken from a state
     # 1e-6 away from κ₁(ρ) breaks the identity
-    gen = lambda: qretro.sampling.rng(0)
-    [(worst, threshold)] = selftest._check_postcomposition(gen()).values()
+    check, thresholds = selftest.CHECKS["postcomposition_monotone"]
+    tower = lambda: selftest.figures(thresholds, check(qretro.sampling.rng(0)))["tower gap"]
+    worst, threshold = tower()
     assert worst <= threshold
     apply = selftest.apply_channel
 
@@ -292,7 +361,7 @@ def test_selftest_tower_check_rejects_a_perturbed_stage_risk(monkeypatch):
         return (1 - 1e-6) * out + 1e-6 * np.eye(out.shape[-1]) / out.shape[-1]
 
     monkeypatch.setattr(selftest, "apply_channel", perturbed)
-    [(worst, threshold)] = selftest._check_postcomposition(gen()).values()
+    worst, threshold = tower()
     assert worst > threshold
 
 
@@ -494,6 +563,11 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
     ({"kind": "weak-value", "rho": (np.eye(2) / 2).tolist(),
       "x": np.diag([1.0, -1.0]).tolist(),
       "povm": {"effects": POVM_EFFECTS, "labels": [float("inf"), -float("inf")]}}, "parse"),
+    # a rotation generator of another dimension than its state
+    ({"kind": "qfi-mono", "family": {"type": "unitary_rotation",
+                                     "rho0": (np.eye(3) / 3).tolist(),
+                                     "h": np.diag([1.0, -1.0]).tolist()},
+      "channel": {"depolarizing": 3}}, "shape"),
 ])
 def test_cli_domain_errors_exit_cleanly(tmp_path, capsys, scenario, invariant):
     rc = main([scenario["kind"], "--input", _write(tmp_path, scenario), "--quiet"])
@@ -510,6 +584,22 @@ def test_non_finite_report_leaves_no_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: range:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_cli_serializes_a_report_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(report):
+        calls.append(report)
+        return serialize_report(report)
+
+    for module in (qretro.cli, qretro.scenario):
+        monkeypatch.setattr(module, "serialize_report", counted)
+    out = tmp_path / "report.json"
+    rc = main(["personick", "--input", _write(tmp_path, personick_scenario()),
+               "--output", str(out)])
+    assert rc == 0 and len(calls) == 1
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_cli_weak_value_zero_probability_outcome(tmp_path):

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import SX, SY, SZ
 from qretro import operator_core as core
+from qretro import selftest
 from qretro.channels import (
     Povm,
+    channel_from_dilation,
     channel_from_povm,
     depolarizing_channel,
     identity_channel,
@@ -26,6 +28,7 @@ from qretro.sampling import (
     random_channel,
     random_density,
     random_hermitian,
+    random_unitary,
     rng,
 )
 
@@ -352,3 +355,23 @@ def test_retrodiction_tower_property(seed, d_in, d_mid, d_out, case, solve):
     scale = np.linalg.norm(x, 2)
     assert np.linalg.norm(second.estimator - direct.estimator, 2) <= TOWER * scale
     assert abs(first.min_risk + second.min_risk - direct.min_risk) <= TOWER * scale**2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), da=st.integers(2, 4), db=st.integers(2, 3),
+       kept=st.integers(0, 1), pure=st.booleans())
+def test_heisenberg_optimum_is_the_personick_estimator(seed, da, db, kept, pure):
+    # Ohki's optimum, fitted on the dilated space without the Kraus lowering,
+    # is the solution of κ(ρ)∘X̌ = κ(ρ∘X) through `channel_from_dilation`;
+    # with a pure environment and a pure state, κ(ρ) is singular whenever the
+    # kept factor is the larger one
+    gen = rng(seed)
+    u = random_unitary(gen, da * db)
+    env = random_density(gen, db, rank=1 if pure else db)
+    rho = random_density(gen, da, rank=1 if pure else da)
+    x = random_hermitian(gen, da)
+    ohki = selftest._heisenberg_optimum(core.tensor(rho, env), x, u, [da, db], kept)
+    chan = channel_from_dilation(u, env, [da, db], [kept])
+    thresholds = selftest.CHECKS["heisenberg_optimum"][1]
+    gap = np.abs(ohki - personick_estimator(rho, x, chan).estimator).max()
+    assert gap <= thresholds["rank-deficient gap" if pure else "full-rank gap"]

@@ -278,6 +278,24 @@ def test_personick_rejects_stacks_that_do_not_broadcast(gen):
         personick_estimator(rho, x, random_channel(gen, 2, 2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: fisher.unitary_rotation_family(np.array([np.eye(2) / 2] * 2),
+                                           np.array([np.diag([1.0, -1.0])] * 3)),
+    lambda: fisher.unitary_rotation_family(np.array([np.eye(2) / 2] * 2),
+                                           np.diag([1.0, -1.0])).state_at(np.zeros(3)),
+    lambda: QuantumChannel(np.array([identity_channel(2).kraus] * 2)).then(
+        QuantumChannel(np.array([identity_channel(2).kraus] * 3))),
+], ids=["rotation_family", "rotation_theta", "then"])
+def test_stacks_that_do_not_broadcast_are_shape_errors(call):
+    with pytest.raises(ValidationError, match=r"^shape: .* stacks \(\(2,\), \(3,\)\) do not"):
+        call()
+
+
+def test_exponential_family_p0_must_be_a_vector():
+    with pytest.raises(ValidationError, match="^shape: p0 must be 1-D, got shape"):
+        fisher.diagonal_exponential_family([[0.5, 0.5]], [[1, 0]])
+
+
 # --- a ragged nested list is a shape error -----------------------------------------
 
 RAGGED = [[1, 0], [0]]
