@@ -44,13 +44,20 @@ def _real(value, what: str, tol: float = 1e-12):
     return core.scalar(value.real)
 
 
+def _operands(rho, x, dim, check_x=core.as_hermitian):
+    """ρ checked as a state and x by `check_x`, each one (dim, dim) operator."""
+    rho, x = core.as_density(rho), check_x(x, name="x")
+    if rho.shape != (dim, dim) or x.shape != rho.shape:
+        raise ValidationError("shape", f"rho {rho.shape} and x {x.shape} must each be "
+                                       f"one ({dim}, {dim}) operator")
+    return rho, x
+
+
 def schrodinger_risk(rho, x, k: QuantumChannel, xcheck) -> float:
     """tr ρX² − 2 tr X̌ κ(ρ∘X) + tr κ(ρ) X̌²."""
-    rho = core.as_density(rho)
-    x = core.as_hermitian(x, name="x")
+    rho, x = _operands(rho, x, k.dim_in)
     xcheck = core.as_hermitian(xcheck, name="xcheck")
-    if (rho.shape != (k.dim_in,) * 2 or x.shape != rho.shape
-            or xcheck.shape != (k.dim_out,) * 2 or k.kraus.ndim != 3):
+    if xcheck.shape != (k.dim_out,) * 2 or k.kraus.ndim != 3:
         raise ValidationError("shape", "operator dimensions inconsistent with channel")
     value = (
         np.trace(rho @ x @ x)
@@ -103,7 +110,7 @@ def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationR
     rhs = core.hermitian_part(apply_channel(k, core._jordan(rho, x)))
     xopt, residual = core.solve_jordan(krho, rhs, spectrum=spec)
     min_risk = _real(
-        core.trace(rho @ x @ x) - core.trace(krho @ xopt @ xopt), "min risk", tol=1e-9
+        core.trace(rho @ x @ x) - core.trace(krho @ xopt @ xopt), "min risk", tol=RISK_TOL
     )
     res = np.asarray(residual)
     for i, name in core.failures(res > RESIDUAL_WARN, "normal-equation residual"):
@@ -128,21 +135,11 @@ def _conditional(numer, prob):
     return values, defined
 
 
-def _probabilities(rho, x, p: Povm):
-    """tr E(y)ρ by outcome, for checked ρ and x of the POVM's dimension."""
-    if rho.shape != (p.dim, p.dim) or x.shape != rho.shape:
-        raise ValidationError(
-            "shape", f"rho/x shapes {rho.shape}/{x.shape} != POVM dim {p.dim}"
-        )
-    return np.array([np.trace(e @ rho).real for e in p.effects])
-
-
 def weak_value(rho, x, p: Povm):
     """Real weak values tr E(y)(ρ∘X) / tr E(y)ρ by outcome in label order, as
     (values, defined) like `classical_conditional_expectation`."""
-    rho = core.as_density(rho)
-    x = core.as_hermitian(x, name="x")
-    prob = _probabilities(rho, x, p)
+    rho, x = _operands(rho, x, p.dim)
+    prob = np.array([np.trace(e @ rho).real for e in p.effects])
     jordan = core._jordan(rho, x)
     numer = _real([np.trace(e @ jordan) for e in p.effects], "weak value")
     return _conditional(numer, prob)
@@ -167,20 +164,19 @@ def classical_conditional_expectation(px, c: ClassicalChannel, xvals):
 
 def complex_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
     """Unconstrained (possibly non-Hermitian) optimum X̌ κ(ρ) = κ(Xρ)."""
-    rho = core.as_density(rho)
-    x = core.as_square(x, "x")
-    if rho.shape != (k.dim_in, k.dim_in) or x.shape != rho.shape or k.kraus.ndim != 3:
+    rho, x = _operands(rho, x, k.dim_in, core.as_square)
+    if k.kraus.ndim != 3:
         raise ValidationError("shape", "operator dimensions inconsistent with channel")
     krho = core.as_hermitian(apply_channel(k, rho))
     spec = core.Spectrum.of(krho)
-    spec.require_psd("input")
+    spec.require_psd("kappa(rho)")
     rhs = apply_channel(k, x @ rho)
     xopt = rhs @ core.pseudo_inverse_psd(krho, spectrum=spec)
     residual = float(np.linalg.norm(xopt @ krho - rhs))
     min_risk = _real(
         np.trace(rho @ x.conj().T @ x) - np.trace(krho @ xopt.conj().T @ xopt),
         "min risk",
-        tol=1e-9,
+        tol=RISK_TOL,
     )
     return EstimationResult(
         estimator=xopt, min_risk=min_risk, residual=residual, support_rank=spec.rank()
@@ -189,7 +185,6 @@ def complex_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
 
 def complex_weak_value(rho, x, p: Povm):
     """Complex weak values tr E(y)Xρ / tr E(y)ρ by outcome, as (values, defined)."""
-    rho = core.as_density(rho)
-    x = core.as_square(x, "x")
-    prob = _probabilities(rho, x, p)
+    rho, x = _operands(rho, x, p.dim, core.as_square)
+    prob = np.array([np.trace(e @ rho).real for e in p.effects])
     return _conditional(np.array([np.trace(e @ x @ rho) for e in p.effects]), prob)
