@@ -34,6 +34,7 @@ from .operator_core import (
     dagger,
     hermitian_part,
     require,
+    require_size,
     stack_shape,
 )
 
@@ -231,6 +232,8 @@ class Povm:
         labels = tuple(range(len(eff))) if labels is None else tuple(labels)
         if len(labels) != len(eff):
             raise ValidationError("labels", f"{len(labels)} labels for {len(eff)} effects")
+        if any(isinstance(y, float) and not np.isfinite(y) for y in labels):
+            raise ValidationError("labels", f"outcome labels {list(labels)!r} hold NaN or Inf")
         # JSON labels may be lists, which do not hash: compare them by ==
         if any(labels.index(y) != i for i, y in enumerate(labels)):
             raise ValidationError("labels", f"outcome labels {list(labels)!r} repeat")
@@ -286,10 +289,12 @@ def partial_trace_channel(dims, keep) -> QuantumChannel:
 
 
 def identity_channel(dim: int) -> QuantumChannel:
+    require_size("identity dimension", dim, 2)
     return QuantumChannel([np.eye(dim, dtype=complex)])
 
 
 def depolarizing_channel(dim: int) -> QuantumChannel:
     """Fully depolarizing: κ(ρ) = tr(ρ) I/d, Kraus operators |i⟩⟨j|/√d."""
+    require_size("depolarizing dimension", dim, 4)  # d² Kraus operators of d² entries
     kraus = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
     return QuantumChannel(kraus / np.sqrt(dim))

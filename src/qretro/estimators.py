@@ -39,6 +39,7 @@ class EstimationResult:
 
 def _real(value, what: str, tol: float = 1e-12):
     value = np.asarray(value)
+    core.require(~np.isfinite(value), "range", what, "is not finite: {}", value)
     core.require(abs(value.imag) > tol * np.maximum(1.0, abs(value)), "real", what,
                  "has imaginary part {:.3e}", value.imag)
     return core.scalar(value.real)
@@ -124,14 +125,17 @@ def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationR
 
 
 def _conditional(numer, prob):
-    """(numer / prob, defined), NaN and False where prob ≤ WEAKVALUE_FLOOR.  Real
-    and imaginary parts divide separately, each rounded once: numpy's complex
-    division multiplies by a rounded reciprocal."""
+    """(numer / prob, defined), NaN and False where prob ≤ WEAKVALUE_FLOOR, and
+    a `range` error where a defined value is not finite.  Real and imaginary
+    parts divide separately, each rounded once: numpy's complex division
+    multiplies by a rounded reciprocal."""
     defined = prob > WEAKVALUE_FLOOR
     values = np.full(numer.shape, np.nan, dtype=numer.dtype)
     values.real[defined] = numer.real[defined] / prob[defined]
     if np.iscomplexobj(numer):
         values.imag[defined] = numer.imag[defined] / prob[defined]
+    core.require(defined & ~np.isfinite(values), "range", "conditional expectation",
+                 "is not finite: {}", values)
     return values, defined
 
 

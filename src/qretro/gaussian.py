@@ -104,7 +104,10 @@ class LinearQuadrature:
         """X at a phase-space point; at the product Gaussian's mean, the estimate."""
         if self.coeffs.size != point.size:
             raise ValidationError("shape", "quadrature coefficient length != 2n")
-        return float(self.coeffs @ point + self.offset)
+        value = float(self.coeffs @ point + self.offset)
+        if not np.isfinite(value):
+            raise ValidationError("range", f"X at {point.tolist()} is not finite: {value}")
+        return value
 
 
 def gaussian_product(wr: GaussianWigner, we: GaussianWigner) -> GaussianWigner:
@@ -297,7 +300,7 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     moment = mass if x is None else float(sums[0, 0] + c_z * sums[1, 1])
 
     integrals = _unshift(mass, steps), _unshift(moment, steps)
-    if np.isinf(integrals).any():
+    if not np.isfinite(integrals).all():
         raise ValidationError(
             "range", f"the grid integrals exceed the float range (largest double "
             f"{np.finfo(float).max:.3e}): ln ∫ΠW ≈ {np.log(mass) + shift:.1f}")

@@ -19,6 +19,7 @@ decomposed; they then neither validate nor decompose again.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -32,6 +33,9 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 SUPPORT_TOL = 1e-12  # relative to the largest eigenvalue
 CPTP_TOL = 1e-10
+# Complex entries (256 MiB) of the largest array built from a size an input
+# names; `require_size` checks a size against it before anything is allocated.
+MAX_ENTRIES = 1 << 24
 
 
 class ValidationError(ValueError):
@@ -59,6 +63,14 @@ def require(failed, invariant: str, name: str, message: str, value) -> None:
     formatted with that element's `value`."""
     if bad := next(failures(failed, name), None):
         raise ValidationError(invariant, f"{bad[1]} {message.format(value[bad[0]])}")
+
+
+def require_size(name: str, size: int, power: int) -> None:
+    """Reject a size whose arrays hold size**power entries, above MAX_ENTRIES."""
+    if operator.index(size) ** power > MAX_ENTRIES:  # exact: a numpy integer could wrap
+        limit = round(MAX_ENTRIES ** (1 / power))
+        raise ValidationError("size", f"{name} exceeds {limit}: {limit}^{power} = {MAX_ENTRIES} "
+                                      "complex entries is the largest array an input may size")
 
 
 def scalar(x):
@@ -177,6 +189,7 @@ def as_keep(dims, keep) -> tuple[list[int], list[int]]:
         raise ValidationError("dims", "dims and keep must list integers") from None
     if not dims or min(dims) < 1:
         raise ValidationError("dims", f"dims must list positive dimensions, got {dims}")
+    require_size("prod(dims)", math.prod(dims), 2)
     if not keep:
         raise ValidationError("keep", "empty keep set")
     if keep[0] < 0 or keep[-1] >= len(dims):

@@ -41,7 +41,7 @@ from .estimators import (
     schrodinger_risk,
     weak_value,
 )
-from .operator_core import ValidationError, hermitian_part
+from .operator_core import ValidationError, hermitian_part, require_size
 from .sampling import channel_draw, finish_channel, finish_density, ginibre, rng
 
 
@@ -145,10 +145,18 @@ def _matrices(obj: dict, *fields: str) -> tuple[list, dict]:
     return ms, dict(obj, **{field: _digest(m) for field, m in zip(fields, ms)})
 
 
+_CHANNEL_FORMS = ("kraus", "classical", "povm", "partial_trace", "dilation", "depolarizing",
+                  "identity")
+
+
 def decode_channel(obj) -> tuple[QuantumChannel, dict]:
-    """A channel spec: the channel, and the spec as a report echoes it."""
+    """A channel spec, which names exactly one of the `_CHANNEL_FORMS`: the
+    channel, and the spec as a report echoes it."""
     if not isinstance(obj, dict):
         raise ValidationError("parse", "channel must be an object")
+    if len(forms := [form for form in _CHANNEL_FORMS if form in obj]) > 1:
+        raise ValidationError("parse", f"channel spec names {len(forms)} forms {forms}; "
+                                       "expected one")
     if "kraus" in obj:
         kraus = [decode_complex_matrix(k, "kraus")
                  for k in _list(obj["kraus"], "kraus")]
@@ -347,6 +355,7 @@ def _qfi_check_results(report):
 
 
 HELD_DRAW_BYTES = 1 << 20  # rotation_checks solves what it holds past this
+SWEEP_COUNT_MAX = 100_000  # about 3 s of problems at dims [2, 3, 4]
 
 
 def rotation_checks(problems) -> np.ndarray:
@@ -400,9 +409,13 @@ def _decode_qfi_sweep(sc):
     if not isinstance(spec, dict):
         raise ValidationError("parse", f"field 'sweep' must be an object, got {spec!r}")
     count = _int(spec.get("count", 200), "count")
+    if count > SWEEP_COUNT_MAX:
+        raise ValidationError("size", f"sweep count {count} exceeds {SWEEP_COUNT_MAX}")
     dims = [_int(d, "dims") for d in _list(spec.get("dims", [2, 3, 4]), "dims")]
     if not dims:
         raise ValidationError("parse", "field 'dims' must not be empty")
+    for d in dims:  # a channel draw holds d_in²·d_out entries
+        require_size("sweep dims entry", d, 3)
     return (_int(sc.get("seed", 0), "seed", minimum=0), dims, count), sc
 
 

@@ -15,10 +15,11 @@ import time
 
 import numpy as np
 
-from . import gaussian, operator_core as core, sampling
+from . import fisher, gaussian, operator_core as core, sampling
 from .channels import (
     apply_channel,
     channel_from_classical,
+    channel_from_cq_ensemble,
     channel_from_dilation,
     channel_from_povm,
     depolarizing_channel,
@@ -285,6 +286,34 @@ def _check_heisenberg_optimum(gen):
             yield figure, np.abs(ohki - personick_estimator(rho, x, chan).estimator)
 
 
+def _check_cq_ensemble(gen):
+    for _ in range(20):
+        n, d = int(gen.integers(2, 5)), int(gen.integers(2, 5))
+        states = np.array([sampling.random_density(gen, d, rank=int(gen.integers(1, d + 1)))
+                           for _ in range(n)])
+        rho = sampling.random_density(gen, n)
+        direct = np.tensordot(np.diag(rho).real, states, 1)  # Σ_x ⟨x|ρ|x⟩ ρ_x
+        yield "ensemble gap", np.abs(apply_channel(channel_from_cq_ensemble(states), rho)
+                                     - direct)
+
+
+def _check_rank_change(gen):
+    missed = 0
+    for _ in range(20):
+        d = int(gen.integers(2, 6))
+        rho0 = sampling.random_density(gen, d, rank=int(gen.integers(1, d)))
+        theta = float(gen.uniform(-1.0, 1.0))
+        step = np.eye(d) / d - rho0  # toward I/d: it has weight on ρ₀'s kernel
+        family = fisher.StateFamily(state_at=lambda t: rho0 + (t - theta) * step,
+                                    derivative_at=lambda t: step)
+        try:
+            fisher.sld(family, theta)
+            missed += 1
+        except fisher.RankChangeError:
+            pass
+    yield "missed rank changes", missed
+
+
 # name → (check, {figure: threshold}); a check's index seeds its substream
 CHECKS = {
     "jordan_hermitian": (_check_jordan_hermitian, {"anti-Hermitian part": 1e-13}),
@@ -306,9 +335,11 @@ CHECKS = {
     "qfi_monotonicity": (_check_qfi_monotonicity, {"slack deficit": 1e-8, "risk gap": 1e-8}),
     "gaussian_oracle": (_check_gaussian_oracle,
                         {"oracle gap": 1e-6, "product weight gap": 1e-6}),
-    # last, so that adding it moved no other check's substream
+    # appended in order, so that adding one moved no other check's substream
     "heisenberg_optimum": (_check_heisenberg_optimum,
                            {"full-rank gap": 1e-10, "rank-deficient gap": 1e-9}),
+    "cq_ensemble": (_check_cq_ensemble, {"ensemble gap": 1e-12}),
+    "rank_change": (_check_rank_change, {"missed rank changes": 0.0}),
 }
 
 

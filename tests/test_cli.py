@@ -273,6 +273,9 @@ FAULTS = {
     "solve-jordan-every-nonzero-denominator": (
         core, "solve_jordan", ("keep = denom > SUPPORT_TOL * spectrum.wmax[..., None, None]",
                                "keep = denom != 0")),
+    "cq-ensemble-vectors-conjugated": (channels, "channel_from_cq_ensemble",
+                                       ("roots[:, None] * vecs", "roots[:, None] * vecs.conj()")),
+    "sld-rank-change-unchecked": (fisher, "sld", ("leak > 1e-8 * scale", "leak > np.inf")),
 }
 
 
@@ -489,6 +492,45 @@ def test_cli_channel_spec_wrong_type(tmp_path, capsys, channel, message):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: parse:") and message in err
+
+
+@pytest.mark.parametrize("channel", [{"identity": 2, "depolarizing": 2},
+                                     {"kraus": [IDENTITY_2], "identity": 2}],
+                         ids=["identity-depolarizing", "kraus-identity"])
+def test_channel_spec_names_one_form(channel):
+    # the first form an if-chain matches would otherwise run, the other unread
+    with pytest.raises(ValidationError, match=r"^parse: channel spec names 2 forms \["):
+        decode_channel(channel)
+
+
+@pytest.mark.parametrize("channel, limit", [
+    ({"identity": 10**30}, 4096),
+    ({"identity": 4097}, 4096),
+    ({"depolarizing": 10**30}, 64),
+    ({"depolarizing": 65}, 64),
+    ({"partial_trace": {"dims": [2, 10**30], "keep": [0]}}, 4096),
+    ({"partial_trace": {"dims": [64, 65], "keep": [0]}}, 4096),
+], ids=["identity-1e30", "identity-4097", "depolarizing-1e30", "depolarizing-65",
+        "partial-trace-1e30", "partial-trace-64x65"])
+def test_channel_sizes_are_checked_before_allocation(channel, limit):
+    sc = {**personick_scenario(), "channel": channel}
+    with pytest.raises(ValidationError, match=f"^size: .* exceeds {limit}:"):
+        run_scenario(sc)
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"count": 10**30}, "sweep count 10"),
+    ({"count": 100_001}, "sweep count 100001 exceeds 100000"),
+    ({"dims": [10**30]}, "sweep dims entry exceeds 256"),
+    ({"dims": [2, 3, 257]}, "sweep dims entry exceeds 256"),
+], ids=["count-1e30", "count-100001", "dims-1e30", "dims-257"])
+def test_sweep_sizes_are_checked_before_any_draw(monkeypatch, sweep, message):
+    def draws(*args):
+        raise AssertionError("a problem was drawn")
+
+    monkeypatch.setattr(qretro.scenario, "_sweep_draws", draws)
+    with pytest.raises(ValidationError, match=f"^size: {message}"):
+        run_scenario({"kind": "qfi-mono", "seed": 1, "sweep": sweep})
 
 
 def test_cli_classical_non_numeric_xvals(tmp_path, capsys):

@@ -41,12 +41,6 @@ def test_schrodinger_risk_perfect_estimate():
                                                                                abs=1e-12)
 
 
-def test_schrodinger_risk_rejects_mismatched_x():
-    # the shape check comes before any product, so no numpy error escapes
-    with pytest.raises(ValidationError, match="^shape:"):
-        schrodinger_risk(np.eye(2) / 2, np.eye(3), identity_channel(2), np.eye(2))
-
-
 def test_schrodinger_risk_zero_estimator(gen):
     rho = random_density(gen, 3)
     x = random_hermitian(gen, 3)
@@ -125,16 +119,6 @@ def test_weak_value_zero_probability_outcome():
         values, defined = conditional(rho, SZ, povm)
         assert defined.tolist() == [True, False]
         assert values[0] == 1.0 and np.isnan(values[1])
-
-
-def test_weak_values_reject_dimension_mismatch():
-    rho = np.eye(3) / 3
-    with pytest.raises(ValidationError, match="shape"):
-        weak_value(rho, np.eye(3), PROJ_X)
-    with pytest.raises(ValidationError, match="shape"):
-        complex_weak_value(rho, np.eye(3), PROJ_X)
-    with pytest.raises(ValidationError, match="shape"):
-        complex_weak_value(np.eye(2) / 2, np.eye(3), PROJ_X)
 
 
 @pytest.mark.parametrize("p, defined", [(1e-6, True), (1e-13, False)])
@@ -227,10 +211,31 @@ def test_povm_rejects_repeated_labels(labels):
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=labels)
 
 
-def test_personick_rejects_x_of_another_dimension():
-    # x is checked against the channel like rho, before any product
+# ρ and x of a dimension other than the channel's input or the POVM's
+MISMATCHED_OPERANDS = {
+    "schrodinger_risk": lambda: schrodinger_risk(np.eye(2) / 2, np.eye(3),
+                                                 identity_channel(2), np.eye(2)),
+    "personick": lambda: personick_estimator(np.eye(2) / 2, np.eye(3), identity_channel(2)),
+    "complex": lambda: complex_estimator(np.eye(2) / 2, np.eye(3), identity_channel(2)),
+    "weak_value": lambda: weak_value(np.eye(3) / 3, np.eye(3), PROJ_X),
+    "complex_weak_value-rho": lambda: complex_weak_value(np.eye(3) / 3, np.eye(3), PROJ_X),
+    "complex_weak_value-x": lambda: complex_weak_value(np.eye(2) / 2, np.eye(3), PROJ_X),
+}
+
+
+@pytest.mark.parametrize("call", MISMATCHED_OPERANDS.values(), ids=MISMATCHED_OPERANDS)
+def test_estimators_reject_operands_of_another_dimension(call):
+    # x is checked against the channel or POVM like rho, before any product,
+    # so no numpy error escapes
     with pytest.raises(ValidationError, match="^shape:"):
-        personick_estimator(np.eye(2) / 2, np.eye(3), identity_channel(2))
+        call()
+
+
+@pytest.mark.parametrize("label", [float("nan"), float("inf")])
+def test_povm_rejects_non_finite_labels(label):
+    # a report echoes the labels, and JSON holds no NaN or Infinity
+    with pytest.raises(ValidationError, match="^labels:"):
+        Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=[label, 1])
 
 
 def test_complex_estimator_matches_complex_weak_values(gen):

@@ -230,6 +230,20 @@ def test_as_density_validation():
         core.as_density(np.array([[np.nan, 0], [0, 1]]))
 
 
+def test_asymmetry_of_1e_8_is_not_hermitian():
+    # HERMITICITY_TOL (1e-10) repairs rounding, not an asymmetry of 1e-8
+    with pytest.raises(ValidationError, match="^hermiticity:"):
+        core.as_hermitian([[1.0, 1e-8], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("power, limit", [(2, 4096), (3, 256), (4, 64)])
+def test_require_size_accepts_its_limit_and_not_one_more(power, limit):
+    # MAX_ENTRIES = 2^24 = 4096² = 256³ = 64⁴; nothing is allocated
+    core.require_size("d", limit, power)
+    with pytest.raises(ValidationError, match=f"^size: d exceeds {limit}:"):
+        core.require_size("d", limit + 1, power)
+
+
 def test_state_with_eigenvalue_minus_1e_6_is_not_psd():
     # PSD_TOL (1e-10) forgives rounding, not a negative eigenvalue of 1e-6
     with pytest.raises(ValidationError, match="^psd:"):
