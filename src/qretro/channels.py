@@ -17,6 +17,7 @@ Each Kraus contraction is a pair of BLAS matrix products, O(K·d³).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ from .operator_core import (
     dagger,
     hermitian_part,
     require,
+    require_fit,
     require_size,
-    stack_shape,
 )
 
 KRAUS_CUTOFF = 1e-14  # eigenvalues below it make no Kraus operator
@@ -71,11 +72,8 @@ class QuantumChannel:
 
     def then(self, other: "QuantumChannel") -> "QuantumChannel":
         """Composition: first self, then `other`."""
-        if other.dim_in != self.dim_out:
-            raise ValidationError(
-                "shape", f"cannot compose: {other.dim_in} != {self.dim_out}"
-            )
-        stack_shape("composed channel", self.kraus.shape[:-3], other.kraus.shape[:-3])
+        require_fit(self=(self.kraus, (..., *self.kraus.shape[-3:])),
+                    other=(other.kraus, (..., *other.kraus.shape[-3:-1], self.dim_out)))
         # every product B_b A_a, ordered with b the slow index
         prod = other.kraus[..., :, None, :, :] @ self.kraus[..., None, :, :, :]
         return QuantumChannel(prod.reshape(*prod.shape[:-4], -1, *prod.shape[-2:]))
@@ -100,8 +98,7 @@ def _as_kraus(kraus) -> np.ndarray:
 
 def _choi(kraus: np.ndarray) -> np.ndarray:
     # Choi matrix (id ⊗ κ)(|Ω⟩⟨Ω|) with the input index as the slow factor.
-    if kraus.ndim != 3:
-        raise ValidationError("kraus", "a Choi matrix is of one channel, not a stack")
+    require_fit(k=(kraus, kraus.shape[-3:]))
     vecs = kraus.transpose(0, 2, 1).reshape(len(kraus), -1)
     return vecs.T @ vecs.conj()
 
@@ -120,12 +117,8 @@ def apply_channel(k: QuantumChannel, rho) -> np.ndarray:
     element over the broadcast leading axes.
     """
     rho = as_square(rho, "rho")
-    if rho.shape[-1] != k.dim_in:
-        raise ValidationError(
-            "shape", f"input dim {rho.shape[-1]} != channel dim_in {k.dim_in}"
-        )
     *lead, n, dim_out, dim_in = k.kraus.shape
-    stack = stack_shape("channel and operator", tuple(lead), rho.shape[:-2])
+    stack = require_fit(k=(k.kraus, (..., n, dim_out, dim_in)), rho=(rho, (..., dim_in, dim_in)))
     # A = [K_1 … K_K] as (d_out, K·d_in), so κ(ρ) = A (I_K ⊗ ρ) A†: the
     # (d_out·K, d_in) view of A times ρ is A (I_K ⊗ ρ), read back as
     # (d_out, K·d_in), then one product with A†.
@@ -161,8 +154,7 @@ def channel_from_dilation(u, env, dims, kept) -> QuantumChannel:
     u = as_unitary(u, int(np.prod(dims)))
     d_a = dims[0]
     env, spec = _density_with_spectrum(env, name="env")
-    if env.ndim != 2 or env.shape[0] * d_a != len(u):
-        raise ValidationError("dims", "env dimension inconsistent with dims")
+    require_fit(env=(env, (math.prod(dims[1:]),) * 2))
     # the isometry √λ·U(I ⊗ |v⟩) of each eigenpair of env, then each Kraus
     # operator of the partial trace, with v the slow index
     _, roots, vecs = _kraus_roots(spec)
@@ -223,8 +215,7 @@ class Povm:
         if not len(effects):
             raise ValidationError("povm", "empty effect list")
         eff = as_hermitian(effects, name="effect")
-        if eff.ndim != 3:
-            raise ValidationError("shape", f"effects must stack to (n, d, d), got {eff.shape}")
+        require_fit(effect=(eff, (len(eff), *eff.shape[-2:])))
         spectra = Spectrum.of(eff)
         spectra.require_psd("effect")
         if float(np.abs(eff.sum(axis=0) - np.eye(eff.shape[-1])).max()) > CPTP_TOL:
@@ -259,8 +250,7 @@ def channel_from_cq_ensemble(states) -> QuantumChannel:
     if not len(states):
         raise ValidationError("ensemble", "empty ensemble")
     states, spec = _density_with_spectrum(states, name="state")
-    if states.ndim != 3:
-        raise ValidationError("shape", f"states must stack to (n, d, d), got {states.shape}")
+    require_fit(state=(states, (len(states), *states.shape[-2:])))
     (x,), roots, vecs = _kraus_roots(spec)
     kraus = np.zeros((len(x), states.shape[-1], len(states)), dtype=complex)
     kraus[np.arange(len(x)), :, x] = roots[:, None] * vecs

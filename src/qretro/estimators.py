@@ -16,7 +16,7 @@ import numpy as np
 
 from . import operator_core as core
 from .channels import ClassicalChannel, Povm, QuantumChannel, apply_channel, partial_trace_channel
-from .operator_core import ValidationError, jordan_product
+from .operator_core import ValidationError
 
 RISK_TOL = 1e-9  # two nested eigendecompositions accumulate error
 WEAKVALUE_FLOOR = 1e-12
@@ -45,24 +45,16 @@ def _real(value, what: str, tol: float = 1e-12):
     return core.scalar(value.real)
 
 
-def _operands(rho, x, dim, check_x=core.as_hermitian):
-    """ρ checked as a state and x by `check_x`, each one (dim, dim) operator."""
-    rho, x = core.as_density(rho), check_x(x, name="x")
-    if rho.shape != (dim, dim) or x.shape != rho.shape:
-        raise ValidationError("shape", f"rho {rho.shape} and x {x.shape} must each be "
-                                       f"one ({dim}, {dim}) operator")
-    return rho, x
-
-
 def schrodinger_risk(rho, x, k: QuantumChannel, xcheck) -> float:
     """tr ρX² − 2 tr X̌ κ(ρ∘X) + tr κ(ρ) X̌²."""
-    rho, x = _operands(rho, x, k.dim_in)
+    rho, x = core.as_density(rho), core.as_hermitian(x, name="x")
     xcheck = core.as_hermitian(xcheck, name="xcheck")
-    if xcheck.shape != (k.dim_out,) * 2 or k.kraus.ndim != 3:
-        raise ValidationError("shape", "operator dimensions inconsistent with channel")
+    square = (k.dim_in, k.dim_in)
+    core.require_fit(rho=(rho, square), x=(x, square), k=(k.kraus, k.kraus.shape[-3:]),
+                     xcheck=(xcheck, (k.dim_out,) * 2))
     value = (
         np.trace(rho @ x @ x)
-        - 2 * np.trace(xcheck @ apply_channel(k, jordan_product(rho, x)))
+        - 2 * np.trace(xcheck @ apply_channel(k, core._jordan(rho, x)))
         + np.trace(apply_channel(k, rho) @ xcheck @ xcheck)
     )
     return _real(value, "risk")
@@ -75,14 +67,13 @@ def heisenberg_risk(rho0, x, xcheck, u, dims, kept) -> float:
     embedding is explicit, never inferred.
     """
     rho0 = core.as_density(rho0, name="rho0")
+    dims, kept = core.as_keep(dims, kept)
     ptrace = partial_trace_channel(dims, kept)
     u = core.as_unitary(u, ptrace.dim_in)
-    if rho0.shape != u.shape:
-        raise ValidationError("dims", f"rho0 shape {rho0.shape} != U shape {u.shape}")
-    xcheck = core.as_hermitian(xcheck, name="xcheck")
-    if xcheck.shape != (ptrace.dim_out,) * 2:
-        raise ValidationError("dims", f"xcheck shape {xcheck.shape} != kept {ptrace.dim_out}")
-    x_emb = core.embed(core.as_hermitian(x, name="x"), dims, 0)
+    x, xcheck = core.as_hermitian(x, name="x"), core.as_hermitian(xcheck, name="xcheck")
+    core.require_fit(rho0=(rho0, u.shape), x=(x, (dims[0],) * 2),
+                     xcheck=(xcheck, (ptrace.dim_out,) * 2))
+    x_emb = core.tensor(x, np.eye(ptrace.dim_in // dims[0]))  # factor 0 is the slow index
     # X̌ on `kept`, identity on the traced factors: Σ P† X̌ P over the partial trace
     xc_emb = (core.dagger(ptrace.kraus) @ xcheck @ ptrace.kraus).sum(axis=0)
     diff = x_emb - u.conj().T @ xc_emb @ u
@@ -101,9 +92,9 @@ def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationR
     if image is None:
         rho = core.as_density(rho)
         x = core.as_hermitian(x, name="x")
-        if not rho.shape[-1] == x.shape[-1] == k.dim_in:
-            raise ValidationError("shape", "rho/x dimension != channel dim_in")
-        core.stack_shape("rho and x", rho.shape[:-2], x.shape[:-2])
+        square = (..., k.dim_in, k.dim_in)
+        core.require_fit(rho=(rho, square), x=(x, square),
+                         k=(k.kraus, (..., *k.kraus.shape[-3:])))
         krho = core.as_hermitian(apply_channel(k, rho))
         image = krho, core.Spectrum.of(krho)
         image[1].require_psd("kappa(rho)")
@@ -142,7 +133,8 @@ def _conditional(numer, prob):
 def weak_value(rho, x, p: Povm):
     """Real weak values tr E(y)(ρ∘X) / tr E(y)ρ by outcome in label order, as
     (values, defined) like `classical_conditional_expectation`."""
-    rho, x = _operands(rho, x, p.dim)
+    rho, x = core.as_density(rho), core.as_hermitian(x, name="x")
+    core.require_fit(rho=(rho, (p.dim,) * 2), x=(x, (p.dim,) * 2))
     prob = np.array([np.trace(e @ rho).real for e in p.effects])
     jordan = core._jordan(rho, x)
     numer = _real([np.trace(e @ jordan) for e in p.effects], "weak value")
@@ -157,8 +149,7 @@ def classical_conditional_expectation(px, c: ClassicalChannel, xvals):
     """
     px = np.asarray(px, dtype=float)
     xvals = np.asarray(xvals, dtype=float)
-    if px.shape != (c.n_in,) or xvals.shape != (c.n_in,):
-        raise ValidationError("shape", "px/xvals length must equal channel n_in")
+    core.require_fit(px=(px, (c.n_in,)), xvals=(xvals, (c.n_in,)))
     if not (np.all(np.isfinite(px)) and np.all(np.isfinite(xvals))):
         raise ValidationError("finite", "px/xvals contain NaN or Inf entries")
     if px.min() < 0 or abs(px.sum() - 1.0) > 1e-12:
@@ -168,9 +159,9 @@ def classical_conditional_expectation(px, c: ClassicalChannel, xvals):
 
 def complex_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
     """Unconstrained (possibly non-Hermitian) optimum X̌ κ(ρ) = κ(Xρ)."""
-    rho, x = _operands(rho, x, k.dim_in, core.as_square)
-    if k.kraus.ndim != 3:
-        raise ValidationError("shape", "operator dimensions inconsistent with channel")
+    rho, x = core.as_density(rho), core.as_square(x, name="x")
+    square = (k.dim_in, k.dim_in)
+    core.require_fit(rho=(rho, square), x=(x, square), k=(k.kraus, k.kraus.shape[-3:]))
     krho = core.as_hermitian(apply_channel(k, rho))
     spec = core.Spectrum.of(krho)
     spec.require_psd("kappa(rho)")
@@ -189,6 +180,7 @@ def complex_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
 
 def complex_weak_value(rho, x, p: Povm):
     """Complex weak values tr E(y)Xρ / tr E(y)ρ by outcome, as (values, defined)."""
-    rho, x = _operands(rho, x, p.dim, core.as_square)
+    rho, x = core.as_density(rho), core.as_square(x, name="x")
+    core.require_fit(rho=(rho, (p.dim,) * 2), x=(x, (p.dim,) * 2))
     prob = np.array([np.trace(e @ rho).real for e in p.effects])
     return _conditional(np.array([np.trace(e @ x @ rho) for e in p.effects]), prob)

@@ -101,8 +101,8 @@ def qfi(rho, s) -> float:
     """Fisher information J = tr ρS² for a given SLD."""
     rho = core.as_density(rho)
     s = core.as_hermitian(s, name="s")
-    if rho.shape != s.shape:
-        raise ValidationError("shape", "rho and s dimensions differ")
+    square = (..., rho.shape[-1], rho.shape[-1])
+    core.require_fit(rho=(rho, square), s=(s, square))
     return _qfi(rho, s)
 
 
@@ -184,10 +184,7 @@ def monotonicity_check(family: StateFamily, k: QuantumChannel,
 def _diagonal(p0, direction, name: str):
     """p0 and a direction beside it, as float vectors of one length."""
     p0, direction = np.asarray(p0, dtype=float), np.asarray(direction, dtype=float)
-    if p0.ndim != 1:
-        raise ValidationError("shape", f"p0 must be 1-D, got shape {p0.shape}")
-    if direction.shape != p0.shape:
-        raise ValidationError("shape", f"p0 {p0.shape} and {name} {direction.shape} differ")
+    core.require_fit(p0=(p0, (p0.size,)), **{name: (direction, (p0.size,))})
     return p0, direction
 
 
@@ -229,16 +226,15 @@ def unitary_rotation_family(rho0, h) -> StateFamily:
     """
     rho0 = core.as_density(rho0, name="rho0")
     h = core.as_hermitian(h, name="h")
-    if rho0.shape[-1] != h.shape[-1]:
-        raise ValidationError("shape", f"rho0 {rho0.shape} and h {h.shape} differ in dimension")
-    stack = core.stack_shape("rho0 and h", rho0.shape[:-2], h.shape[:-2])
+    square = (..., rho0.shape[-1], rho0.shape[-1])
+    core.require_fit(rho0=(rho0, square), h=(h, square))
     spec = core.Spectrum.of(h)
     v, vh = spec.eigenvectors, core.dagger(spec.eigenvectors)
     d0 = -1j * (h @ rho0 - rho0 @ h)
 
     def rotate(m, t):
         t = np.asarray(t, dtype=float)
-        core.stack_shape("family and theta", stack, t.shape)
+        core.require_fit(family=(d0, square), theta=(t, (...,)))
         phases = np.exp(-1j * t[..., None] * spec.eigenvalues)
         u = (v * phases[..., None, :]) @ vh
         return u @ m @ core.dagger(u)

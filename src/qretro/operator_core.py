@@ -11,7 +11,9 @@ one numpy call per step for many small problems; a (d, d) operator is a
 stack of one, and a failed check names a stack's element, as in `rho[3]`.
 
 Validation happens once, where an operator enters a public function,
-through `as_square`, `as_hermitian` and `as_density`.  A `Spectrum` is one
+through `as_square`, `as_hermitian` and `as_density`; operators used
+together meet one rule, `require_fit`: each has the shape its function
+needs, and their stacks broadcast.  A `Spectrum` is one
 `eigh` of a checked operator.  `solve_jordan` and `pseudo_inverse_psd`
 accept the `Spectrum` of an operator their caller has already checked and
 decomposed; they then neither validate nor decompose again.
@@ -101,12 +103,29 @@ def as_square(m, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def stack_shape(what: str, *stacks) -> tuple:
-    """The broadcast of the leading (stack) shapes of operators used together."""
+def require_fit(**operands) -> tuple:
+    """The broadcast stack shape of arrays used together.
+
+    Each keyword names an operand as (array, need): `need` is the exact
+    shape the array must have, or (..., *tail) for a stack of `tail`-shaped
+    operators whose stack broadcasts with the other operands' stacks.
+    Anything else is one `shape` error naming each operand's shape and need.
+    """
+    stacks, fits = [], True
+    for a, need in operands.values():
+        tail = tuple(need[1:] if need[0] is ... else need)
+        cut = a.ndim - len(tail) if need[0] is ... else 0
+        fits = fits and cut >= 0 and a.shape[cut:] == tail
+        stacks.append(a.shape[:cut])
     try:
-        return np.broadcast_shapes(*stacks)
-    except ValueError:
-        raise ValidationError("shape", f"{what} stacks {stacks} do not broadcast") from None
+        if fits:
+            return np.broadcast_shapes(*stacks)
+    except ValueError:  # the stacks do not broadcast
+        pass
+    got = ", ".join(f"{name} {a.shape}" for name, (a, _) in operands.items())
+    needs = ", ".join(f"{name} {tuple(need)}" for name, (_, need) in operands.items())
+    stacked = ", with … stacks that broadcast together" if "Ellipsis" in needs else ""
+    raise ValidationError("shape", f"got {got}; need {needs}{stacked}".replace("Ellipsis", "…"))
 
 
 def hermitian_part(m) -> np.ndarray:
@@ -148,8 +167,8 @@ def jordan_product(a, b) -> np.ndarray:
     """Symmetrized product (ab + ba)/2; Hermitian for Hermitian a, b."""
     a = as_square(a, "a")
     b = as_square(b, "b")
-    if a.shape != b.shape:
-        raise ValidationError("shape", f"dimension mismatch {a.shape} vs {b.shape}")
+    square = (..., a.shape[-1], a.shape[-1])
+    require_fit(a=(a, square), b=(b, square))
     return _jordan(a, b)
 
 
@@ -160,9 +179,10 @@ def _jordan(a, b) -> np.ndarray:
 
 def jordan_trace_gap(x, y, z) -> float:
     """|tr x(y∘z) − tr (x∘y)z|, zero in exact arithmetic for all inputs."""
-    lhs = trace(np.asarray(x, dtype=complex) @ jordan_product(y, z))
-    rhs = trace(jordan_product(x, y) @ np.asarray(z, dtype=complex))
-    return scalar(abs(lhs - rhs))
+    x, y, z = as_square(x, "x"), as_square(y, "y"), as_square(z, "z")
+    square = (..., x.shape[-1], x.shape[-1])
+    require_fit(x=(x, square), y=(y, square), z=(z, square))
+    return scalar(abs(trace(x @ _jordan(y, z)) - trace(_jordan(x, y) @ z)))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -174,10 +194,7 @@ def embed(op, dims, factor: int) -> np.ndarray:
     """Embed `op` on tensor factor `factor` of a product space, identity elsewhere."""
     op = as_square(op, "op")
     dims, (factor,) = as_keep(dims, [factor])
-    if op.shape != (dims[factor],) * 2:
-        raise ValidationError(
-            "dims", f"operator shape {op.shape} != dims[{factor}] = {dims[factor]}"
-        )
+    require_fit(op=(op, (dims[factor],) * 2))
     return reduce(tensor, [op if i == factor else np.eye(d) for i, d in enumerate(dims)])
 
 
@@ -200,8 +217,7 @@ def as_keep(dims, keep) -> tuple[list[int], list[int]]:
 def as_unitary(u, dim: int) -> np.ndarray:
     """A (dim, dim) matrix U with U†U = I within 1e-10."""
     u = as_square(u, "u")
-    if u.shape != (dim, dim):
-        raise ValidationError("dims", f"U shape {u.shape} != prod(dims) {dim}")
+    require_fit(u=(u, (dim, dim)))
     if float(np.abs(u.conj().T @ u - np.eye(dim)).max()) > 1e-10:
         raise ValidationError("unitary", "U is not unitary within 1e-10")
     return u
@@ -215,10 +231,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     """
     m = as_square(m)
     dims, keep = as_keep(dims, keep)
-    if (int(np.prod(dims)),) * 2 != m.shape:
-        raise ValidationError(
-            "dims", f"prod(dims)={np.prod(dims)} != matrix shape {m.shape}"
-        )
+    require_fit(matrix=(m, (math.prod(dims),) * 2))
     # row index i, column index n+i; a traced factor shares one index
     n = len(dims)
     col = [n + i if i in keep else i for i in range(n)]
@@ -284,8 +297,8 @@ def solve_jordan(a, b, *, spectrum: Spectrum | None = None):
     """
     if spectrum is None:
         a, b = as_hermitian(a, name="a"), as_hermitian(b, name="b")
-        if a.shape != b.shape:
-            raise ValidationError("shape", f"dimension mismatch {a.shape} vs {b.shape}")
+        square = (..., a.shape[-1], a.shape[-1])
+        require_fit(a=(a, square), b=(b, square))
         spectrum = Spectrum.of(a)
         spectrum.require_psd("a")
     w, v = spectrum.eigenvalues, spectrum.eigenvectors

@@ -1,17 +1,24 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SX, SY, SZ
+from qretro import fisher
 from qretro import operator_core as core
 from qretro import selftest
 from qretro.channels import (
     Povm,
+    QuantumChannel,
+    apply_channel,
+    channel_from_cq_ensemble,
     channel_from_dilation,
     channel_from_povm,
     depolarizing_channel,
     identity_channel,
+    validate_cptp,
 )
 from qretro.channels import ClassicalChannel
 from qretro.estimators import (
@@ -211,24 +218,68 @@ def test_povm_rejects_repeated_labels(labels):
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=labels)
 
 
-# ρ and x of a dimension other than the channel's input or the POVM's
+# operands of mismatched dimension, to every function that checks that operators
+# fit together, with the operands its message names: ρ and x against the channel
+# or POVM first
+I2, I3, ID2 = np.eye(2), np.eye(3), identity_channel(2)
 MISMATCHED_OPERANDS = {
-    "schrodinger_risk": lambda: schrodinger_risk(np.eye(2) / 2, np.eye(3),
-                                                 identity_channel(2), np.eye(2)),
-    "personick": lambda: personick_estimator(np.eye(2) / 2, np.eye(3), identity_channel(2)),
-    "complex": lambda: complex_estimator(np.eye(2) / 2, np.eye(3), identity_channel(2)),
-    "weak_value": lambda: weak_value(np.eye(3) / 3, np.eye(3), PROJ_X),
-    "complex_weak_value-rho": lambda: complex_weak_value(np.eye(3) / 3, np.eye(3), PROJ_X),
-    "complex_weak_value-x": lambda: complex_weak_value(np.eye(2) / 2, np.eye(3), PROJ_X),
+    "schrodinger_risk": (lambda: schrodinger_risk(I2 / 2, I3, ID2, I2),
+                         ["rho", "x", "k", "xcheck"]),
+    "personick": (lambda: personick_estimator(I2 / 2, I3, ID2), ["rho", "x", "k"]),
+    "complex": (lambda: complex_estimator(I2 / 2, I3, ID2), ["rho", "x", "k"]),
+    "weak_value": (lambda: weak_value(I3 / 3, I3, PROJ_X), ["rho", "x"]),
+    "complex_weak_value-rho": (lambda: complex_weak_value(I3 / 3, I3, PROJ_X), ["rho", "x"]),
+    "complex_weak_value-x": (lambda: complex_weak_value(I2 / 2, I3, PROJ_X), ["rho", "x"]),
+    "schrodinger_risk-xcheck": (lambda: schrodinger_risk(I2 / 2, I2, ID2, I3),
+                                ["rho", "x", "k", "xcheck"]),
+    "heisenberg_risk-rho0": (lambda: heisenberg_risk(I3 / 3, I2, I2, np.eye(4), [2, 2], [1]),
+                             ["rho0", "x", "xcheck"]),
+    "heisenberg_risk-x": (lambda: heisenberg_risk(np.eye(4) / 4, I3, I2, np.eye(4), [2, 2], [1]),
+                          ["rho0", "x", "xcheck"]),
+    "heisenberg_risk-u": (lambda: heisenberg_risk(np.eye(4) / 4, I2, I2, I3, [2, 2], [1]),
+                          ["u"]),
+    "classical_conditional_expectation": (
+        lambda: classical_conditional_expectation([0.5, 0.5, 0], ClassicalChannel(I2), [1, 2, 3]),
+        ["px", "xvals"]),
+    # the kernel
+    "jordan_product": (lambda: core.jordan_product(I2, I3), ["a", "b"]),
+    "jordan_trace_gap": (lambda: core.jordan_trace_gap(I2, I3, I3), ["x", "y", "z"]),
+    "embed": (lambda: core.embed(I3, [2, 2], 0), ["op"]),
+    "as_unitary": (lambda: core.as_unitary(I3, 4), ["u"]),
+    "partial_trace": (lambda: core.partial_trace(I3, [2, 2], [0]), ["matrix"]),
+    "solve_jordan": (lambda: core.solve_jordan(I2, I3), ["a", "b"]),
+    # Fisher information
+    "qfi": (lambda: fisher.qfi(I2 / 2, I3), ["rho", "s"]),
+    "unitary_rotation_family": (
+        lambda: fisher.unitary_rotation_family(I2 / 2, np.diag([1.0, 0.0, -1.0])), ["rho0", "h"]),
+    "diagonal_line_family": (lambda: fisher.diagonal_line_family([0.5, 0.5], [1, -1, 0]),
+                             ["p0", "slope"]),
+    # channels
+    "then": (lambda: ID2.then(identity_channel(3)), ["self", "other"]),
+    "apply_channel": (lambda: apply_channel(ID2, I3), ["k", "rho"]),
+    "channel_from_dilation-u": (lambda: channel_from_dilation(I3, I2 / 2, [2, 2], [0]), ["u"]),
+    "channel_from_dilation-env": (lambda: channel_from_dilation(np.eye(4), I3 / 3, [2, 2], [0]),
+                                  ["env"]),
+    "Povm": (lambda: Povm([I2[None] / 2, I2[None] / 2]), ["effect"]),
+    "channel_from_cq_ensemble": (lambda: channel_from_cq_ensemble(I2 / 2), ["state"]),
+    "validate_cptp": (lambda: validate_cptp(QuantumChannel(np.array([ID2.kraus] * 2))), ["k"]),
 }
+_SHAPED = r"(\w+) \((?:…|\d+)(?:, (?:…|\d+))*,?\)"
 
 
-@pytest.mark.parametrize("call", MISMATCHED_OPERANDS.values(), ids=MISMATCHED_OPERANDS)
-def test_estimators_reject_operands_of_another_dimension(call):
-    # x is checked against the channel or POVM like rho, before any product,
-    # so no numpy error escapes
-    with pytest.raises(ValidationError, match="^shape:"):
+@pytest.mark.parametrize("call, names", MISMATCHED_OPERANDS.values(), ids=MISMATCHED_OPERANDS)
+def test_estimators_reject_operands_of_another_dimension(call, names):
+    # every operand is checked before any product, so no numpy error escapes, and
+    # one message form names each operand with its shape, then with its need
+    with pytest.raises(ValidationError) as exc:
         call()
+    parts = re.fullmatch(r"shape: got (.*); need (.*?)(, with … stacks that broadcast together)?",
+                         str(exc.value))
+    assert parts, str(exc.value)
+    for half in parts.group(1, 2):
+        assert re.fullmatch(f"{_SHAPED}(, {_SHAPED})*", half), half
+        assert re.findall(_SHAPED, half) == names
+    assert "…" not in parts.group(1)
 
 
 @pytest.mark.parametrize("label", [float("nan"), float("inf")])

@@ -28,6 +28,11 @@ def test_jordan_dimension_mismatch():
         core.jordan_product(np.eye(2), np.eye(3))
 
 
+def test_jordan_trace_gap_names_a_non_finite_x():
+    with pytest.raises(ValidationError, match="^finite: x contains NaN"):
+        core.jordan_trace_gap([[np.nan, 0], [0, 1]], np.eye(2), np.eye(2))
+
+
 def test_jordan_hermitian_closure(gen):
     for _ in range(50):
         d = int(gen.integers(2, 9))

@@ -274,25 +274,32 @@ def test_residual_warning_names_each_element(gen, monkeypatch):
 def test_personick_rejects_stacks_that_do_not_broadcast(gen):
     rho = np.array([random_density(gen, 2)] * 3)
     x = np.array([random_hermitian(gen, 2)] * 2)
-    with pytest.raises(ValidationError, match="^shape: rho and x stacks"):
+    with pytest.raises(ValidationError, match=r"^shape: got rho \(3, 2, 2\), x \(2, 2, 2\), "
+                                              r"k .*, with … stacks that broadcast together$"):
         personick_estimator(rho, x, random_channel(gen, 2, 2))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: fisher.unitary_rotation_family(np.array([np.eye(2) / 2] * 2),
-                                           np.array([np.diag([1.0, -1.0])] * 3)),
-    lambda: fisher.unitary_rotation_family(np.array([np.eye(2) / 2] * 2),
-                                           np.diag([1.0, -1.0])).state_at(np.zeros(3)),
-    lambda: QuantumChannel(np.array([identity_channel(2).kraus] * 2)).then(
+@pytest.mark.parametrize("call, got", [
+    (lambda: fisher.unitary_rotation_family(np.array([np.eye(2) / 2] * 2),
+                                            np.array([np.diag([1.0, -1.0])] * 3)),
+     "rho0 (2, 2, 2), h (3, 2, 2)"),
+    (lambda: fisher.unitary_rotation_family(np.array([np.eye(2) / 2] * 2),
+                                            np.diag([1.0, -1.0])).state_at(np.zeros(3)),
+     "family (2, 2, 2), theta (3,)"),
+    (lambda: QuantumChannel(np.array([identity_channel(2).kraus] * 2)).then(
         QuantumChannel(np.array([identity_channel(2).kraus] * 3))),
+     "self (2, 1, 2, 2), other (3, 1, 2, 2)"),
 ], ids=["rotation_family", "rotation_theta", "then"])
-def test_stacks_that_do_not_broadcast_are_shape_errors(call):
-    with pytest.raises(ValidationError, match=r"^shape: .* stacks \(\(2,\), \(3,\)\) do not"):
+def test_stacks_that_do_not_broadcast_are_shape_errors(call, got):
+    with pytest.raises(ValidationError) as exc:
         call()
+    assert str(exc.value).startswith(f"shape: got {got}; need ")
+    assert str(exc.value).endswith(", with … stacks that broadcast together")
 
 
 def test_exponential_family_p0_must_be_a_vector():
-    with pytest.raises(ValidationError, match="^shape: p0 must be 1-D, got shape"):
+    with pytest.raises(ValidationError, match=r"^shape: got p0 \(1, 2\), weights \(1, 2\); "
+                                              r"need p0 \(2,\), weights \(2,\)$"):
         fisher.diagonal_exponential_family([[0.5, 0.5]], [[1, 0]])
 
 
