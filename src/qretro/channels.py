@@ -223,7 +223,7 @@ class Povm:
         labels = tuple(range(len(eff))) if labels is None else tuple(labels)
         if len(labels) != len(eff):
             raise ValidationError("labels", f"{len(labels)} labels for {len(eff)} effects")
-        if any(isinstance(y, float) and not np.isfinite(y) for y in labels):
+        if any(isinstance(y, float) and not math.isfinite(y) for y in _leaves(labels)):
             raise ValidationError("labels", f"outcome labels {list(labels)!r} hold NaN or Inf")
         # JSON labels may be lists, which do not hash: compare them by ==
         if any(labels.index(y) != i for i, y in enumerate(labels)):
@@ -235,6 +235,15 @@ class Povm:
     @property
     def dim(self) -> int:
         return self.effects.shape[-1]
+
+
+def _leaves(labels):
+    """Every leaf of a label list; JSON labels nest lists and objects."""
+    for y in labels.values() if isinstance(labels, dict) else labels:
+        if isinstance(y, (list, tuple, dict)):
+            yield from _leaves(y)
+        else:
+            yield y
 
 
 def channel_from_classical(c: ClassicalChannel) -> QuantumChannel:

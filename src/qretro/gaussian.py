@@ -14,6 +14,7 @@ carry arbitrary positive weight and the weights cancel in the estimator.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -114,13 +115,19 @@ def gaussian_product(wr: GaussianWigner, we: GaussianWigner) -> GaussianWigner:
     """Pointwise product of two Gaussians, again Gaussian.
 
     The returned weight is the full integral of the product, i.e. the
-    denominator ∫ W_E W_ρ of the estimator.
+    denominator ∫ W_E W_ρ of the estimator.  A weight that is not a positive
+    normal float (it underflowed to a subnormal or zero, or overflowed) is a
+    `range` error: a subnormal keeps too few significant digits to divide by.
     """
     mean, cov, distance, sigma_sum = _product_moments(wr, we)
     # log det, not det: det overflows for covariances far past the vacuum's
     log_det = np.linalg.slogdet(sigma_sum)[1]
-    overlap = np.exp(-0.5 * (distance + log_det)) / ((2 * np.pi) ** (mean.size / 2))
-    weight = wr.weight * we.weight * float(overlap)
+    overlap = float(np.exp(-0.5 * (distance + log_det)) / ((2 * np.pi) ** (mean.size / 2)))
+    weight = wr.weight * we.weight * overlap
+    if not sys.float_info.min <= weight <= sys.float_info.max:
+        raise ValidationError("range", f"product weight {wr.weight:.6g} × {we.weight:.6g} × "
+                                       f"overlap {overlap:.6g} = {weight:.6g} is not a "
+                                       "positive normal float")
     return GaussianWigner(mean=mean, covariance=cov, weight=weight)
 
 

@@ -525,6 +525,11 @@ def load_scenario(path) -> dict:
         raise ValidationError("parse", f"{path}: byte {exc.start} is not UTF-8") from exc
     except OSError as exc:
         raise ValidationError("parse", f"{path}: {exc.strerror}") from exc
+    except ValidationError:  # `reject`'s, a ValueError like the two below
+        raise
+    except ValueError as exc:  # an integer longer than int()'s digit limit; drop
+        # the advice to raise that limit, which a scenario file cannot take
+        raise ValidationError("parse", f"{path}: {str(exc).partition(';')[0]}") from exc
 
 
 def serialize_report(report: dict) -> str:

@@ -350,6 +350,15 @@ def test_cli_parse_error(tmp_path, capsys):
     assert rc == 1
 
 
+def test_cli_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # json.load raises a plain ValueError, neither a JSONDecodeError nor `reject`'s
+    path = tmp_path / "long.json"
+    path.write_text('{"kind": "personick", "identity": 1' + "0" * 5000 + "}")
+    rc = main(["personick", "--input", str(path), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: parse: {path}: Exceeds the limit")
+
+
 def test_selftest_tower_check_rejects_a_perturbed_stage_risk(monkeypatch):
     # the check holds r₂ = r₁ + r_stage to 1e-9; an r_stage taken from a state
     # 1e-6 away from κ₁(ρ) breaks the identity

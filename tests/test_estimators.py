@@ -282,9 +282,10 @@ def test_estimators_reject_operands_of_another_dimension(call, names):
     assert "…" not in parts.group(1)
 
 
-@pytest.mark.parametrize("label", [float("nan"), float("inf")])
+@pytest.mark.parametrize("label", [float("nan"), float("inf"), [float("nan")],
+                                   [0, [float("inf")]], {"y": float("nan")}])
 def test_povm_rejects_non_finite_labels(label):
-    # a report echoes the labels, and JSON holds no NaN or Infinity
+    # a report echoes the labels, and JSON holds no NaN or Infinity; labels nest
     with pytest.raises(ValidationError, match="^labels:"):
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=[label, 1])
 

@@ -142,6 +142,18 @@ def test_estimator_of_factors_whose_weight_underflows():
     assert quadrature_estimator(vacuum, effect, x) == pytest.approx(0.15, abs=1e-15)
 
 
+@pytest.mark.parametrize("weight", [1e-200, 1e200, 1e-160])
+def test_product_weight_out_of_the_normal_floats_is_a_range_error(weight):
+    # 1e-400, 1e400 and 1e-320 times e^-0.045/2π: zero, infinite and a
+    # subnormal of about three significant digits, each a fault of the
+    # product, not of the positive, finite weights it was made from
+    vacuum = unit(cov=np.eye(2) / 2, weight=weight)
+    effect = unit(mean=(0.3, 0.0), cov=np.eye(2) / 2, weight=weight)
+    with pytest.raises(ValidationError, match="^range: product weight .* is not a positive "
+                                              "normal float$"):
+        gaussian_product(vacuum, effect)
+
+
 @pytest.mark.parametrize("n_modes", [1, 2])
 def test_estimator_is_x_at_the_product_mean(gen, n_modes):
     # the estimator reads the mean without building the product, and it is
