@@ -28,6 +28,7 @@ from .operator_core import (
     Spectrum,
     ValidationError,
     _density_with_spectrum,
+    as_array,
     as_hermitian,
     as_keep,
     as_square,
@@ -83,16 +84,10 @@ class QuantumChannel:
 
 
 def _as_kraus(kraus) -> np.ndarray:
-    """A non-empty Kraus list of non-empty operators as a (…, K, d_out, d_in)
-    complex array."""
-    if not len(kraus):
-        raise ValidationError("kraus", "empty Kraus list")
-    try:
-        kraus = np.asarray(kraus, dtype=complex)
-    except ValueError:  # ragged: the operators differ in shape
-        kraus = None
-    if kraus is None or kraus.ndim < 3 or 0 in kraus.shape:
-        raise ValidationError("kraus", "Kraus operators must share one non-empty 2-D shape")
+    """The Kraus list as a (…, K, d_out, d_in) complex array, no axis empty."""
+    kraus = as_array(kraus, complex, "kraus")
+    if kraus.ndim < 3 or 0 in kraus.shape:
+        raise ValidationError("kraus", f"need a list of non-empty 2-D operators, got shape {kraus.shape}")
     return kraus
 
 
@@ -177,11 +172,9 @@ class ClassicalChannel:
     transition: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.transition, dtype=float)
+        t = as_array(self.transition, float, "transition")
         if t.ndim != 2 or 0 in t.shape:
             raise ValidationError("shape", "transition must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("finite", "transition contains NaN or Inf entries")
         if t.min() < 0:
             raise ValidationError("stochastic", f"negative entry {t.min():.3e}")
         colsums = t.sum(axis=0)
@@ -212,8 +205,6 @@ class Povm:
     spectra: Spectrum
 
     def __init__(self, effects, labels=None):
-        if not len(effects):
-            raise ValidationError("povm", "empty effect list")
         eff = as_hermitian(effects, name="effect")
         require_fit(effect=(eff, (len(eff), *eff.shape[-2:])))
         spectra = Spectrum.of(eff)
@@ -256,8 +247,6 @@ def channel_from_classical(c: ClassicalChannel) -> QuantumChannel:
 
 def channel_from_cq_ensemble(states) -> QuantumChannel:
     """κ(ρ) = Σ_x ρ_x ⟨x|ρ|x⟩ for a classical-quantum ensemble {ρ_x}."""
-    if not len(states):
-        raise ValidationError("ensemble", "empty ensemble")
     states, spec = _density_with_spectrum(states, name="state")
     require_fit(state=(states, (len(states), *states.shape[-2:])))
     (x,), roots, vecs = _kraus_roots(spec)

@@ -135,10 +135,8 @@ def weak_value(rho, x, p: Povm):
     (values, defined) like `classical_conditional_expectation`."""
     rho, x = core.as_density(rho), core.as_hermitian(x, name="x")
     core.require_fit(rho=(rho, (p.dim,) * 2), x=(x, (p.dim,) * 2))
-    prob = np.array([np.trace(e @ rho).real for e in p.effects])
-    jordan = core._jordan(rho, x)
-    numer = _real([np.trace(e @ jordan) for e in p.effects], "weak value")
-    return _conditional(numer, prob)
+    numer = _real(core.trace(p.effects @ core._jordan(rho, x)), "weak value")
+    return _conditional(numer, core.trace(p.effects @ rho).real)
 
 
 def classical_conditional_expectation(px, c: ClassicalChannel, xvals):
@@ -147,11 +145,8 @@ def classical_conditional_expectation(px, c: ClassicalChannel, xvals):
     Returns (estimates, defined): entries at outcomes with P_Y(y) below the
     probability floor are NaN and flagged False in `defined`.
     """
-    px = np.asarray(px, dtype=float)
-    xvals = np.asarray(xvals, dtype=float)
+    px, xvals = core.as_array(px, float, "px"), core.as_array(xvals, float, "xvals")
     core.require_fit(px=(px, (c.n_in,)), xvals=(xvals, (c.n_in,)))
-    if not (np.all(np.isfinite(px)) and np.all(np.isfinite(xvals))):
-        raise ValidationError("finite", "px/xvals contain NaN or Inf entries")
     if px.min() < 0 or abs(px.sum() - 1.0) > 1e-12:
         raise ValidationError("probability", "px must be a probability vector")
     return _conditional(c.transition @ (px * xvals), c.transition @ px)
@@ -182,5 +177,4 @@ def complex_weak_value(rho, x, p: Povm):
     """Complex weak values tr E(y)Xρ / tr E(y)ρ by outcome, as (values, defined)."""
     rho, x = core.as_density(rho), core.as_square(x, name="x")
     core.require_fit(rho=(rho, (p.dim,) * 2), x=(x, (p.dim,) * 2))
-    prob = np.array([np.trace(e @ rho).real for e in p.effects])
-    return _conditional(np.array([np.trace(e @ x @ rho) for e in p.effects]), prob)
+    return _conditional(core.trace(p.effects @ x @ rho), core.trace(p.effects @ rho).real)

@@ -44,11 +44,9 @@ class StateFamily:
     def derivative(self, theta: float) -> np.ndarray:
         if self.derivative_at is not None:
             return _tangent(self.derivative_at(theta))
-        h = FD_STEP
-        return _tangent(
-            (np.asarray(self.state_at(theta + h), dtype=complex)
-             - np.asarray(self.state_at(theta - h), dtype=complex)) / (2 * h)
-        )
+        ahead, behind = (core.as_array(self.state_at(t), complex, _rho_name(t))
+                         for t in (theta + FD_STEP, theta - FD_STEP))
+        return _tangent((ahead - behind) / (2 * FD_STEP))
 
 
 def _rho_name(theta) -> str:
@@ -183,7 +181,7 @@ def monotonicity_check(family: StateFamily, k: QuantumChannel,
 
 def _diagonal(p0, direction, name: str):
     """p0 and a direction beside it, as float vectors of one length."""
-    p0, direction = np.asarray(p0, dtype=float), np.asarray(direction, dtype=float)
+    p0, direction = core.as_array(p0, float, "p0"), core.as_array(direction, float, name)
     core.require_fit(p0=(p0, (p0.size,)), **{name: (direction, (p0.size,))})
     return p0, direction
 
@@ -233,7 +231,7 @@ def unitary_rotation_family(rho0, h) -> StateFamily:
     d0 = -1j * (h @ rho0 - rho0 @ h)
 
     def rotate(m, t):
-        t = np.asarray(t, dtype=float)
+        t = core.as_array(t, float, "theta")
         core.require_fit(family=(d0, square), theta=(t, (...,)))
         phases = np.exp(-1j * t[..., None] * spec.eigenvalues)
         u = (v * phases[..., None, :]) @ vh

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import ValidationError
+from .operator_core import ValidationError, as_array, require_fit
 
 OVERLAP_FLOOR = 1e-12
 # the oracle reads whole last-axis grid lines, in C order, in tiles of about
@@ -60,25 +60,23 @@ class GaussianWigner:
     weight: float = 1.0
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
-            raise ValidationError("shape", "mean must have even positive length 2n")
-        if cov.shape != (mean.size, mean.size):
-            raise ValidationError("shape", "covariance shape inconsistent with mean")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()
-                and np.isfinite(self.weight)):
-            raise ValidationError("finite", "mean, covariance and weight must be finite")
+        mean = as_array(self.mean, float, "mean")
+        cov = as_array(self.covariance, float, "covariance")
+        weight = as_array(self.weight, float, "weight")
+        size = mean.size
+        require_fit(mean=(mean, (size,)), covariance=(cov, (size, size)), weight=(weight, ()))
+        if size % 2 or not size:
+            raise ValidationError("shape", f"mean must have even positive length 2n, got {size}")
         if float(np.abs(cov - cov.T).max()) > 1e-12 * max(1.0, float(np.abs(cov).max())):
             raise ValidationError("symmetry", "covariance must be symmetric")
         cov = (cov + cov.T) / 2
         if float(np.linalg.eigvalsh(cov).min()) <= 0:
             raise ValidationError("psd", "covariance must be positive definite")
-        if not self.weight > 0:
-            raise ValidationError("weight", f"weight must be positive, got {self.weight}")
+        if not weight > 0:
+            raise ValidationError("weight", f"weight must be positive, got {weight}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", float(weight))
 
     @property
     def n_modes(self) -> int:
@@ -93,18 +91,15 @@ class LinearQuadrature:
     offset: float = 0.0
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
-            raise ValidationError("shape", "coeffs must be a finite 1-D vector")
-        if not np.isfinite(self.offset):
-            raise ValidationError("finite", "offset must be finite")
+        coeffs = as_array(self.coeffs, float, "coeffs")
+        offset = as_array(self.offset, float, "offset")
+        require_fit(coeffs=(coeffs, (coeffs.size,)), offset=(offset, ()))
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", float(offset))
 
     def at(self, point: np.ndarray) -> float:
         """X at a phase-space point; at the product Gaussian's mean, the estimate."""
-        if self.coeffs.size != point.size:
-            raise ValidationError("shape", "quadrature coefficient length != 2n")
+        require_fit(coeffs=(self.coeffs, point.shape))
         value = float(self.coeffs @ point + self.offset)
         if not np.isfinite(value):
             raise ValidationError("range", f"X at {point.tolist()} is not finite: {value}")
@@ -139,8 +134,7 @@ def quadrature_estimator(wr: GaussianWigner, we: GaussianWigner,
 
 def _product_moments(wr: GaussianWigner, we: GaussianWigner):
     """The product's mean and covariance, δᵀ(Σ_ρ+Σ_E)⁻¹δ and Σ_ρ+Σ_E."""
-    if wr.n_modes != we.n_modes:
-        raise ValidationError("shape", "mode counts differ")
+    require_fit(state_mean=(wr.mean, wr.mean.shape), effect_mean=(we.mean, wr.mean.shape))
     try:
         prec_r = np.linalg.inv(wr.covariance)
         prec_e = np.linalg.inv(we.covariance)
@@ -185,14 +179,11 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     w_list = list(w_list)
     if not w_list:
         raise ValidationError("input", "need at least one Gaussian")
-    n_modes = w_list[0].n_modes
-    if any(w.n_modes != n_modes for w in w_list):
-        raise ValidationError("shape", "mode counts differ")
+    n_modes, dim = w_list[0].n_modes, w_list[0].mean.size
+    fit = {f"w_list[{i}].mean": (w.mean, (dim,)) for i, w in enumerate(w_list)}
+    require_fit(**fit, **({} if x is None else {"x.coeffs": (x.coeffs, (dim,))}))
     if n_modes > 2:
         raise ValidationError("modes", "grid oracle supports 1-2 modes only")
-    dim = 2 * n_modes
-    if x is not None and x.coeffs.size != dim:
-        raise ValidationError("shape", "quadrature coefficient length != 2n")
     n = points_per_axis
     if n is not None and n < 2:
         raise ValidationError("grid", f"need at least 2 points per axis, got {n}")

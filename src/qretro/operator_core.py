@@ -10,10 +10,11 @@ The validators, `Spectrum` and `solve_jordan` also take (…, d, d) stacks,
 one numpy call per step for many small problems; a (d, d) operator is a
 stack of one, and a failed check names a stack's element, as in `rho[3]`.
 
-Validation happens once, where an operator enters a public function,
-through `as_square`, `as_hermitian` and `as_density`; operators used
-together meet one rule, `require_fit`: each has the shape its function
-needs, and their stacks broadcast.  A `Spectrum` is one
+Validation happens once, where an input enters a public function: every
+numeric input becomes an array through `as_array`, and an operator is then
+checked by `as_square`, `as_hermitian` and `as_density`.  Arrays used together
+meet one rule, `require_fit`: each has the shape its function needs, and
+their stacks broadcast.  A `Spectrum` is one
 `eigh` of a checked operator.  `solve_jordan` and `pseudo_inverse_psd`
 accept the `Spectrum` of an operator their caller has already checked and
 decomposed; they then neither validate nor decompose again.
@@ -89,17 +90,38 @@ def trace(m):
     return np.trace(m, axis1=-2, axis2=-1)
 
 
+def as_array(value, dtype, name: str) -> np.ndarray:
+    """`value` as a `dtype` ndarray.  Ragged or non-numeric input is a `shape`
+    error; NaN or Inf is `finite`, naming its matrix in a stack, as `rho[3]`."""
+    try:
+        a = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValidationError("shape", f"{name} must be a rectangular array of numbers"
+                                       f"{_entry_shapes(value, name)}") from None
+    finite = np.isfinite(a)
+    if np.count_nonzero(finite) < a.size:  # faster than `all` on small arrays
+        finite = finite.all(axis=(-2, -1)) if a.ndim > 1 else finite.all()
+        require(~finite, "finite", name, "contains NaN or Inf entries", finite)
+    return a
+
+
+def _entry_shapes(value, name: str) -> str:
+    """': name[0] has shape s, name[i] s′' for a list's first entry whose shape
+    differs from the first's; '' if none does or an entry is ragged itself."""
+    try:
+        shapes = [np.shape(e) for e in value] if isinstance(value, (list, tuple)) else []
+    except ValueError:
+        return ""
+    i = next((i for i, s in enumerate(shapes) if s != shapes[0]), None)
+    return "" if i is None else f": {name}[0] has shape {shapes[0]}, {name}[{i}] {shapes[i]}"
+
+
 def as_square(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a non-empty square complex ndarray (or stack of them), rejecting NaN/Inf."""
-    try:
-        m = np.asarray(m, dtype=complex)
-    except ValueError:  # ragged rows, or an entry that is not a number
-        raise ValidationError("shape", f"{name} must be a rectangular array of numbers") from None
+    m = as_array(m, complex, name)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValidationError("shape", f"{name} must be square and non-empty, "
                                        f"got shape {m.shape}")
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    require(~finite, "finite", name, "contains NaN or Inf entries", finite)
     return m
 
 
@@ -107,19 +129,19 @@ def require_fit(**operands) -> tuple:
     """The broadcast stack shape of arrays used together.
 
     Each keyword names an operand as (array, need): `need` is the exact
-    shape the array must have, or (..., *tail) for a stack of `tail`-shaped
-    operators whose stack broadcasts with the other operands' stacks.
-    Anything else is one `shape` error naming each operand's shape and need.
+    shape the array must have (() for a scalar), or (..., *tail) for a stack
+    of `tail`-shaped operators whose stack broadcasts with the other operands'
+    stacks.  Anything else is one `shape` error naming each shape and need.
     """
     stacks, fits = [], True
     for a, need in operands.values():
-        tail = tuple(need[1:] if need[0] is ... else need)
-        cut = a.ndim - len(tail) if need[0] is ... else 0
+        tail = tuple(need[1:] if need[:1] == (...,) else need)
+        cut = a.ndim - len(tail) if len(tail) < len(need) else 0
         fits = fits and cut >= 0 and a.shape[cut:] == tail
         stacks.append(a.shape[:cut])
     try:
         if fits:
-            return np.broadcast_shapes(*stacks)
+            return stacks[0] if len(set(stacks)) == 1 else np.broadcast_shapes(*stacks)
     except ValueError:  # the stacks do not broadcast
         pass
     got = ", ".join(f"{name} {a.shape}" for name, (a, _) in operands.items())
@@ -187,7 +209,7 @@ def jordan_trace_gap(x, y, z) -> float:
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with the left factor as the slow index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.kron(as_array(a, complex, "a"), as_array(b, complex, "b"))
 
 
 def embed(op, dims, factor: int) -> np.ndarray:

@@ -41,7 +41,7 @@ from .estimators import (
     schrodinger_risk,
     weak_value,
 )
-from .operator_core import ValidationError, hermitian_part, require_size
+from .operator_core import ValidationError, hermitian_part, require_size, trace
 from .sampling import channel_draw, finish_channel, finish_density, ginibre, rng
 
 
@@ -308,11 +308,12 @@ def _solve_weak_value(rho, x, povm):
     except ValidationError as exc:  # after complex_weak_value only x can fail here
         if exc.invariant != "hermiticity":
             raise
+    probs = trace(povm.effects @ rho).real.tolist()  # of the decoded ρ
     outcomes = []
-    for i, (label, e) in enumerate(zip(povm.labels, povm.effects)):
+    for i, label in enumerate(povm.labels):
         entry = ({name: column[i] for name, column in columns.items()} if defined[i]
                  else {"undefined": True})
-        outcomes.append(dict(entry, label=label, probability=float(np.trace(e @ rho).real)))
+        outcomes.append(dict(entry, label=label, probability=probs[i]))
     return outcomes
 
 
@@ -527,6 +528,8 @@ def load_scenario(path) -> dict:
         raise ValidationError("parse", f"{path}: {exc.strerror}") from exc
     except ValidationError:  # `reject`'s, a ValueError like the two below
         raise
+    except RecursionError:
+        raise ValidationError("parse", f"{path}: nested too deeply to parse") from None
     except ValueError as exc:  # an integer longer than int()'s digit limit; drop
         # the advice to raise that limit, which a scenario file cannot take
         raise ValidationError("parse", f"{path}: {str(exc).partition(';')[0]}") from exc
@@ -543,6 +546,8 @@ def serialize_report(report: dict) -> str:
         return json.dumps(report, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ValidationError("range", f"report holds a non-finite number: {exc}") from exc
+    except RecursionError:  # a scenario nested nearly as deep as `load_scenario` reads
+        raise ValidationError("parse", "the report nests too deeply to encode") from None
 
 
 def write_report(text: str, path) -> None:

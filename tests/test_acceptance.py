@@ -4,9 +4,12 @@ Criteria 1–6 chain several runs of a selftest check on their own seed, fold
 them with `selftest.figures`, and hold each figure to its threshold in
 `selftest.CHECKS`.  Run with
 `pytest tests/test_acceptance.py -v -s` to see one pass/fail line per
-criterion.
+criterion.  A last test pins the count of settable values in the library.
 """
 
+import dataclasses
+import importlib
+import inspect
 import json
 import time
 import warnings
@@ -125,3 +128,43 @@ def test_criterion_7_selftest_determinism():
     _report("criterion 7: selftest determinism",
             identical and first["results"]["all_passed"],
             f"all_passed={first['results']['all_passed']}, identical={identical}")
+
+
+# A new parameter with a default is a knob every caller may now set; one that
+# is added moves this pin, and the change that moves it says why.
+SETTABLE_VALUES = 22
+LIBRARY_MODULES = ["channels", "estimators", "fisher", "gaussian", "operator_core",
+                   "sampling", "scenario", "selftest"]
+
+
+def _settable_values():
+    """Parameters with defaults of the public functions and methods of the
+    library modules, and fields with defaults of their dataclasses."""
+    found = []
+    for modname in LIBRARY_MODULES:
+        module = importlib.import_module(f"qretro.{modname}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            functions = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    found += [f"{modname}.{name}.{f.name}" for f in dataclasses.fields(obj)
+                              if f.default is not dataclasses.MISSING
+                              or f.default_factory is not dataclasses.MISSING]
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # a classmethod's function
+                    # a dataclass's generated __init__ repeats its fields
+                    if (inspect.isfunction(member) and (attr == "__init__" or attr[0] != "_")
+                            and member.__code__.co_filename == module.__file__):
+                        functions.append((f"{name}.{attr}", member))
+            found += [f"{modname}.{fname}({p.name})" for fname, fn in functions
+                      for p in inspect.signature(fn).parameters.values()
+                      if p.default is not inspect.Parameter.empty]
+    return found
+
+
+def test_settable_value_count_is_pinned():
+    found = _settable_values()
+    _report("settable values", len(found) == SETTABLE_VALUES,
+            f"{len(found)} found, {SETTABLE_VALUES} pinned: {', '.join(found)}")

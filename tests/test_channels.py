@@ -316,11 +316,21 @@ def test_validate_cptp_rejects_subnormalized():
     lambda: core.embed(np.diag([1.0, -1.0]), [2, 2], -1),  # not the last factor
     lambda: ClassicalChannel(np.zeros((2, 0))),
     lambda: QuantumChannel([np.zeros((1, 0))]),
+    lambda: QuantumChannel([[[1, 0], [0, np.nan]]]),
+    lambda: QuantumChannel(5),
+    lambda: Povm(5),
+    lambda: channel_from_cq_ensemble(5),
 ], ids=["ragged-kraus", "empty-ensemble", "factor-5", "factor-minus-1", "empty-classical",
-        "empty-kraus"])
+        "empty-kraus", "nan-kraus", "kraus-scalar", "povm-scalar", "ensemble-scalar"])
 def test_malformed_library_calls_raise_validation_errors(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_a_non_finite_kraus_operator_is_named():
+    # Σ K†K reads NaN, and NaN > CPTP_TOL is False: the TP check alone passes it
+    with pytest.raises(ValidationError, match=r"^finite: kraus\[1\] contains NaN or Inf"):
+        QuantumChannel([np.eye(2), [[0, 0], [0, np.inf]]])
 
 
 def test_validate_cptp_accepts_random_dilation(gen):

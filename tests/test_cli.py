@@ -153,6 +153,7 @@ def test_gaussian_scenario_rejects_sub_vacuum_covariance(tmp_path, capsys,
 @pytest.mark.parametrize("part, field, value", [
     ("state", "mean", [float("nan"), 0.0]),
     ("effect", "weight", float("inf")),
+    ("x", "coeffs", [float("nan"), 0.0]),  # was filed under `shape`
 ])
 def test_gaussian_scenario_rejects_non_finite_input(part, field, value):
     # a scenario file cannot hold NaN or Infinity; a scenario built in Python can
@@ -268,7 +269,7 @@ FAULTS = {
     "environment-vectors-conjugated": (channels, "channel_from_dilation",
                                        ("vecs[:, :, None]", "vecs.conj()[:, :, None]")),
     "complex-weak-value-e-rho-x": (estimators, "complex_weak_value",
-                                   ("e @ x @ rho", "e @ rho @ x")),
+                                   ("p.effects @ x @ rho", "p.effects @ rho @ x")),
     "support-tol-0": (core, "SUPPORT_TOL", 0.0),
     "solve-jordan-every-nonzero-denominator": (
         core, "solve_jordan", ("keep = denom > SUPPORT_TOL * spectrum.wmax[..., None, None]",
@@ -357,6 +358,24 @@ def test_cli_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
     rc = main(["personick", "--input", str(path), "--quiet"])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: parse: {path}: Exceeds the limit")
+
+
+def test_cli_scenario_nested_past_the_recursion_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    rc = main(["personick", "--input", str(path), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: parse: {path}: nested too deeply to parse\n"
+
+
+def test_report_nested_past_the_recursion_limit_is_a_parse_error():
+    # a scenario that loads can still nest too deeply to encode: its report
+    # holds the echo one level further down
+    deep = []
+    for _ in range(sys.getrecursionlimit()):
+        deep = [deep]
+    with pytest.raises(ValidationError, match="^parse: the report nests too deeply"):
+        serialize_report({"scenario": {"note": deep}})
 
 
 def test_selftest_tower_check_rejects_a_perturbed_stage_risk(monkeypatch):

@@ -150,6 +150,18 @@ def test_classical_rejects_non_finite():
         classical_conditional_expectation([np.nan, 0.5], c, [0.0, 1.0])
     with pytest.raises(ValidationError, match="finite"):
         classical_conditional_expectation([0.5, 0.5], c, [0.0, np.inf])
+    # each array is named; NaN is `finite` before any shape check
+    with pytest.raises(ValidationError, match="^finite: px contains NaN or Inf entries$"):
+        classical_conditional_expectation([np.nan, 0.5, 0.5], c, [0.0, 1.0])
+    with pytest.raises(ValidationError, match="^finite: xvals contains NaN or Inf entries$"):
+        classical_conditional_expectation([0.5, 0.5], c, [-np.inf, 1.0])
+    # the diagonal (classical) families check p0 and its direction where they enter
+    with pytest.raises(ValidationError, match="^finite: p0 contains"):
+        fisher.diagonal_line_family([np.nan, 1.0], [0.5, -0.5])
+    with pytest.raises(ValidationError, match="^finite: slope contains"):
+        fisher.diagonal_line_family([0.5, 0.5], [np.inf, -np.inf])
+    with pytest.raises(ValidationError, match="^finite: weights contains"):
+        fisher.diagonal_exponential_family([0.5, 0.5], [np.inf, 0.0])
 
 
 def test_classical_conditional_expectation_noiseless():

@@ -219,10 +219,41 @@ def test_gaussian_validation():
     ([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], 1.0),
     ([0.0, 0.0], np.eye(2), np.inf),
     ([0.0, 0.0], np.eye(2), np.nan),
+    # NaN is `finite` before any shape check
+    ([[np.nan, 0.0]], np.eye(2), 1.0),
+    ([0.0, 0.0], [[np.inf]], 1.0),
+    ([0.0, 0.0], np.eye(2), [np.inf, 1.0]),
 ])
 def test_gaussian_rejects_non_finite_input(mean, cov, weight):
     with pytest.raises(ValidationError, match="^finite:"):
         GaussianWigner(mean=mean, covariance=cov, weight=weight)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GaussianWigner([[0.0, 0.0]], np.eye(2)),
+     "got mean (1, 2), covariance (2, 2), weight (); need mean (2,), covariance (2, 2), weight ()"),
+    (lambda: GaussianWigner([0.0, 0.0], np.eye(4)),
+     "got mean (2,), covariance (4, 4), weight (); need mean (2,), covariance (2, 2), weight ()"),
+    (lambda: GaussianWigner([0.0, 0.0], np.eye(2), [1.0]),
+     "got mean (2,), covariance (2, 2), weight (1,); need mean (2,), covariance (2, 2), weight ()"),
+    (lambda: LinearQuadrature([[1.0, 0.0]]),
+     "got coeffs (1, 2), offset (); need coeffs (2,), offset ()"),
+    (lambda: LinearQuadrature([1.0, 0.0], [0.5]),
+     "got coeffs (2,), offset (1,); need coeffs (2,), offset ()"),
+    (lambda: quadrature_estimator(unit(), unit(), LinearQuadrature(np.ones(4))),
+     "got coeffs (4,); need coeffs (2,)"),
+    (lambda: gaussian_product(unit(), GaussianWigner(np.zeros(4), np.eye(4))),
+     "got state_mean (2,), effect_mean (4,); need state_mean (2,), effect_mean (2,)"),
+    (lambda: numeric_wigner_integral([unit(), GaussianWigner(np.zeros(4), np.eye(4))]),
+     "got w_list[0].mean (2,), w_list[1].mean (4,); need w_list[0].mean (2,), w_list[1].mean (2,)"),
+    (lambda: numeric_wigner_integral([unit()], LinearQuadrature(np.ones(3))),
+     "got w_list[0].mean (2,), x.coeffs (3,); need w_list[0].mean (2,), x.coeffs (2,)"),
+], ids=["mean-2d", "covariance", "weight", "coeffs-2d", "offset", "estimate-length",
+        "product-modes", "oracle-modes", "oracle-length"])
+def test_gaussian_shapes_are_one_fit_error(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == f"shape: {message}"
 
 
 def test_numeric_integral_rejects_malformed_input():

@@ -28,6 +28,12 @@ def test_jordan_dimension_mismatch():
         core.jordan_product(np.eye(2), np.eye(3))
 
 
+def test_require_fit_takes_a_scalar_need():
+    assert core.require_fit(w=(np.asarray(2.0), ())) == ()
+    with pytest.raises(ValidationError, match=r"^shape: got w \(1,\); need w \(\)$"):
+        core.require_fit(w=(np.ones(1), ()))
+
+
 def test_jordan_trace_gap_names_a_non_finite_x():
     with pytest.raises(ValidationError, match="^finite: x contains NaN"):
         core.jordan_trace_gap([[np.nan, 0], [0, 1]], np.eye(2), np.eye(2))

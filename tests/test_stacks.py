@@ -16,14 +16,17 @@ from hypothesis import strategies as st
 from qretro import estimators, fisher, scenario
 from qretro import operator_core as core
 from qretro.channels import (
+    ClassicalChannel,
     Povm,
     QuantumChannel,
     apply_channel,
     channel_from_cq_ensemble,
     identity_channel,
+    validate_cptp,
 )
-from qretro.estimators import personick_estimator
+from qretro.estimators import classical_conditional_expectation, personick_estimator
 from qretro.fisher import RankChangeError, StateFamily, monotonicity_check, sld
+from qretro.gaussian import GaussianWigner, LinearQuadrature
 from qretro.operator_core import ValidationError
 from qretro.sampling import (
     channel_draw,
@@ -33,6 +36,7 @@ from qretro.sampling import (
     random_channel,
     random_density,
     random_hermitian,
+    random_povm,
     rng,
 )
 
@@ -136,6 +140,24 @@ def test_rotation_checks_mixed_dims_match_loop(seed, n):
             fisher.unitary_rotation_family(finish_density(g_rho), core.hermitian_part(g_h)),
             finish_channel(g_k, d_out), theta)
         close(row, [rep.j_in, rep.j_out, rep.slack, rep.personick_risk])
+
+
+@STACKS
+@given(d=st.integers(2, 8), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_weak_values_over_the_effect_stack_match_loop(d, n, seed):
+    # the same products and traces, one effect at a time: bitwise equal
+    gen = rng(seed)
+    rho, x, povm = random_density(gen, d), random_hermitian(gen, d), random_povm(gen, d, n)
+    rho, x = core.as_density(rho), core.as_hermitian(x)  # as the estimators read them
+    prob = np.array([np.trace(e @ rho).real for e in povm.effects])
+    jordan = core._jordan(rho, x)
+    real = np.array([np.trace(e @ jordan) for e in povm.effects]).real
+    cplx = np.array([np.trace(e @ x @ rho) for e in povm.effects])
+    for (values, defined), numer in ((estimators.weak_value(rho, x, povm), real),
+                                     (estimators.complex_weak_value(rho, x, povm), cplx)):
+        assert np.array_equal(defined, prob > estimators.WEAKVALUE_FLOOR)
+        assert np.array_equal(values.real[defined], numer.real[defined] / prob[defined])
+        assert np.array_equal(values.imag[defined], numer.imag[defined] / prob[defined])
 
 
 def test_samplers_are_draw_then_finish():
@@ -303,9 +325,10 @@ def test_exponential_family_p0_must_be_a_vector():
         fisher.diagonal_exponential_family([[0.5, 0.5]], [[1, 0]])
 
 
-# --- a ragged nested list is a shape error -----------------------------------------
+# --- a ragged nested list, or an entry that is not a number, is a shape error ----------
 
 RAGGED = [[1, 0], [0]]
+NOISELESS = ClassicalChannel(np.eye(2))
 
 
 @pytest.mark.parametrize("call", [
@@ -320,13 +343,50 @@ RAGGED = [[1, 0], [0]]
     lambda: estimators.weak_value(RAGGED, np.eye(2), Povm([np.eye(2)])),
     lambda: Povm([np.eye(2), RAGGED]),
     lambda: channel_from_cq_ensemble([np.eye(2) / 2, RAGGED]),
+    lambda: personick_estimator(np.eye(2) / 2, {"x": 1}, identity_channel(2)),
+    lambda: core.tensor(RAGGED, np.eye(2)),
+    lambda: QuantumChannel([np.eye(2), np.eye(3)]),
+    lambda: validate_cptp([np.eye(2), np.eye(3)]),
+    lambda: ClassicalChannel(RAGGED),
+    lambda: ClassicalChannel("abc"),
+    lambda: classical_conditional_expectation(RAGGED, NOISELESS, [0.0, 1.0]),
+    lambda: classical_conditional_expectation(["a", "b"], NOISELESS, [0.0, 1.0]),
+    lambda: classical_conditional_expectation([0.5, 0.5], NOISELESS, RAGGED),
+    lambda: fisher.diagonal_line_family(RAGGED, [0.5, -0.5]),
+    lambda: fisher.diagonal_line_family(["a", 1], [0.5, -0.5]),
+    lambda: fisher.diagonal_exponential_family([0.5, 0.5], RAGGED),
+    lambda: fisher.unitary_rotation_family(np.eye(2) / 2, np.eye(2)).state_at("a"),
+    lambda: GaussianWigner(RAGGED, np.eye(2)),
+    lambda: GaussianWigner("ab", np.eye(2)),
+    lambda: GaussianWigner([0.0, 0.0], RAGGED),
+    lambda: GaussianWigner([0.0, 0.0], np.eye(2), [1.0]),
+    lambda: LinearQuadrature(RAGGED),
+    lambda: LinearQuadrature([1.0, 0.0], "a"),
+    lambda: LinearQuadrature([1.0, 0.0], [1.0]),
 ], ids=["as_density", "jordan_product", "solve_jordan", "apply_channel",
         "personick_estimator", "complex_estimator", "schrodinger_risk", "weak_value",
-        "Povm", "channel_from_cq_ensemble"])
+        "Povm", "channel_from_cq_ensemble", "personick_estimator-dict", "tensor",
+        "QuantumChannel", "validate_cptp", "ClassicalChannel", "ClassicalChannel-text",
+        "classical-px", "classical-px-text", "classical-xvals", "line_family",
+        "line_family-text", "exponential_family", "rotation-theta-text", "Gaussian-mean",
+        "Gaussian-mean-text", "Gaussian-covariance", "Gaussian-weight-list",
+        "quadrature-coeffs", "quadrature-offset-text", "quadrature-offset-list"])
 def test_ragged_input_is_a_shape_error(call):
     with pytest.raises(ValidationError) as exc:
         call()
     assert exc.value.invariant == "shape"
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: Povm([np.eye(2), np.eye(3)]), "effect"),
+    (lambda: channel_from_cq_ensemble([np.eye(2) / 2, np.eye(3) / 3]), "state"),
+    (lambda: QuantumChannel([np.eye(2), np.eye(2), np.eye(3)]), "kraus"),
+], ids=["Povm", "channel_from_cq_ensemble", "QuantumChannel"])
+def test_operators_of_different_dimensions_name_their_shapes(call, name):
+    with pytest.raises(ValidationError, match=(
+            rf"^shape: {name} must be a rectangular array of numbers: "
+            rf"{name}\[0\] has shape \(2, 2\), {name}\[\d\] \(3, 3\)$")):
+        call()
 
 
 # --- functions of one operator reject a stack ----------------------------------------
