@@ -228,13 +228,14 @@ class Povm:
         return self.effects.shape[-1]
 
 
-def _leaves(labels):
-    """Every leaf of a label list; JSON labels nest lists and objects."""
-    for y in labels.values() if isinstance(labels, dict) else labels:
-        if isinstance(y, (list, tuple, dict)):
-            yield from _leaves(y)
-        else:
-            yield y
+def _leaves(labels) -> list:
+    """Every leaf of a label list; JSON labels nest lists and objects, to any
+    depth, so the walk keeps its own list of nodes rather than recursing."""
+    nodes, leaves = [labels], []
+    for node in nodes:  # `nodes` grows as the walk finds nested ones
+        for y in node.values() if isinstance(node, dict) else node:
+            (nodes if isinstance(y, (list, tuple, dict)) else leaves).append(y)
+    return leaves
 
 
 def channel_from_classical(c: ClassicalChannel) -> QuantumChannel:

@@ -73,7 +73,7 @@ def heisenberg_risk(rho0, x, xcheck, u, dims, kept) -> float:
     x, xcheck = core.as_hermitian(x, name="x"), core.as_hermitian(xcheck, name="xcheck")
     core.require_fit(rho0=(rho0, u.shape), x=(x, (dims[0],) * 2),
                      xcheck=(xcheck, (ptrace.dim_out,) * 2))
-    x_emb = core.tensor(x, np.eye(ptrace.dim_in // dims[0]))  # factor 0 is the slow index
+    x_emb = np.kron(x, np.eye(ptrace.dim_in // dims[0]))  # factor 0 is the slow index
     # X̌ on `kept`, identity on the traced factors: Σ P† X̌ P over the partial trace
     xc_emb = (core.dagger(ptrace.kraus) @ xcheck @ ptrace.kraus).sum(axis=0)
     diff = x_emb - u.conj().T @ xc_emb @ u

@@ -141,7 +141,7 @@ def require_fit(**operands) -> tuple:
         stacks.append(a.shape[:cut])
     try:
         if fits:
-            return stacks[0] if len(set(stacks)) == 1 else np.broadcast_shapes(*stacks)
+            return np.broadcast_shapes(*stacks)
     except ValueError:  # the stacks do not broadcast
         pass
     got = ", ".join(f"{name} {a.shape}" for name, (a, _) in operands.items())
@@ -217,7 +217,7 @@ def embed(op, dims, factor: int) -> np.ndarray:
     op = as_square(op, "op")
     dims, (factor,) = as_keep(dims, [factor])
     require_fit(op=(op, (dims[factor],) * 2))
-    return reduce(tensor, [op if i == factor else np.eye(d) for i, d in enumerate(dims)])
+    return reduce(np.kron, [op if i == factor else np.eye(d) for i, d in enumerate(dims)])
 
 
 def as_keep(dims, keep) -> tuple[list[int], list[int]]:

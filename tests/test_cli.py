@@ -378,6 +378,21 @@ def test_report_nested_past_the_recursion_limit_is_a_parse_error():
         serialize_report({"scenario": {"note": deep}})
 
 
+def test_cli_weak_value_reads_a_deeply_nested_label(tmp_path):
+    # a label nested 600 deep loads, passes the label checks and is echoed
+    label = "a"
+    for _ in range(600):
+        label = [label]
+    sc = {"kind": "weak-value", "rho": (np.eye(2) / 2).tolist(),
+          "x": np.diag([1.0, -1.0]).tolist(),
+          "povm": {"effects": POVM_EFFECTS, "labels": [label, 1]}}
+    out = tmp_path / "report.json"
+    rc = main(["weak-value", "--input", _write(tmp_path, sc), "--output", str(out),
+               "--quiet"])
+    assert rc == 0
+    assert json.loads(out.read_text())["results"]["outcomes"][0]["label"] == label
+
+
 def test_selftest_tower_check_rejects_a_perturbed_stage_risk(monkeypatch):
     # the check holds r₂ = r₁ + r_stage to 1e-9; an r_stage taken from a state
     # 1e-6 away from κ₁(ρ) breaks the identity

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -300,6 +301,15 @@ def test_povm_rejects_non_finite_labels(label):
     # a report echoes the labels, and JSON holds no NaN or Infinity; labels nest
     with pytest.raises(ValidationError, match="^labels:"):
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=[label, 1])
+
+
+def test_povm_reads_labels_nested_past_the_recursion_limit():
+    # the finite-label check walks the nesting without recursing
+    label = "a"
+    for _ in range(5 * sys.getrecursionlimit()):
+        label = [label]
+    povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=[label, 1])
+    assert povm.labels[0] is label
 
 
 def test_complex_estimator_matches_complex_weak_values(gen):
