@@ -34,7 +34,6 @@ from .estimators import (
 )
 from .fisher import (
     MonotonicityReport,
-    PushforwardReport,
     RankChangeError,
     StateFamily,
     depolarizing_mixture_family,
@@ -42,10 +41,8 @@ from .fisher import (
     diagonal_line_family,
     monotonicity_check,
     qfi,
-    qfi_at,
     push_family,
     sld,
-    sld_pushforward_check,
     unitary_rotation_family,
 )
 from .gaussian import (

@@ -68,9 +68,6 @@ class QuantumChannel:
         dev = _tp_deviation(self.kraus)
         require(dev > CPTP_TOL, "cptp", "Σ K†K", "deviates from identity by {:.3e}", dev)
 
-    def __call__(self, rho) -> np.ndarray:
-        return apply_channel(self, rho)
-
     def then(self, other: "QuantumChannel") -> "QuantumChannel":
         """Composition: first self, then `other`."""
         require_fit(self=(self.kraus, (..., *self.kraus.shape[-3:])),
@@ -78,9 +75,6 @@ class QuantumChannel:
         # every product B_b A_a, ordered with b the slow index
         prod = other.kraus[..., :, None, :, :] @ self.kraus[..., None, :, :, :]
         return QuantumChannel(prod.reshape(*prod.shape[:-4], -1, *prod.shape[-2:]))
-
-    def choi_matrix(self) -> np.ndarray:
-        return _choi(self.kraus)
 
 
 def _as_kraus(kraus) -> np.ndarray:
@@ -214,11 +208,15 @@ class Povm:
         labels = tuple(range(len(eff))) if labels is None else tuple(labels)
         if len(labels) != len(eff):
             raise ValidationError("labels", f"{len(labels)} labels for {len(eff)} effects")
-        if any(isinstance(y, float) and not math.isfinite(y) for y in _leaves(labels)):
-            raise ValidationError("labels", f"outcome labels {list(labels)!r} hold NaN or Inf")
-        # JSON labels may be lists, which do not hash: compare them by ==
-        if any(labels.index(y) != i for i, y in enumerate(labels)):
-            raise ValidationError("labels", f"outcome labels {list(labels)!r} repeat")
+        for i, y in enumerate(labels):  # a failure names its label by index
+            if any(isinstance(v, float) and not math.isfinite(v) for v in _leaves([y])):
+                raise ValidationError("labels", f"labels[{i}] holds NaN or Inf")
+            try:  # JSON labels may be lists, which do not hash: compare them by ==
+                first = labels.index(y)
+            except RecursionError:
+                raise ValidationError("labels", f"labels[{i}] nests too deep to compare") from None
+            if first != i:
+                raise ValidationError("labels", f"labels[{i}] repeats labels[{first}]")
         object.__setattr__(self, "effects", eff)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "spectra", spectra)

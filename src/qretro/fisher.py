@@ -104,27 +104,12 @@ def qfi(rho, s) -> float:
     return _qfi(rho, s)
 
 
-def qfi_at(family: StateFamily, theta: float) -> float:
-    at = _evaluate(family, theta)
-    return _qfi(at[0], sld(family, theta, at=at))
-
-
 def push_family(family: StateFamily, k: QuantumChannel) -> StateFamily:
     """The image family θ ↦ κ(ρ(θ)); the derivative pushes through κ linearly."""
     return StateFamily(
         state_at=lambda t: apply_channel(k, family.density(t)),
         derivative_at=lambda t: apply_channel(k, family.derivative(t)),
     )
-
-
-@dataclass(frozen=True)
-class PushforwardReport:
-    """Both sides of κ(ρ)∘S_κ(ρ) = κ(ρ∘S_ρ) and their gap (per element of a stack)."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    gap: float
-    estimator_gap: float  # ‖S_κ(ρ) − Personick estimate of S_ρ‖_F
 
 
 @dataclass(frozen=True)
@@ -136,37 +121,17 @@ class MonotonicityReport:  # for a stack, each field holds one entry per check
     support_rank: int
 
 
-def _push(family: StateFamily, k: QuantumChannel, theta: float):
-    """ρ, S_ρ, κ(ρ), S_κ(ρ) and the Personick estimate of S_ρ at θ: the family
-    evaluated once, pushed through κ once, solved in one `eigh` of ρ and one
-    of κ(ρ)."""
+def monotonicity_check(family: StateFamily, k: QuantumChannel,
+                       theta: float) -> MonotonicityReport:
+    """J(ρ) − J(κ(ρ)) ≥ 0, with the slack equal to a Personick minimum risk, as
+    S_κ(ρ) is the Personick estimate of S_ρ.  The family is evaluated once, pushed
+    through κ once, and solved in one `eigh` of ρ and one of κ(ρ)."""
     rho, _, drho = at = _evaluate(family, theta)
     s_in = sld(family, theta, at=at)
     krho, kspec = core._density_with_spectrum(apply_channel(k, rho), f"kappa({_rho_name(theta)})")
     kat = krho, kspec, _tangent(apply_channel(k, drho))
     s_out = sld(None, theta, at=kat)  # S of the image family θ ↦ κ(ρ(θ))
     est = personick_estimator(rho, s_in, k, image=(krho, kspec))
-    return rho, s_in, krho, s_out, est
-
-
-def sld_pushforward_check(family: StateFamily, k: QuantumChannel,
-                          theta: float) -> PushforwardReport:
-    """Verify that the output SLD is the conditional expectation of the input SLD."""
-    rho, s_in, krho, s_out, est = _push(family, k, theta)
-    lhs = core._jordan(krho, s_out)
-    rhs = core.hermitian_part(apply_channel(k, core._jordan(rho, s_in)))
-    return PushforwardReport(
-        lhs=lhs,
-        rhs=rhs,
-        gap=core.scalar(np.linalg.norm(lhs - rhs, axis=(-2, -1))),
-        estimator_gap=core.scalar(np.linalg.norm(s_out - est.estimator, axis=(-2, -1))),
-    )
-
-
-def monotonicity_check(family: StateFamily, k: QuantumChannel,
-                       theta: float) -> MonotonicityReport:
-    """J(ρ) − J(κ(ρ)) ≥ 0, with the slack equal to a Personick minimum risk."""
-    rho, s_in, krho, s_out, est = _push(family, k, theta)
     j_in, j_out = _qfi(rho, s_in), _qfi(krho, s_out)
     return MonotonicityReport(
         j_in=j_in,
@@ -243,6 +208,8 @@ def unitary_rotation_family(rho0, h) -> StateFamily:
 
 def depolarizing_mixture_family(family: StateFamily, p: float) -> StateFamily:
     """(1−p)ρ(θ) + p·I/d; contracts the Fisher information."""
+    p = core.as_array(p, float, "p")
+    core.require_fit(p=(p, ()))
     if not 0.0 <= p < 1.0:
         raise ValidationError("mixing", f"p must be in [0, 1), got {p}")
 

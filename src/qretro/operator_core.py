@@ -69,7 +69,12 @@ def require(failed, invariant: str, name: str, message: str, value) -> None:
 
 
 def require_size(name: str, size: int, power: int) -> None:
-    """Reject a size whose arrays hold size**power entries, above MAX_ENTRIES."""
+    """Reject a size that is not an integer of at least 1 (a bool is not one),
+    or whose arrays hold size**power entries, above MAX_ENTRIES."""
+    whole = isinstance(size, (int, np.integer)) and not isinstance(size, bool)
+    if not whole or size < 1:
+        got = size if whole else type(size).__name__
+        raise ValidationError("size", f"{name} must be an integer >= 1, got {got}")
     if operator.index(size) ** power > MAX_ENTRIES:  # exact: a numpy integer could wrap
         limit = round(MAX_ENTRIES ** (1 / power))
         raise ValidationError("size", f"{name} exceeds {limit}: {limit}^{power} = {MAX_ENTRIES} "

@@ -4,7 +4,8 @@ Criteria 1–6 chain several runs of a selftest check on their own seed, fold
 them with `selftest.figures`, and hold each figure to its threshold in
 `selftest.CHECKS`.  Run with
 `pytest tests/test_acceptance.py -v -s` to see one pass/fail line per
-criterion.  A last test pins the count of settable values in the library.
+criterion.  The last tests pin the counts of settable values and of public
+names in the library, and keep deleted names deleted.
 """
 
 import dataclasses
@@ -88,8 +89,8 @@ def test_criterion_5_qfi_monotonicity():
     ident = fisher.monotonicity_check(family, identity_channel(3), 0.2)
     depol = fisher.monotonicity_check(family, depolarizing_channel(3), 0.2)
     line = fisher.diagonal_line_family([0.5, 0.5], [0.5, -0.5])
-    fisher_gap = max(abs(fisher.qfi_at(line, 0.0) - 1.0),
-                     abs(fisher.qfi_at(line, 0.5) - 1.0 / (1 - 0.25)))
+    fisher_gap = max(abs(fisher.qfi(line.density(t), fisher.sld(line, t)) - j)
+                     for t, j in [(0.0, 1.0), (0.5, 1.0 / (1 - 0.25))])
     _report("criterion 5: QFI monotonicity",
             _within(figures) and abs(ident.slack) <= 1e-10 and depol.j_out <= 1e-10
             and fisher_gap <= 1e-8,
@@ -130,36 +131,45 @@ def test_criterion_7_selftest_determinism():
             f"all_passed={first['results']['all_passed']}, identical={identical}")
 
 
-# A new parameter with a default is a knob every caller may now set; one that
-# is added moves this pin, and the change that moves it says why.
+# A new parameter with a default is a knob every caller may now set, and a new
+# public function, class or method is API every caller may now use; one that
+# is added moves its pin, and the change that moves it says why.
 SETTABLE_VALUES = 22
+PUBLIC_SURFACE = 106
 LIBRARY_MODULES = ["channels", "estimators", "fisher", "gaussian", "operator_core",
                    "sampling", "scenario", "selftest"]
+
+
+def _library_members():
+    """(name, object) for the public functions and classes of the library
+    modules, and for the public methods and `__init__` of those classes."""
+    for modname in LIBRARY_MODULES:
+        module = importlib.import_module(f"qretro.{modname}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield f"{modname}.{name}", obj
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # a classmethod's function
+                    # a dataclass's generated __init__ repeats its fields
+                    if (inspect.isfunction(member) and (attr == "__init__" or attr[0] != "_")
+                            and member.__code__.co_filename == module.__file__):
+                        yield f"{modname}.{name}.{attr}", member
 
 
 def _settable_values():
     """Parameters with defaults of the public functions and methods of the
     library modules, and fields with defaults of their dataclasses."""
     found = []
-    for modname in LIBRARY_MODULES:
-        module = importlib.import_module(f"qretro.{modname}")
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
-                continue
-            functions = [(name, obj)] if inspect.isfunction(obj) else []
-            if inspect.isclass(obj):
-                if dataclasses.is_dataclass(obj):
-                    found += [f"{modname}.{name}.{f.name}" for f in dataclasses.fields(obj)
-                              if f.default is not dataclasses.MISSING
-                              or f.default_factory is not dataclasses.MISSING]
-                for attr, member in vars(obj).items():
-                    member = getattr(member, "__func__", member)  # a classmethod's function
-                    # a dataclass's generated __init__ repeats its fields
-                    if (inspect.isfunction(member) and (attr == "__init__" or attr[0] != "_")
-                            and member.__code__.co_filename == module.__file__):
-                        functions.append((f"{name}.{attr}", member))
-            found += [f"{modname}.{fname}({p.name})" for fname, fn in functions
-                      for p in inspect.signature(fn).parameters.values()
+    for name, obj in _library_members():
+        if dataclasses.is_dataclass(obj):
+            found += [f"{name}.{f.name}" for f in dataclasses.fields(obj)
+                      if f.default is not dataclasses.MISSING
+                      or f.default_factory is not dataclasses.MISSING]
+        if inspect.isfunction(obj):
+            found += [f"{name}({p.name})" for p in inspect.signature(obj).parameters.values()
                       if p.default is not inspect.Parameter.empty]
     return found
 
@@ -168,3 +178,23 @@ def test_settable_value_count_is_pinned():
     found = _settable_values()
     _report("settable values", len(found) == SETTABLE_VALUES,
             f"{len(found)} found, {SETTABLE_VALUES} pinned: {', '.join(found)}")
+
+
+def test_public_surface_is_pinned():
+    found = [name for name, _ in _library_members() if not name.endswith(".__init__")]
+    _report("public surface", len(found) == PUBLIC_SURFACE,
+            f"{len(found)} found, {PUBLIC_SURFACE} pinned: {', '.join(found)}")
+
+
+def test_deleted_names_stay_deleted():
+    # each was a second path to a result a remaining public name gives
+    import qretro
+    from qretro.channels import QuantumChannel
+
+    gone = [(fisher, "sld_pushforward_check"), (fisher, "PushforwardReport"),
+            (fisher, "qfi_at"), (fisher, "_push"), (qretro, "sld_pushforward_check"),
+            (qretro, "PushforwardReport"), (qretro, "qfi_at")]
+    left = [name for owner, name in gone if hasattr(owner, name)]
+    left += [f"QuantumChannel.{name}" for name in ("choi_matrix", "__call__")
+             if name in vars(QuantumChannel)]
+    _report("deleted names", not left, f"still defined: {left}")

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import BELL
+from qretro import channels
 from qretro import operator_core as core
 from qretro.channels import (
     ClassicalChannel,
@@ -37,12 +38,13 @@ SWAP = np.array([[1, 0, 0, 0],
 
 def test_apply_identity(gen):
     rho = random_density(gen, 3)
-    np.testing.assert_allclose(identity_channel(3)(rho), rho, atol=1e-15)
+    np.testing.assert_allclose(apply_channel(identity_channel(3), rho), rho, atol=1e-15)
 
 
 def test_apply_depolarizing(gen):
     rho = random_density(gen, 2)
-    np.testing.assert_allclose(depolarizing_channel(2)(rho), np.eye(2) / 2, atol=1e-14)
+    np.testing.assert_allclose(apply_channel(depolarizing_channel(2), rho), np.eye(2) / 2,
+                               atol=1e-14)
 
 
 def test_apply_matches_kraus_sum_oracle(gen):
@@ -68,7 +70,7 @@ def test_apply_matches_kraus_loop_property(d_in, d_out, n_kraus, seed):
     m = gen.standard_normal((d_in, d_in)) + 1j * gen.standard_normal((d_in, d_in))
     expected = sum(k @ m @ k.conj().T for k in chan.kraus)
     np.testing.assert_allclose(apply_channel(chan, m), expected, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(chan.choi_matrix(), _choi_loop(chan.kraus), rtol=0,
+    np.testing.assert_allclose(channels._choi(chan.kraus), _choi_loop(chan.kraus), rtol=0,
                                atol=1e-12)
 
 
@@ -107,14 +109,14 @@ def test_dilation_identity_unitary(gen):
     env = random_density(gen, 3)
     chan = channel_from_dilation(np.eye(6), env, [2, 3], kept=[0])
     rho = random_density(gen, 2)
-    np.testing.assert_allclose(chan(rho), rho, atol=1e-12)
+    np.testing.assert_allclose(apply_channel(chan, rho), rho, atol=1e-12)
 
 
 def test_dilation_swap_gives_constant_channel(gen):
     env = random_density(gen, 2)
     chan = channel_from_dilation(SWAP, env, [2, 2], kept=[0])
     rho = random_density(gen, 2)
-    np.testing.assert_allclose(chan(rho), env, atol=1e-12)
+    np.testing.assert_allclose(apply_channel(chan, rho), env, atol=1e-12)
 
 
 def test_dilation_matches_explicit_formula(gen):
@@ -127,7 +129,7 @@ def test_dilation_matches_explicit_formula(gen):
             direct = core.partial_trace(
                 u @ core.tensor(rho, env) @ u.conj().T, [2, 2], {kept}
             )
-            np.testing.assert_allclose(chan(rho), direct, atol=1e-10)
+            np.testing.assert_allclose(apply_channel(chan, rho), direct, atol=1e-10)
 
 
 def test_environment_eigenvalue_1e_8_makes_kraus_operators(gen):
@@ -147,15 +149,15 @@ def test_dilation_rejects_nonunitary(gen):
 def test_classical_identity_is_dephasing(gen):
     chan = channel_from_classical(ClassicalChannel(np.eye(2)))
     rho = random_density(gen, 2)
-    np.testing.assert_allclose(chan(rho), np.diag(np.diag(rho)), atol=1e-14)
+    np.testing.assert_allclose(apply_channel(chan, rho), np.diag(np.diag(rho)), atol=1e-14)
 
 
 def test_classical_bsc():
     bsc = ClassicalChannel([[0.8, 0.2], [0.2, 0.8]])
     chan = channel_from_classical(bsc)
-    np.testing.assert_allclose(chan(np.diag([0.5, 0.5])), np.diag([0.5, 0.5]),
+    np.testing.assert_allclose(apply_channel(chan, np.diag([0.5, 0.5])), np.diag([0.5, 0.5]),
                                atol=1e-14)
-    np.testing.assert_allclose(chan(np.diag([1.0, 0.0])), np.diag([0.8, 0.2]),
+    np.testing.assert_allclose(apply_channel(chan, np.diag([1.0, 0.0])), np.diag([0.8, 0.2]),
                                atol=1e-14)
 
 
@@ -165,7 +167,7 @@ def test_classical_commutes_with_embedding(gen):
                                    [0.4, 0.2, 0.4]]))
     chan = channel_from_classical(c)
     px = np.array([0.2, 0.5, 0.3])
-    out = chan(np.diag(px.astype(complex)))
+    out = apply_channel(chan, np.diag(px.astype(complex)))
     np.testing.assert_allclose(np.diag(out).real, c.transition @ px, atol=1e-13)
 
 
@@ -180,41 +182,41 @@ def test_cq_ensemble_constant(gen):
     sigma = random_density(gen, 2)
     chan = channel_from_cq_ensemble([sigma, sigma])
     rho = random_density(gen, 2)
-    np.testing.assert_allclose(chan(rho), sigma, atol=1e-12)
+    np.testing.assert_allclose(apply_channel(chan, rho), sigma, atol=1e-12)
 
 
 def test_cq_ensemble_computational_basis():
     chan = channel_from_cq_ensemble([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     p = 0.3
-    np.testing.assert_allclose(chan(np.diag([p, 1 - p])), np.diag([p, 1 - p]),
+    np.testing.assert_allclose(apply_channel(chan, np.diag([p, 1 - p])), np.diag([p, 1 - p]),
                                atol=1e-14)
 
 
 def test_cq_ensemble_mixture_oracle(gen):
     states = [random_density(gen, 2), random_density(gen, 2)]
     chan = channel_from_cq_ensemble(states)
-    out = chan(np.diag([0.3, 0.7]))
+    out = apply_channel(chan, np.diag([0.3, 0.7]))
     np.testing.assert_allclose(out, 0.3 * states[0] + 0.7 * states[1], atol=1e-12)
 
 
 def test_povm_channel_projective():
     povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     chan = channel_from_povm(povm)
-    np.testing.assert_allclose(chan(np.diag([0.7, 0.3])), np.diag([0.7, 0.3]),
+    np.testing.assert_allclose(apply_channel(chan, np.diag([0.7, 0.3])), np.diag([0.7, 0.3]),
                                atol=1e-14)
 
 
 def test_povm_channel_trivial():
     chan = channel_from_povm(Povm([np.eye(2)]))
     rho = np.diag([0.4, 0.6])
-    np.testing.assert_allclose(chan(rho), [[1.0]], atol=1e-14)
+    np.testing.assert_allclose(apply_channel(chan, rho), [[1.0]], atol=1e-14)
 
 
 def test_povm_channel_diagonal_entries(gen):
     povm = random_povm(gen, 2, 3)
     chan = channel_from_povm(povm)
     rho = random_density(gen, 2)
-    out = chan(rho)
+    out = apply_channel(chan, rho)
     for y, e in enumerate(povm.effects):
         assert out[y, y].real == pytest.approx(np.trace(e @ rho).real, abs=1e-12)
     assert np.abs(out - np.diag(np.diag(out))).max() <= 1e-12
@@ -252,7 +254,7 @@ def test_channel_from_povm_reads_the_povm_spectra(gen, monkeypatch):
     assert count["n"] == 1
     rho = random_density(gen, 3)
     expected = np.diag([np.trace(e @ rho) for e in povm.effects])
-    np.testing.assert_allclose(chan(rho), expected, atol=1e-12)
+    np.testing.assert_allclose(apply_channel(chan, rho), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [2, 5])
@@ -261,7 +263,7 @@ def test_cq_ensemble_makes_one_eigensolve(gen, monkeypatch, k):
     count = _count_eigensolves(monkeypatch)
     chan = channel_from_cq_ensemble(states)
     assert count["n"] == 1
-    np.testing.assert_allclose(chan(np.eye(k) / k), sum(states) / k, atol=1e-12)
+    np.testing.assert_allclose(apply_channel(chan, np.eye(k) / k), sum(states) / k, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -279,18 +281,18 @@ def test_povm_and_ensemble_failures_name_the_element(gen, k):
 def test_partial_trace_channel_trivial(gen):
     chan = partial_trace_channel([2], {0})
     rho = random_density(gen, 2)
-    np.testing.assert_allclose(chan(rho), rho, atol=1e-14)
+    np.testing.assert_allclose(apply_channel(chan, rho), rho, atol=1e-14)
 
 
 def test_partial_trace_channel_bell():
     chan = partial_trace_channel([2, 2], {0})
-    np.testing.assert_allclose(chan(BELL), np.eye(2) / 2, atol=1e-14)
+    np.testing.assert_allclose(apply_channel(chan, BELL), np.eye(2) / 2, atol=1e-14)
 
 
 def test_partial_trace_channel_matches_partial_trace(gen):
     chan = partial_trace_channel([2, 3], {1})
     m = random_density(gen, 6)
-    np.testing.assert_allclose(chan(m), core.partial_trace(m, [2, 3], {1}),
+    np.testing.assert_allclose(apply_channel(chan, m), core.partial_trace(m, [2, 3], {1}),
                                atol=1e-13)
 
 
@@ -327,6 +329,15 @@ def test_malformed_library_calls_raise_validation_errors(call):
         call()
 
 
+@pytest.mark.parametrize("make", [identity_channel, depolarizing_channel])
+def test_a_size_is_an_integer_of_at_least_one(make):
+    # one rule in require_size: a bool is not a size, as in the scenario layer
+    for size in ["a", 2.5, np.float64(2.0), None, True, 0, -1]:
+        with pytest.raises(ValidationError, match="^size: .* must be an integer >= 1, got "):
+            make(size)
+    assert make(np.int64(2)).dim_in == 2
+
+
 def test_a_non_finite_kraus_operator_is_named():
     # Σ K†K reads NaN, and NaN > CPTP_TOL is False: the TP check alone passes it
     with pytest.raises(ValidationError, match=r"^finite: kraus\[1\] contains NaN or Inf"):
@@ -352,7 +363,7 @@ def test_constructors_preserve_trace_and_psd(gen, maker):
     dim, chan = maker(gen)
     for _ in range(20):
         rho = random_density(gen, dim)
-        out = chan(rho)
+        out = apply_channel(chan, rho)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(core.hermitian_part(out)).min() >= -1e-10
 
@@ -361,7 +372,8 @@ def test_composition(gen):
     a = random_channel(gen, 2, 3)
     b = random_channel(gen, 3, 2)
     rho = random_density(gen, 2)
-    np.testing.assert_allclose(a.then(b)(rho), b(a(rho)), atol=1e-12)
+    np.testing.assert_allclose(apply_channel(a.then(b), rho),
+                               apply_channel(b, apply_channel(a, rho)), atol=1e-12)
 
 
 @pytest.mark.parametrize("make", [

@@ -260,7 +260,7 @@ FAULTS = {
     "complex-rhs-rho-x": (estimators, "complex_estimator",
                           ("apply_channel(k, x @ rho)", "apply_channel(k, rho @ x)")),
     "povm-kraus-unconjugated": (channels, "channel_from_povm", ("vecs.conj()", "vecs")),
-    "pushed-derivative-scaled": (fisher, "_push",
+    "pushed-derivative-scaled": (fisher, "monotonicity_check",
                                  ("_tangent(apply_channel(k, drho))",
                                   "_tangent((1 + 1e-7) * apply_channel(k, drho))")),
     "bayes-numerator-scaled": (estimators, "classical_conditional_expectation",

@@ -303,13 +303,28 @@ def test_povm_rejects_non_finite_labels(label):
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=[label, 1])
 
 
+def _nested(leaf, depth):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
 def test_povm_reads_labels_nested_past_the_recursion_limit():
-    # the finite-label check walks the nesting without recursing
-    label = "a"
-    for _ in range(5 * sys.getrecursionlimit()):
-        label = [label]
-    povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=[label, 1])
+    # the finite-label check walks the nesting without recursing, and a
+    # failure names its label by index, never by its repr
+    effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    deep = 5 * sys.getrecursionlimit()
+    label = _nested("a", deep)
+    povm = Povm(effects, labels=[label, 1])
     assert povm.labels[0] is label
+    for labels, message in [
+        ([_nested(np.nan, deep), 1], r"labels\[0\] holds NaN or Inf"),
+        ([0, float("inf")], r"labels\[1\] holds NaN or Inf"),
+        ([_nested("a", deep), _nested("a", deep)], r"labels\[1\] nests too deep to compare"),
+        ([_nested("a", 500), _nested("a", 500)], r"labels\[1\] repeats labels\[0\]"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^labels: {message}$"):
+            Povm(effects, labels=labels)
 
 
 def test_complex_estimator_matches_complex_weak_values(gen):
@@ -403,7 +418,7 @@ def test_personick_with_handed_image_matches_its_own(gen):
     x = core.as_hermitian(random_hermitian(gen, 3))
     chan = random_channel(gen, 3, 4)
     plain = personick_estimator(rho, x, chan)
-    krho = core.as_hermitian(chan(rho))
+    krho = core.as_hermitian(apply_channel(chan, rho))
     handed = personick_estimator(rho, x, chan, image=(krho, core.eig_hermitian(krho)))
     assert np.array_equal(plain.estimator, handed.estimator)
     assert (plain.min_risk, plain.residual, plain.support_rank) == \
@@ -430,7 +445,7 @@ def test_retrodiction_tower_property(seed, d_in, d_mid, d_out, case, solve):
     k2 = random_channel(gen, d_mid, d_out)
     direct = solve(rho, x, k1.then(k2))
     first = solve(rho, x, k1)
-    second = solve(k1(rho), first.estimator, k2)
+    second = solve(apply_channel(k1, rho), first.estimator, k2)
     scale = np.linalg.norm(x, 2)
     assert np.linalg.norm(second.estimator - direct.estimator, 2) <= TOWER * scale
     assert abs(first.min_risk + second.min_risk - direct.min_risk) <= TOWER * scale**2
