@@ -205,7 +205,12 @@ class Povm:
         spectra.require_psd("effect")
         if float(np.abs(eff.sum(axis=0) - np.eye(eff.shape[-1])).max()) > CPTP_TOL:
             raise ValidationError("completeness", "effects must sum to identity")
-        labels = tuple(range(len(eff))) if labels is None else tuple(labels)
+        if labels is None:
+            labels = range(len(eff))
+        elif not isinstance(labels, (list, tuple)):  # a str or dict would iterate silently
+            raise ValidationError("labels", f"need a list of {len(eff)} labels, "
+                                            f"got {type(labels).__name__}")
+        labels = tuple(labels)
         if len(labels) != len(eff):
             raise ValidationError("labels", f"{len(labels)} labels for {len(eff)} effects")
         for i, y in enumerate(labels):  # a failure names its label by index

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import ValidationError, as_array, require_fit
+from .operator_core import ValidationError, as_array, require_fit, require_size
 
 OVERLAP_FLOOR = 1e-12
 # the oracle reads whole last-axis grid lines, in C order, in tiles of about
@@ -185,8 +185,10 @@ def numeric_wigner_integral(w_list, x: LinearQuadrature | None = None,
     if n_modes > 2:
         raise ValidationError("modes", "grid oracle supports 1-2 modes only")
     n = points_per_axis
-    if n is not None and n < 2:
-        raise ValidationError("grid", f"need at least 2 points per axis, got {n}")
+    if n is not None:  # the largest array the oracle holds is one plane: n^(dim-1) entries
+        require_size("points_per_axis", n, dim - 1)
+        if n < 2:
+            raise ValidationError("grid", f"need at least 2 points per axis, got {n}")
 
     # fold the Gaussian factors into one quadratic form
     prec = np.zeros((dim, dim))

@@ -1,12 +1,18 @@
 """Seeded random fixtures for sweeps, selftests, and property checks.
 
-All randomness flows through numpy's Philox counter-based generator so a
-single 64-bit seed reproduces every sweep bit-for-bit across platforms.
+All randomness flows through numpy's Philox counter-based generator, so a
+single 64-bit seed reproduces every draw bit for bit across platforms.  What
+a seed reproduces is the draws: results computed from them go through BLAS
+and LAPACK, whose rounding may differ between builds and machines.
 
 `random_density`, `random_hermitian` and `random_channel` each draw a
-Ginibre matrix and finish it.  The finishing steps also take a stack of
-draws, so a sweep can draw its problems one by one, in generator order,
-and finish all the draws of one shape in one call.
+Ginibre matrix and finish it.  A Ginibre draw is a (2, r, c) block of
+standard normals, real plane then imaginary plane, that `_complex_draws`
+makes complex.  One `standard_normal` call of n + m normals takes what a
+call of n and then one of m take, so a sweep draws all of a problem's
+blocks in one call, in generator order.  `_complex_draws` and the finishing
+steps take stacks, so the sweep makes complex and finishes all the draws of
+one shape in one call each.
 """
 
 from __future__ import annotations
@@ -23,9 +29,12 @@ def rng(seed: int) -> np.random.Generator:
 
 
 def ginibre(gen, rows, cols):
-    # one draw of both planes takes the same normals as two, in the same order
-    re, im = gen.standard_normal((2, rows, cols))
-    return re + 1j * im
+    return _complex_draws(gen.standard_normal((2, rows, cols)))
+
+
+def _complex_draws(normals) -> np.ndarray:
+    """A (…, 2, r, c) block of normals as (…, r, c) complex Ginibre draws."""
+    return normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
 
 
 def finish_density(g) -> np.ndarray:
@@ -42,7 +51,12 @@ def _isometry(g) -> np.ndarray:
 
 def channel_draw(gen, dim_in: int, dim_out: int, n_kraus: int | None = None):
     """The Ginibre draw `random_channel` finishes: (K·dim_out, dim_in)."""
-    return ginibre(gen, dim_out * (max(2, dim_in) if n_kraus is None else n_kraus), dim_in)
+    return ginibre(gen, _kraus_rows(dim_in, dim_out, n_kraus), dim_in)
+
+
+def _kraus_rows(dim_in: int, dim_out: int, n_kraus: int | None = None) -> int:
+    """K·dim_out, the rows of a channel draw: K = max(2, dim_in) unless given."""
+    return dim_out * (max(2, dim_in) if n_kraus is None else n_kraus)
 
 
 def finish_channel(g, dim_out: int) -> QuantumChannel:

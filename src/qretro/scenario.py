@@ -42,7 +42,7 @@ from .estimators import (
     weak_value,
 )
 from .operator_core import ValidationError, hermitian_part, require_size, trace
-from .sampling import channel_draw, finish_channel, finish_density, ginibre, rng
+from .sampling import _complex_draws, _kraus_rows, finish_channel, finish_density, rng
 
 
 # --- encoding ---------------------------------------------------------------
@@ -363,18 +363,20 @@ def rotation_checks(problems) -> np.ndarray:
     """`monotonicity_check` on drawn rotation-family problems, in one stacked
     call per (d_in, d_out) of the problems held.
 
-    A problem is (ρ₀ draw, H draw, d_out, channel draw, θ), the draws made
-    by `ginibre` and `channel_draw` as `random_density`, `random_hermitian`
-    and `random_channel` make them.  Problems are taken in order and held
-    until their draws pass HELD_DRAW_BYTES, so memory does not grow with
+    A problem is (normals, d_in, d_out, θ), as `_sweep_draws` yields it: the
+    normals are the (2, d_in, d_in) blocks of the ρ₀ and H draws and the
+    (2, K·d_out, d_in) block of the channel draw, in that order and flat.
+    Each group's normals are stacked, cut into those blocks and made complex
+    once, then finished as `random_density`, `random_hermitian` and
+    `random_channel` finish them.  Problems are taken in order and held
+    until their normals pass HELD_DRAW_BYTES, so memory does not grow with
     their number.  Returns one row (j_in, j_out, slack, personick_risk) per
     problem, in the order given.
     """
     rows, held, nbytes = [], [], 0
     for problem in problems:
-        g_rho, g_h, _, g_k, _ = problem
         held.append(problem)
-        nbytes += g_rho.nbytes + g_h.nbytes + g_k.nbytes
+        nbytes += problem[0].nbytes
         if nbytes >= HELD_DRAW_BYTES:
             rows.append(_solve_held(held))
             held, nbytes = [], 0
@@ -383,11 +385,16 @@ def rotation_checks(problems) -> np.ndarray:
 
 def _solve_held(problems) -> np.ndarray:
     groups: dict[tuple, list] = {}
-    for i, (g_rho, _, d_out, _, _) in enumerate(problems):
-        groups.setdefault((g_rho.shape[-1], d_out), []).append(i)
+    for i, (_, d_in, d_out, _) in enumerate(problems):
+        groups.setdefault((d_in, d_out), []).append(i)
     rows = np.empty((len(problems), 4))
-    for (_, d_out), idx in groups.items():
-        g_rho, g_h, _, g_k, theta = map(np.array, zip(*(problems[i] for i in idx)))
+    for (d, d_out), idx in groups.items():
+        normals = np.array([problems[i][0] for i in idx])
+        theta = np.array([problems[i][3] for i in idx])
+        n, cut = len(idx), 2 * d * d
+        g_rho = _complex_draws(normals[:, :cut].reshape(n, 2, d, d))
+        g_h = _complex_draws(normals[:, cut:2 * cut].reshape(n, 2, d, d))
+        g_k = _complex_draws(normals[:, 2 * cut:].reshape(n, 2, -1, d))
         family = fisher.unitary_rotation_family(finish_density(g_rho),
                                                 hermitian_part(g_h))
         rep = fisher.monotonicity_check(family, finish_channel(g_k, d_out), theta)
@@ -396,13 +403,20 @@ def _solve_held(problems) -> np.ndarray:
 
 
 def _sweep_draws(gen, dims, count):
-    """The sweep's problems, drawn one by one in generator order."""
+    """The sweep's problems, (normals, d_in, d_out, θ), drawn one by one in
+    generator order.
+
+    Each problem draws d_in, d_out, its normals in one `standard_normal`
+    call, and θ.  The normals are those `ginibre` draws for ρ₀ and for H and
+    `channel_draw` for the channel, one after another, so the stream is that
+    of `random_density`, `random_hermitian` and `random_channel` in turn.
+    """
     for _ in range(count):
         # gen.integers(n) draws exactly what gen.choice(dims) draws, faster
         d_in = dims[int(gen.integers(len(dims)))]
         d_out = dims[int(gen.integers(len(dims)))]
-        yield (ginibre(gen, d_in, d_in), ginibre(gen, d_in, d_in), d_out,
-               channel_draw(gen, d_in, d_out), float(gen.uniform(-0.5, 0.5)))
+        size = 2 * d_in * (2 * d_in + _kraus_rows(d_in, d_out))
+        yield gen.standard_normal(size), d_in, d_out, float(gen.uniform(-0.5, 0.5))
 
 
 def _decode_qfi_sweep(sc):

@@ -224,6 +224,12 @@ def test_povm_label_count_must_match_effects():
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["only"])
 
 
+@pytest.mark.parametrize("labels, got", [(5, "int"), (2.5, "float"), ("ab", "str"), ({"a": 0, "b": 1}, "dict")])
+def test_povm_labels_must_be_a_list(labels, got):
+    with pytest.raises(ValidationError, match=f"^labels: need a list of 2 labels, got {got}$"):
+        Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=labels)
+
+
 @pytest.mark.parametrize("labels", [[0, 0], [[1, 2], [1, 2]]])
 def test_povm_rejects_repeated_labels(labels):
     # list labels do not hash; a repeated label would answer for both effects

@@ -1,4 +1,5 @@
 import contextlib
+import re
 import tracemalloc
 import warnings
 
@@ -266,6 +267,22 @@ def test_numeric_integral_rejects_malformed_input():
         numeric_wigner_integral([two], LinearQuadrature(coeffs=np.ones(2)))
     with pytest.raises(ValidationError):
         numeric_wigner_integral([one], points_per_axis=1)
+
+
+@pytest.mark.parametrize("n_modes, points, message", [
+    (1, "a", "size: points_per_axis must be an integer >= 1, got str"),
+    (1, 2.5, "size: points_per_axis must be an integer >= 1, got float"),
+    (1, True, "size: points_per_axis must be an integer >= 1, got bool"),
+    (1, 0, "size: points_per_axis must be an integer >= 1, got 0"),
+    (1, 1, "grid: need at least 2 points per axis, got 1"),
+    (1, 2**24 + 1, "size: points_per_axis exceeds 16777216: "),
+    (2, 257, "size: points_per_axis exceeds 256: "),
+])
+def test_numeric_integral_points_per_axis_is_a_size(n_modes, points, message):
+    # one plane of n^(2·n_modes − 1) points is the largest array the oracle holds
+    w = GaussianWigner(mean=np.zeros(2 * n_modes), covariance=np.eye(2 * n_modes))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        numeric_wigner_integral([w], points_per_axis=points)
 
 
 # --- the grid oracle against a brute-force reference -------------------------

@@ -6,6 +6,7 @@ element of a stack in each check, and hold the stacked QFI sweep to the
 per-problem loop it replaced.
 """
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -129,12 +130,17 @@ def test_monotonicity_stack_matches_loop(d_in, d_out, n, seed):
 def test_rotation_checks_mixed_dims_match_loop(seed, n):
     # problems of every (d_in, d_out) in one call come back in draw order
     gen = rng(seed)
-    draws = []
+    problems, draws = [], []
     for _ in range(n):
         d_in, d_out = (int(v) for v in gen.integers(2, 5, size=2))
-        draws.append((ginibre(gen, d_in, d_in), ginibre(gen, d_in, d_in), d_out,
-                      channel_draw(gen, d_in, d_out), float(gen.uniform(-0.5, 0.5))))
-    rows = scenario.rotation_checks(draws)
+        ref = copy.deepcopy(gen)  # the complex draws the problem's normals make
+        g_rho, g_h = ginibre(ref, d_in, d_in), ginibre(ref, d_in, d_in)
+        g_k = channel_draw(ref, d_in, d_out)
+        normals = gen.standard_normal(2 * (g_rho.size + g_h.size + g_k.size))
+        theta = float(gen.uniform(-0.5, 0.5))
+        problems.append((normals, d_in, d_out, theta))
+        draws.append((g_rho, g_h, d_out, g_k, theta))
+    rows = scenario.rotation_checks(problems)
     for row, (g_rho, g_h, d_out, g_k, theta) in zip(rows, draws):
         rep = monotonicity_check(
             fisher.unitary_rotation_family(finish_density(g_rho), core.hermitian_part(g_h)),
@@ -257,6 +263,33 @@ def test_sweep_keeps_rng_order_and_rows(monkeypatch, seed, count, dims, held):
     for row, (j_in, j_out, slack) in zip(results["rows"], expected):
         close([row["j_in"], row["j_out"], row["slack"]], [j_in, j_out, slack])
     assert results["min_slack"] == min(r["slack"] for r in results["rows"])
+
+
+@pytest.mark.parametrize("dims", [[1], [2, 3, 4], [4, 2]])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+def test_sweep_finishes_the_samplers_draws(monkeypatch, seed, dims):
+    # one standard_normal call per problem takes what ginibre, ginibre and
+    # channel_draw take in turn, and each group's blocks are made complex as
+    # ginibre makes them: the draws the sweep finishes are bitwise the samplers'
+    finished = {name: [] for name in ("finish_density", "hermitian_part", "finish_channel")}
+    for name, seen in finished.items():
+        def record(g, *args, seen=seen, finish=getattr(scenario, name)):
+            seen.append(g)
+            return finish(g, *args)
+        monkeypatch.setattr(scenario, name, record)
+    gen, ref = rng(seed), rng(seed)
+    scenario.rotation_checks(scenario._sweep_draws(gen, dims, 30))
+    groups = {}
+    for _ in range(30):
+        d_in, d_out = (dims[int(ref.integers(len(dims)))] for _ in range(2))
+        groups.setdefault((d_in, d_out), []).append(
+            (ginibre(ref, d_in, d_in), ginibre(ref, d_in, d_in), channel_draw(ref, d_in, d_out)))
+        ref.uniform(-0.5, 0.5)
+    assert str(gen.bit_generator.state) == str(ref.bit_generator.state)
+    for block, seen in enumerate(finished.values()):
+        assert len(seen) == len(groups)
+        for g, group in zip(seen, groups.values()):
+            assert np.array_equal(g, np.array([draws[block] for draws in group]))
 
 
 def _sweep_peak(count):
