@@ -64,7 +64,8 @@ def _tangent(d) -> np.ndarray:
 
 
 def _evaluate(family: StateFamily, theta):
-    """(ρ(θ), its Spectrum, ∂ρ(θ)), each checked once."""
+    """(ρ(θ), its Spectrum, ∂ρ(θ)), each checked once, as θ is."""
+    theta = core.as_array(theta, float, "theta")
     rho, spec = core._density_with_spectrum(family.state_at(theta), name=_rho_name(theta))
     return rho, spec, family.derivative(theta)
 

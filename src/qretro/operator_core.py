@@ -11,11 +11,12 @@ one numpy call per step for many small problems; a (d, d) operator is a
 stack of one, and a failed check names a stack's element, as in `rho[3]`.
 
 Validation happens once, where an input enters a public function: every
-numeric input becomes an array through `as_array`, and an operator is then
-checked by `as_square`, `as_hermitian` and `as_density`.  Arrays used together
-meet one rule, `require_fit`: each has the shape its function needs, and
-their stacks broadcast.  A `Spectrum` is one
-`eigh` of a checked operator.  `solve_jordan` and `pseudo_inverse_psd`
+numeric input becomes an array through `as_array`, which takes numbers only
+(no str, None, bool-only array or, for reals, complex input) within the
+float range, and an operator is then checked by `as_square`, `as_hermitian`
+and `as_density`.  Arrays used together meet one rule, `require_fit`: each
+has the shape its function needs, and their stacks broadcast.  A `Spectrum`
+is one `eigh` of a checked operator.  `solve_jordan` and `pseudo_inverse_psd`
 accept the `Spectrum` of an operator their caller has already checked and
 decomposed; they then neither validate nor decompose again.
 """
@@ -23,6 +24,7 @@ decomposed; they then neither validate nor decompose again.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -96,13 +98,28 @@ def trace(m):
 
 
 def as_array(value, dtype, name: str) -> np.ndarray:
-    """`value` as a `dtype` ndarray.  Ragged or non-numeric input is a `shape`
-    error; NaN or Inf is `finite`, naming its matrix in a stack, as `rho[3]`."""
+    """`value` as a `dtype` (float or complex) ndarray, cast only from numbers.
+
+    Ragged input, a str, None or other object, a bool-only array (bools mixed
+    with numbers pass) and, for float, complex input are `shape` errors; NaN,
+    Inf or an integer past the float range is `finite`, naming its matrix in
+    a stack, as `rho[3]`."""
     try:
-        a = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError):
-        raise ValidationError("shape", f"{name} must be a rectangular array of numbers"
-                                       f"{_entry_shapes(value, name)}") from None
+        a = np.asarray(value)
+        kind = a.dtype.kind
+        # numpy holds an integer past int64 as an object, and None too
+        if kind == "O" and all(isinstance(e, numbers.Number) for e in a.flat):
+            a = a.astype(dtype)
+            kind = a.dtype.kind
+    except OverflowError:
+        raise ValidationError("finite", f"{name} holds an integer past the float range") from None
+    except (TypeError, ValueError):  # ragged, or complex where reals belong
+        kind = "O"
+    if kind not in ("iuf" if dtype is float else "iufc"):
+        real = " real" if kind == "c" else ""
+        raise ValidationError("shape", f"{name} must be a rectangular array of{real} numbers"
+                                       f"{_entry_shapes(value, name)}")
+    a = a.astype(dtype, copy=False)
     finite = np.isfinite(a)
     if np.count_nonzero(finite) < a.size:  # faster than `all` on small arrays
         finite = finite.all(axis=(-2, -1)) if a.ndim > 1 else finite.all()

@@ -41,7 +41,8 @@ from .estimators import (
     schrodinger_risk,
     weak_value,
 )
-from .operator_core import ValidationError, hermitian_part, require_size, trace
+from .operator_core import (ValidationError, as_array, hermitian_part, require_fit,
+                            require_size, trace)
 from .sampling import _complex_draws, _kraus_rows, finish_channel, finish_density, rng
 
 
@@ -57,11 +58,11 @@ def encode_complex_matrix(m: np.ndarray):
 
 
 def encode_real_vector(v):
-    return np.asarray(v, dtype=float).tolist()
+    return np.asarray(v).tolist()  # a Gaussian's mean, checked real where it entered
 
 
 def encode_real_matrix(m):
-    return np.asarray(m, dtype=float).tolist()
+    return np.asarray(m).tolist()
 
 
 def decode_complex_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -106,25 +107,10 @@ def _int(obj, name: str, minimum: int = 1) -> int:
     return obj
 
 
-def _number(obj, name: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ValidationError("parse", f"field {name!r} must be a number, got {obj!r}")
-    return float(obj)
-
-
 def _bool(obj, name: str) -> bool:
     if not isinstance(obj, bool):
         raise ValidationError("parse", f"field {name!r} must be true or false, got {obj!r}")
     return obj
-
-
-def _reals(obj: dict, field: str) -> np.ndarray:
-    """A required field holding a number or nested lists of numbers."""
-    value = _require(obj, field)
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("parse", f"field {field!r}: {exc}") from exc
 
 
 def _digest(m: np.ndarray) -> dict:
@@ -162,7 +148,7 @@ def decode_channel(obj) -> tuple[QuantumChannel, dict]:
                  for k in _list(obj["kraus"], "kraus")]
         return QuantumChannel(kraus), dict(obj, kraus=[_digest(k) for k in kraus])
     if "classical" in obj:
-        return channel_from_classical(ClassicalChannel(_reals(obj, "classical"))), obj
+        return channel_from_classical(ClassicalChannel(obj["classical"])), obj
     if "povm" in obj:
         povm, echo = decode_povm(obj["povm"])
         return channel_from_povm(povm), dict(obj, povm=echo)
@@ -175,38 +161,32 @@ def decode_channel(obj) -> tuple[QuantumChannel, dict]:
         chan = channel_from_dilation(u, env, _require(spec, "dims"), _require(spec, "kept"))
         return chan, dict(obj, dilation=echo)
     if "depolarizing" in obj:
-        return depolarizing_channel(_int(obj["depolarizing"], "depolarizing")), obj
+        return depolarizing_channel(obj["depolarizing"]), obj
     if "identity" in obj:
-        return identity_channel(_int(obj["identity"], "identity")), obj
+        return identity_channel(obj["identity"]), obj
     raise ValidationError("parse", f"unrecognized channel spec: {sorted(obj)}")
-
-
-def _labels(obj):
-    labels = obj.get("labels")
-    return None if labels is None else _list(labels, "labels")
 
 
 def decode_povm(obj) -> tuple[Povm, dict]:
     effects = [decode_complex_matrix(e, "effect")
                for e in _list(_require(obj, "effects"), "effects")]
     echo = dict(obj, effects=[_digest(e) for e in effects])
-    return Povm(effects, labels=_labels(obj)), echo
+    return Povm(effects, labels=obj.get("labels")), echo
 
 
 def decode_family(obj) -> tuple[fisher.StateFamily, dict]:
     kind = _require(obj, "type")
     if kind == "diagonal_line":
-        return fisher.diagonal_line_family(_reals(obj, "p0"), _reals(obj, "slope")), obj
+        return fisher.diagonal_line_family(_require(obj, "p0"), _require(obj, "slope")), obj
     if kind == "diagonal_exponential":
-        return fisher.diagonal_exponential_family(_reals(obj, "p0"),
-                                                  _reals(obj, "weights")), obj
+        return fisher.diagonal_exponential_family(_require(obj, "p0"),
+                                                  _require(obj, "weights")), obj
     if kind == "unitary_rotation":
         (rho0, h), echo = _matrices(obj, "rho0", "h")
         return fisher.unitary_rotation_family(rho0, h), echo
     if kind == "depolarizing_mixture":
         base, echo = decode_family(_require(obj, "base"))
-        p = _number(_require(obj, "p"), "p")
-        return fisher.depolarizing_mixture_family(base, p), dict(obj, base=echo)
+        return fisher.depolarizing_mixture_family(base, _require(obj, "p")), dict(obj, base=echo)
     raise ValidationError("parse", f"unknown family type {kind!r}")
 
 
@@ -326,8 +306,8 @@ def _weak_value_results(outcomes):
 
 
 def _decode_classical(sc):
-    chan = ClassicalChannel(_reals(sc, "transition"))
-    return (_reals(sc, "px"), chan, _reals(sc, "xvals")), sc
+    chan = ClassicalChannel(_require(sc, "transition"))
+    return (_require(sc, "px"), chan, _require(sc, "xvals")), sc
 
 
 def _classical_results(result):
@@ -341,7 +321,8 @@ def _classical_results(result):
 def _decode_qfi_check(sc):
     family, family_echo = decode_family(_require(sc, "family"))
     k, channel = decode_channel(_require(sc, "channel"))
-    theta = _number(sc.get("theta", 0.0), "theta")
+    theta = as_array(sc.get("theta", 0.0), float, "theta")
+    require_fit(theta=(theta, ()))  # one check, not a stack
     return (family, k, theta), dict(sc, family=family_echo, channel=channel)
 
 
@@ -426,7 +407,7 @@ def _decode_qfi_sweep(sc):
     count = _int(spec.get("count", 200), "count")
     if count > SWEEP_COUNT_MAX:
         raise ValidationError("size", f"sweep count {count} exceeds {SWEEP_COUNT_MAX}")
-    dims = [_int(d, "dims") for d in _list(spec.get("dims", [2, 3, 4]), "dims")]
+    dims = _list(spec.get("dims", [2, 3, 4]), "dims")
     if not dims:
         raise ValidationError("parse", "field 'dims' must not be empty")
     for d in dims:  # a channel draw holds d_in²·d_out entries
@@ -452,9 +433,9 @@ def _qfi_sweep_results(rows):
 
 def _decode_gaussian(obj) -> gaussian.GaussianWigner:
     return gaussian.GaussianWigner(
-        mean=_reals(obj, "mean"),
-        covariance=_reals(obj, "covariance"),
-        weight=_number(obj.get("weight", 1.0), "weight"),
+        mean=_require(obj, "mean"),
+        covariance=_require(obj, "covariance"),
+        weight=obj.get("weight", 1.0),
     )
 
 
@@ -478,8 +459,8 @@ def _decode_gaussian_scenario(sc):
     _require_uncertainty(we, "effect")
     xspec = _require(sc, "x")
     x = gaussian.LinearQuadrature(
-        coeffs=_reals(xspec, "coeffs"),
-        offset=_number(xspec.get("offset", 0.0), "offset"),
+        coeffs=_require(xspec, "coeffs"),
+        offset=xspec.get("offset", 0.0),
     )
     return (wr, we, x, _bool(sc.get("numeric_check", False), "numeric_check")), sc
 

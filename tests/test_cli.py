@@ -519,12 +519,20 @@ def _overflowing(name, field):
     return sc
 
 
+def _assert_error(err, message):
+    """A decoder's own error, on the JSON structure, is a `parse` error that
+    holds `message`; a number is the library's to refuse, so a message that
+    starts with an invariant, as `size: …`, starts the error."""
+    assert err.startswith(f"error: {message}" if ": " in message else "error: parse:")
+    assert message in err
+
+
 @pytest.mark.parametrize("channel, message", [
-    ({"classical": "abc"}, "'classical'"),
-    ({"depolarizing": [2]}, "'depolarizing'"),
-    ({"identity": "x"}, "'identity'"),
+    ({"classical": "abc"}, "shape: transition must be a rectangular array"),
+    ({"depolarizing": [2]}, "size: depolarizing dimension must be an integer"),
+    ({"identity": "x"}, "size: identity dimension must be an integer"),
     ({"kraus": 5}, "'kraus'"),
-    ({"povm": {"effects": POVM_EFFECTS, "labels": 3}}, "'labels'"),
+    ({"povm": {"effects": POVM_EFFECTS, "labels": 3}}, "labels: need a list of 2 labels"),
     (5, "channel must be an object"),
     ({"unknown": 1}, "unrecognized channel spec"),
 ])
@@ -533,8 +541,7 @@ def test_cli_channel_spec_wrong_type(tmp_path, capsys, channel, message):
     sc["channel"] = channel
     rc = main(["personick", "--input", _write(tmp_path, sc), "--quiet"])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: parse:") and message in err
+    _assert_error(capsys.readouterr().err, message)
 
 
 @pytest.mark.parametrize("channel", [{"identity": 2, "depolarizing": 2},
@@ -581,15 +588,14 @@ def test_cli_classical_non_numeric_xvals(tmp_path, capsys):
           "transition": [[0.5, 0.5], [0.5, 0.5]]}
     rc = main(["classical", "--input", _write(tmp_path, sc), "--quiet"])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: parse:") and "'xvals'" in err
+    _assert_error(capsys.readouterr().err, "shape: xvals must be a rectangular array")
 
 
 @pytest.mark.parametrize("sweep, message", [
     (5, "'sweep'"),
     ({"count": "x"}, "'count'"),
     ({"count": 0}, "'count'"),
-    ({"dims": [0]}, "'dims'"),
+    ({"dims": [0]}, "size: sweep dims entry must be an integer"),
     ({"dims": []}, "'dims'"),
     ({"dims": 3}, "'dims'"),
 ])
@@ -597,8 +603,7 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
     sc = {"kind": "qfi-mono", "seed": 1, "sweep": sweep}
     rc = main(["qfi-mono", "--input", _write(tmp_path, sc), "--quiet"])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: parse:") and message in err
+    _assert_error(capsys.readouterr().err, message)
 
 
 @pytest.mark.parametrize("scenario, invariant", [
@@ -634,7 +639,7 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
      "parse"),
     ({"kind": "qfi-mono", "family": {"type": "diagonal_line", "p0": [0.5, 0.5],
                                      "slope": [0.1, -0.1]},
-      "channel": {"depolarizing": 2}, "theta": "a"}, "parse"),
+      "channel": {"depolarizing": 2}, "theta": "a"}, "shape"),
     # an operator with a zero dimension
     ({**personick_scenario(), "channel": {"classical": [[], []]}}, "shape"),
     ({**personick_scenario(), "channel": {"kraus": [[[]]]}}, "kraus"),

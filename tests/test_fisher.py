@@ -179,7 +179,7 @@ def test_depolarizing_mixture_contracts_information(gen):
 @pytest.mark.parametrize("p, message", [
     ("a", "shape: p must be a rectangular array of numbers"),
     ([0.1], r"shape: got p \(1,\); need p \(\)"),
-    (None, "finite: p contains NaN or Inf entries"),  # None reads as a float NaN
+    (None, "shape: p must be a rectangular array of numbers"),
     (np.nan, "finite: p contains NaN or Inf entries"),
     (1.0, r"mixing: p must be in \[0, 1\), got 1.0"),
 ])

@@ -23,7 +23,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDENS = sorted(SCENARIO_DIR.glob("*.json"))
 DELETE = object()
 VALUES = [None, True, 0, -1, 1e308, -1e-320, math.nan, math.inf, "a", [], [[]], {}, [1],
-          [[1, 2], [3]], [[[1, 2, 3]]], 10**30, 2.5]
+          [[1, 2], [3]], [[[1, 2, 3]]], 10**30, 10**400, 2.5]
 SECONDS = 2  # a case that runs longer is taken to hang
 
 
@@ -89,7 +89,7 @@ def _failure(scenario):
 
 def test_mutation_cases_cover_every_path_and_value():
     counts = [len(list(_cases(json.loads(path.read_text())))) for path in GOLDENS]
-    assert len(GOLDENS) == 8 and sum(counts) == 5544
+    assert len(GOLDENS) == 8 and sum(counts) == 5852
 
 
 @pytest.mark.parametrize("golden", GOLDENS, ids=lambda p: p.stem)

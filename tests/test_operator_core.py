@@ -1,8 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import SX, SY, SZ
 from qretro import operator_core as core
+from qretro.channels import ClassicalChannel, depolarizing_channel
+from qretro.estimators import classical_conditional_expectation
+from qretro.fisher import (
+    depolarizing_mixture_family,
+    diagonal_exponential_family,
+    diagonal_line_family,
+    monotonicity_check,
+    sld,
+)
+from qretro.gaussian import GaussianWigner, LinearQuadrature
 from qretro.operator_core import ValidationError
 from qretro.sampling import random_hermitian, random_psd, random_density
 
@@ -273,3 +285,45 @@ def test_embed():
     np.testing.assert_allclose(out, core.tensor(core.tensor(SZ, np.eye(3)), np.eye(2)))
     out = core.embed(SX, [2, 2], 1)
     np.testing.assert_allclose(out, core.tensor(np.eye(2), SX))
+
+
+LINE = diagonal_line_family([0.5, 0.5], [0.1, -0.1])
+VACUUM = np.eye(2) / 2
+# each numeric slot of the library as (a call with `value` in the slot, a
+# value the slot takes)
+ENTRY_SLOTS = {
+    "mean": (lambda value: GaussianWigner(value, VACUUM), [0.0, 0.0]),
+    "covariance": (lambda value: GaussianWigner([0.0, 0.0], value), VACUUM),
+    "weight": (lambda value: GaussianWigner([0.0, 0.0], VACUUM, value), 1.0),
+    "coeffs": (lambda value: LinearQuadrature(value), [1.0, 0.0]),
+    "offset": (lambda value: LinearQuadrature([1.0, 0.0], value), 0.0),
+    "transition": (ClassicalChannel, np.eye(2)),
+    "px": (lambda value: classical_conditional_expectation(
+        value, ClassicalChannel(np.eye(2)), [1.0, -1.0]), [0.5, 0.5]),
+    "xvals": (lambda value: classical_conditional_expectation(
+        [0.5, 0.5], ClassicalChannel(np.eye(2)), value), [1.0, -1.0]),
+    "line-p0": (lambda value: diagonal_line_family(value, [0.1, -0.1]), [0.5, 0.5]),
+    "slope": (lambda value: diagonal_line_family([0.5, 0.5], value), [0.1, -0.1]),
+    "exponential-p0": (lambda value: diagonal_exponential_family(value, [1.0, -1.0]),
+                       [0.5, 0.5]),
+    "weights": (lambda value: diagonal_exponential_family([0.5, 0.5], value), [1.0, -1.0]),
+    "p": (lambda value: depolarizing_mixture_family(LINE, value), 0.5),
+    "sld-theta": (lambda value: sld(LINE, value), 0.1),
+    "check-theta": (lambda value: monotonicity_check(LINE, depolarizing_channel(2), value),
+                    0.1),
+}
+COMPLEX = object()  # the slot's accepted value made complex
+
+
+@pytest.mark.parametrize("value", [None, True, "1.5", ["1.5", "0"], COMPLEX, 10**400],
+                         ids=["None", "True", "str", "str-list", "complex", "1e400"])
+@pytest.mark.parametrize("slot", ENTRY_SLOTS)
+def test_entry_rule_refuses_what_is_not_a_real_number(slot, value):
+    call, accepted = ENTRY_SLOTS[slot]
+    if value is COMPLEX:
+        value = np.asarray(accepted) + 1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning on a cast, say
+        call(accepted)
+        with pytest.raises(ValidationError):
+            call(value)
