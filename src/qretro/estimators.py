@@ -80,33 +80,34 @@ def heisenberg_risk(rho0, x, xcheck, u, dims, kept) -> float:
     return _real(np.trace(rho0 @ diff @ diff), "risk")
 
 
-def personick_estimator(rho, x, k: QuantumChannel, *, image=None) -> EstimationResult:
+def personick_estimator(rho, x, k: QuantumChannel) -> EstimationResult:
     """Optimal Hermitian estimator of x through κ and its minimum risk.
 
     Solves κ(ρ)∘X̌ = κ(ρ∘X) on the support of κ(ρ) (zero on the kernel)
     and evaluates the minimum risk tr ρX² − tr κ(ρ)X̌², in one call for
-    stacks of ρ, x or κ.  A caller that has checked ρ, x and κ(ρ) already
-    passes `image` = (κ(ρ), its Spectrum); nothing is then validated,
-    pushed through κ or decomposed again.
+    stacks of ρ, x or κ.
     """
-    if image is None:
-        rho = core.as_density(rho)
-        x = core.as_hermitian(x, name="x")
-        square = (..., k.dim_in, k.dim_in)
-        core.require_fit(rho=(rho, square), x=(x, square),
-                         k=(k.kraus, (..., *k.kraus.shape[-3:])))
-        krho = core.as_hermitian(apply_channel(k, rho))
-        image = krho, core.Spectrum.of(krho)
-        image[1].require_psd("kappa(rho)")
-    krho, spec = image
-    rhs = core.hermitian_part(apply_channel(k, core._jordan(rho, x)))
-    xopt, residual = core.solve_jordan(krho, rhs, spectrum=spec)
-    min_risk = _real(
-        core.trace(rho @ x @ x) - core.trace(krho @ xopt @ xopt), "min risk", tol=RISK_TOL
-    )
+    rho = core.as_density(rho)
+    x = core.as_hermitian(x, name="x")
+    square = (..., k.dim_in, k.dim_in)
+    core.require_fit(rho=(rho, square), x=(x, square),
+                     k=(k.kraus, (..., *k.kraus.shape[-3:])))
+    krho = core.as_hermitian(apply_channel(k, rho))
+    spec = core.Spectrum.of(krho)
+    spec.require_psd("kappa(rho)")
+    return _personick(krho, spec, apply_channel(k, core._jordan(rho, x)),
+                      core.trace(rho @ x @ x))
+
+
+def _personick(krho, spec, pushed, risk_in) -> EstimationResult:
+    """Kernel of `personick_estimator`: the solve on checked κ(ρ) and its
+    Spectrum, with `pushed` = κ(ρ∘X) and `risk_in` = tr ρX².  Its residual
+    warning names the caller of the function that called it."""
+    xopt, residual = core.solve_jordan(krho, core.hermitian_part(pushed), spectrum=spec)
+    min_risk = _real(risk_in - core.trace(krho @ xopt @ xopt), "min risk", tol=RISK_TOL)
     res = np.asarray(residual)
     for i, name in core.failures(res > RESIDUAL_WARN, "normal-equation residual"):
-        warnings.warn(f"{name} {res[i]:.3e} exceeds {RESIDUAL_WARN:g}", stacklevel=2)
+        warnings.warn(f"{name} {res[i]:.3e} exceeds {RESIDUAL_WARN:g}", stacklevel=3)
     return EstimationResult(
         estimator=xopt,
         min_risk=min_risk,

@@ -6,10 +6,12 @@ exposed as an executable check whose slack equals the minimum retrodiction
 risk of S itself.
 
 Validation happens where a state enters: ρ(θ) and ∂ρ(θ) are checked once
-per evaluation of a family, ρ(θ) together with its one `eigh`.  `sld`,
-`solve_jordan` and `personick_estimator` take those checked arrays and the
-`Spectrum` of ρ(θ) or κ(ρ(θ)) from a caller that has them.
-A stacked family, with θ an array, runs many checks in one call.
+per evaluation of a family, and ρ(θ) and κ(ρ(θ)) each with its one `eigh`.
+`sld`, `solve_jordan` and the Personick kernel take those checked arrays and
+the `Spectrum` of ρ(θ) or κ(ρ(θ)) from a caller that has them.  A stacked
+family, with θ an array, runs many checks in one call.  The check is three
+stages, the family side, the push through κ and the image side, so that a
+sweep over many (d_in, d_out) runs each once per dimension it depends on.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import operator_core as core
 from .channels import QuantumChannel, apply_channel
-from .estimators import _real, personick_estimator
+from .estimators import _personick, _real
 from .operator_core import ValidationError
 
 FD_STEP = 1e-5  # central differences; ~1e-10 error suffices vs 1e-8 checks
@@ -126,14 +128,38 @@ def monotonicity_check(family: StateFamily, k: QuantumChannel,
                        theta: float) -> MonotonicityReport:
     """J(ρ) − J(κ(ρ)) ≥ 0, with the slack equal to a Personick minimum risk, as
     S_κ(ρ) is the Personick estimate of S_ρ.  The family is evaluated once, pushed
-    through κ once, and solved in one `eigh` of ρ and one of κ(ρ)."""
+    through κ once, and solved in one `eigh` of ρ and one of κ(ρ).
+
+    Of its three stages, `_family_side` reads the family alone, `_channel_side`
+    the channel, and `_image_side` the pushed arrays alone, so a sweep runs
+    each once per dimension it depends on.
+    """
+    rho, drho, s_in, j_in = _family_side(family, theta)
+    return _image_side(_channel_side(k, rho, drho, s_in), j_in, theta)
+
+
+def _family_side(family: StateFamily, theta):
+    """(ρ(θ), ∂ρ(θ), S_in, tr ρS_in²), the family evaluated and solved once.
+    tr ρS_in² is both J_in and the first term of the Personick risk."""
     rho, _, drho = at = _evaluate(family, theta)
     s_in = sld(family, theta, at=at)
-    krho, kspec = core._density_with_spectrum(apply_channel(k, rho), f"kappa({_rho_name(theta)})")
-    kat = krho, kspec, _tangent(apply_channel(k, drho))
-    s_out = sld(None, theta, at=kat)  # S of the image family θ ↦ κ(ρ(θ))
-    est = personick_estimator(rho, s_in, k, image=(krho, kspec))
-    j_in, j_out = _qfi(rho, s_in), _qfi(krho, s_out)
+    return rho, drho, s_in, core.trace(rho @ s_in @ s_in)
+
+
+def _channel_side(k: QuantumChannel, rho, drho, s_in):
+    """(κ(ρ), κ(∂ρ), κ(ρ∘S_in)), the only stage that reads the channel."""
+    return apply_channel(k, rho), apply_channel(k, drho), apply_channel(k, core._jordan(rho, s_in))
+
+
+def _image_side(pushed, j_in, theta) -> MonotonicityReport:
+    """The report from `_channel_side`'s arrays and tr ρS_in²: κ(ρ) checked
+    with its one `eigh`, then the SLD of the image family θ ↦ κ(ρ(θ)) and
+    the Personick estimate of S_in, both solved on that `Spectrum`."""
+    krho, kdrho, kjordan = pushed
+    krho, kspec = core._density_with_spectrum(krho, f"kappa({_rho_name(theta)})")
+    s_out = sld(None, theta, at=(krho, kspec, _tangent(kdrho)))
+    est = _personick(krho, kspec, kjordan, j_in)
+    j_in, j_out = _real(j_in, "J"), _qfi(krho, s_out)
     return MonotonicityReport(
         j_in=j_in,
         j_out=j_out,
@@ -152,14 +178,28 @@ def _diagonal(p0, direction, name: str):
     return p0, direction
 
 
+def _thetas(t) -> np.ndarray:
+    """θ as floats with a trailing axis, to scale (d,) probabilities."""
+    return core.as_array(t, float, "theta")[..., None]
+
+
+def _diagonal_matrices(p) -> np.ndarray:
+    """(…, d) entries as (…, d, d) complex diagonal matrices."""
+    d = p.shape[-1]
+    m = np.zeros((*p.shape, d), dtype=complex)
+    m[..., range(d), range(d)] = p
+    return m
+
+
 def diagonal_line_family(p0, slope) -> StateFamily:
     """Diagonal family p(θ) = p0 + θ·slope; slope must sum to zero."""
     p0, slope = _diagonal(p0, slope, "slope")
     if abs(slope.sum()) > 1e-12:
         raise ValidationError("trace", "slope must sum to zero")
     return StateFamily(
-        state_at=lambda t: np.diag((p0 + t * slope).astype(complex)),
-        derivative_at=lambda t: np.diag(slope.astype(complex)),
+        state_at=lambda t: _diagonal_matrices(p0 + _thetas(t) * slope),
+        derivative_at=lambda t: _diagonal_matrices(
+            np.broadcast_to(slope, _thetas(t).shape[:-1] + slope.shape)),
     )
 
 
@@ -168,15 +208,15 @@ def diagonal_exponential_family(p0, weights) -> StateFamily:
     p0, weights = _diagonal(p0, weights, "weights")
 
     def probs(t):
-        p = p0 * np.exp(t * weights)
-        return p / p.sum()
+        p = p0 * np.exp(_thetas(t) * weights)
+        return p / p.sum(axis=-1, keepdims=True)
 
     def deriv(t):
         p = probs(t)
-        return np.diag((p * (weights - p @ weights)).astype(complex))
+        return _diagonal_matrices(p * (weights - (p @ weights)[..., None]))
 
     return StateFamily(
-        state_at=lambda t: np.diag(probs(t).astype(complex)),
+        state_at=lambda t: _diagonal_matrices(probs(t)),
         derivative_at=deriv,
     )
 

@@ -341,18 +341,20 @@ SWEEP_COUNT_MAX = 100_000  # about 3 s of problems at dims [2, 3, 4]
 
 
 def rotation_checks(problems) -> np.ndarray:
-    """`monotonicity_check` on drawn rotation-family problems, in one stacked
-    call per (d_in, d_out) of the problems held.
+    """`monotonicity_check` on drawn rotation-family problems, its three
+    stages each run once per dimension it depends on.
 
     A problem is (normals, d_in, d_out, θ), as `_sweep_draws` yields it: the
     normals are the (2, d_in, d_in) blocks of the ρ₀ and H draws and the
     (2, K·d_out, d_in) block of the channel draw, in that order and flat.
-    Each group's normals are stacked, cut into those blocks and made complex
-    once, then finished as `random_density`, `random_hermitian` and
-    `random_channel` finish them.  Problems are taken in order and held
-    until their normals pass HELD_DRAW_BYTES, so memory does not grow with
-    their number.  Returns one row (j_in, j_out, slack, personick_risk) per
-    problem, in the order given.
+    Of the problems held, the family side runs once per d_in, the push
+    through the channels once per (d_in, d_out), and the image side once per
+    d_out, on the pushed stacks of every d_in together.  The draws of one
+    shape are stacked, made complex once and finished as `random_density`,
+    `random_hermitian` and `random_channel` finish them.  Problems are taken
+    in order and held until their normals pass HELD_DRAW_BYTES, so memory
+    does not grow with their number.  Returns one row (j_in, j_out, slack,
+    personick_risk) per problem, in the order given.
     """
     rows, held, nbytes = [], [], 0
     for problem in problems:
@@ -365,22 +367,38 @@ def rotation_checks(problems) -> np.ndarray:
 
 
 def _solve_held(problems) -> np.ndarray:
-    groups: dict[tuple, list] = {}
-    for i, (_, d_in, d_out, _) in enumerate(problems):
-        groups.setdefault((d_in, d_out), []).append(i)
+    by_in: dict[int, list] = {}
+    for i, (_, d_in, _, _) in enumerate(problems):
+        by_in.setdefault(d_in, []).append(i)
+    by_out: dict[int, list] = {}  # d_out: (rows, pushed arrays, tr ρS², θ) per d_in
+    for d, idx in by_in.items():
+        idx = np.array(idx)
+        theta, (rho, drho, s_in, j_in) = _held_family_side(problems, idx, d)
+        d_outs = np.array([problems[i][2] for i in idx])
+        for d_out in dict.fromkeys(d_outs.tolist()):
+            at = np.flatnonzero(d_outs == d_out)
+            tails = np.array([problems[i][0][4 * d * d:] for i in idx[at]])  # past ρ₀, H
+            k = finish_channel(_complex_draws(tails.reshape(len(at), 2, -1, d)), d_out)
+            pushed = fisher._channel_side(k, rho[at], drho[at], s_in[at])
+            by_out.setdefault(d_out, []).append((idx[at], *pushed, j_in[at], theta[at]))
     rows = np.empty((len(problems), 4))
-    for (d, d_out), idx in groups.items():
-        normals = np.array([problems[i][0] for i in idx])
-        theta = np.array([problems[i][3] for i in idx])
-        n, cut = len(idx), 2 * d * d
-        g_rho = _complex_draws(normals[:, :cut].reshape(n, 2, d, d))
-        g_h = _complex_draws(normals[:, cut:2 * cut].reshape(n, 2, d, d))
-        g_k = _complex_draws(normals[:, 2 * cut:].reshape(n, 2, -1, d))
-        family = fisher.unitary_rotation_family(finish_density(g_rho),
-                                                hermitian_part(g_h))
-        rep = fisher.monotonicity_check(family, finish_channel(g_k, d_out), theta)
-        rows[idx] = np.column_stack([rep.j_in, rep.j_out, rep.slack, rep.personick_risk])
+    while by_out:  # popped, so each d_out's parts are freed once joined
+        at, krho, kdrho, kjordan, j_in, theta = map(np.concatenate, zip(*by_out.popitem()[1]))
+        rep = fisher._image_side((krho, kdrho, kjordan), j_in, theta)
+        rows[at] = np.column_stack([rep.j_in, rep.j_out, rep.slack, rep.personick_risk])
     return rows
+
+
+def _held_family_side(problems, idx, d):
+    """θ and `fisher._family_side` of the problems at idx, all with d_in = d;
+    the draws and the family are freed on return."""
+    n, cut = len(idx), 2 * d * d
+    heads = np.array([problems[i][0][:2 * cut] for i in idx])
+    g_rho = _complex_draws(heads[:, :cut].reshape(n, 2, d, d))
+    g_h = _complex_draws(heads[:, cut:].reshape(n, 2, d, d))
+    theta = np.array([problems[i][3] for i in idx])
+    family = fisher.unitary_rotation_family(finish_density(g_rho), hermitian_part(g_h))
+    return theta, fisher._family_side(family, theta)
 
 
 def _sweep_draws(gen, dims, count):

@@ -260,9 +260,9 @@ FAULTS = {
     "complex-rhs-rho-x": (estimators, "complex_estimator",
                           ("apply_channel(k, x @ rho)", "apply_channel(k, rho @ x)")),
     "povm-kraus-unconjugated": (channels, "channel_from_povm", ("vecs.conj()", "vecs")),
-    "pushed-derivative-scaled": (fisher, "monotonicity_check",
-                                 ("_tangent(apply_channel(k, drho))",
-                                  "_tangent((1 + 1e-7) * apply_channel(k, drho))")),
+    "pushed-derivative-scaled": (fisher, "_channel_side",
+                                 ("apply_channel(k, drho)",
+                                  "(1 + 1e-7) * apply_channel(k, drho)")),
     "bayes-numerator-scaled": (estimators, "classical_conditional_expectation",
                                ("c.transition @ (px * xvals)",
                                 "(1 + 1e-9) * c.transition @ (px * xvals)")),

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SX, SY, SZ
-from qretro import fisher
+from qretro import estimators, fisher
 from qretro import operator_core as core
 from qretro import selftest
 from qretro.channels import (
@@ -418,17 +418,26 @@ def test_personick_at_dimension_256(gen):
     assert 0.0 <= result.min_risk <= variance
 
 
-def test_personick_with_handed_image_matches_its_own(gen):
-    # a caller that holds kappa(rho) and its Spectrum gets the same bytes
-    rho = core.as_density(random_density(gen, 3, rank=2))
-    x = core.as_hermitian(random_hermitian(gen, 3))
-    chan = random_channel(gen, 3, 4)
-    plain = personick_estimator(rho, x, chan)
-    krho = core.as_hermitian(apply_channel(chan, rho))
-    handed = personick_estimator(rho, x, chan, image=(krho, core.eig_hermitian(krho)))
-    assert np.array_equal(plain.estimator, handed.estimator)
-    assert (plain.min_risk, plain.residual, plain.support_rank) == \
-        (handed.min_risk, handed.residual, handed.support_rank)
+def test_check_risk_is_the_personick_risk_of_the_sld(gen):
+    # the check's Personick solve is personick_estimator's on the same
+    # arrays, so the risk and support rank agree bit for bit
+    for _ in range(40):
+        d_in, d_out = (int(d) for d in gen.integers(2, 5, size=2))
+        rho0 = random_density(gen, d_in, rank=int(gen.integers(1, d_in + 1)))
+        family = fisher.unitary_rotation_family(rho0, random_hermitian(gen, d_in))
+        chan, theta = random_channel(gen, d_in, d_out), float(gen.uniform(-0.5, 0.5))
+        report = fisher.monotonicity_check(family, chan, theta)
+        est = personick_estimator(family.density(theta), fisher.sld(family, theta), chan)
+        assert report.personick_risk == est.min_risk
+        assert report.support_rank == est.support_rank
+
+
+def test_residual_warning_names_the_caller(gen, monkeypatch):
+    monkeypatch.setattr(estimators, "RESIDUAL_WARN", -1.0)
+    with pytest.warns(UserWarning, match="normal-equation residual") as record:
+        personick_estimator(random_density(gen, 3), random_hermitian(gen, 3),
+                            random_channel(gen, 3, 2))
+    assert [w.filename for w in record] == [__file__]
 
 
 TOWER = 1e-10  # relative to ‖X‖ for estimators and ‖X‖² for risks

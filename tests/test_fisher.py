@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SZ
-from qretro import fisher
+from qretro import fisher, scenario
 from qretro.channels import apply_channel, depolarizing_channel, identity_channel
 from qretro.estimators import complex_estimator, personick_estimator
 from qretro.fisher import (
@@ -211,15 +211,20 @@ def eigensolves(monkeypatch):
 
 
 def test_eigensolve_budget(gen, eigensolves):
-    # one eigh of rho and one of kappa(rho) per check; the SLD alone needs one
+    # one eigh of rho and one of kappa(rho) per check; the SLD alone needs one.
+    # A sweep makes one of rho0, H and rho(theta) per d_in (the rotation family
+    # reads the first two) and one of kappa(rho) per d_out
     family = unitary_rotation_family(random_density(gen, 3), random_hermitian(gen, 3))
     chan = random_channel(gen, 3, 4)
     rho, x = random_density(gen, 3), random_hermitian(gen, 3)
+    sweep = list(scenario._sweep_draws(rng(0), [2, 3, 4], 60))
+    assert len({(d_in, d_out) for _, d_in, d_out, _ in sweep}) == 9
     for call, budget in [
         (lambda: monotonicity_check(family, chan, 0.2), 2),
         (lambda: personick_estimator(rho, x, chan), 2),
         (lambda: complex_estimator(rho, x, chan), 2),
         (lambda: sld(family, 0.2), 1),
+        (lambda: scenario.rotation_checks(sweep), 3 * 3 + 3),
     ]:
         eigensolves["n"] = 0
         call()
@@ -228,12 +233,13 @@ def test_eigensolve_budget(gen, eigensolves):
 
 def test_check_goes_through_the_public_solvers(gen, monkeypatch):
     # the check solves S_in, S_out and the Personick estimate through sld,
-    # solve_jordan and personick_estimator, not through a second path
+    # solve_jordan and the kernel of personick_estimator, not through a
+    # second path
     from qretro import operator_core
 
     calls = {}
     for owner, name in [(fisher, "sld"), (operator_core, "solve_jordan"),
-                        (fisher, "personick_estimator")]:
+                        (fisher, "_personick")]:
         original = getattr(owner, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -243,7 +249,7 @@ def test_check_goes_through_the_public_solvers(gen, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     family = unitary_rotation_family(random_density(gen, 3), random_hermitian(gen, 3))
     monotonicity_check(family, random_channel(gen, 3, 2), 0.4)
-    assert calls == {"sld": 2, "solve_jordan": 3, "personick_estimator": 1}
+    assert calls == {"sld": 2, "solve_jordan": 3, "_personick": 1}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

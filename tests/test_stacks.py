@@ -166,6 +166,38 @@ def test_weak_values_over_the_effect_stack_match_loop(d, n, seed):
         assert np.array_equal(values.imag[defined], numer.imag[defined] / prob[defined])
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("make, direction", [(fisher.diagonal_line_family, [0.1, -0.1]),
+                                             (fisher.diagonal_exponential_family, [0.4, -0.7])])
+def test_diagonal_family_runs_one_check_per_theta(gen, make, direction, n):
+    # ρ(θ) and ∂ρ(θ) are (n, d, d) stacks for n values of θ, as a rotation
+    # family's are, so a stacked θ runs one check per θ
+    family = make([0.6, 0.4], direction)
+    theta = np.linspace(-0.3, 0.2, n)
+    k = random_channel(gen, 2, 3)
+    s, rep = sld(family, theta), monotonicity_check(family, k, theta)
+    assert s.shape == (n, 2, 2)
+    for i, t in enumerate(theta.tolist()):
+        close(s[i], sld(family, t))
+        single = monotonicity_check(family, k, t)
+        for field in ("j_in", "j_out", "slack", "personick_risk"):
+            close(getattr(rep, field)[i], getattr(single, field))
+        assert rep.support_rank[i] == single.support_rank
+
+
+def test_diagonal_family_at_one_theta_keeps_its_matrix():
+    p0, slope, weights = np.array([0.6, 0.4]), np.array([0.1, -0.1]), np.array([0.4, -0.7])
+    line = fisher.diagonal_line_family(p0, slope)
+    assert np.array_equal(line.state_at(0.3), np.diag((p0 + 0.3 * slope).astype(complex)))
+    assert np.array_equal(line.derivative_at(0.3), np.diag(slope.astype(complex)))
+    p = p0 * np.exp(0.3 * weights)
+    p = p / p.sum()
+    exponential = fisher.diagonal_exponential_family(p0, weights)
+    assert np.array_equal(exponential.state_at(0.3), np.diag(p.astype(complex)))
+    assert np.array_equal(exponential.derivative_at(0.3),
+                          np.diag((p * (weights - p @ weights)).astype(complex)))
+
+
 def test_samplers_are_draw_then_finish():
     a, b = rng(3), rng(3)
     assert np.array_equal(random_density(a, 3), finish_density(ginibre(b, 3, 3)))
@@ -269,8 +301,10 @@ def test_sweep_keeps_rng_order_and_rows(monkeypatch, seed, count, dims, held):
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
 def test_sweep_finishes_the_samplers_draws(monkeypatch, seed, dims):
     # one standard_normal call per problem takes what ginibre, ginibre and
-    # channel_draw take in turn, and each group's blocks are made complex as
-    # ginibre makes them: the draws the sweep finishes are bitwise the samplers'
+    # channel_draw take in turn, and each stack's blocks are made complex as
+    # ginibre makes them: the draws the sweep finishes are bitwise the samplers'.
+    # The family's draws are finished once per d_in, in draw order, and the
+    # channel's once per (d_in, d_out)
     finished = {name: [] for name in ("finish_density", "hermitian_part", "finish_channel")}
     for name, seen in finished.items():
         def record(g, *args, seen=seen, finish=getattr(scenario, name)):
@@ -279,17 +313,55 @@ def test_sweep_finishes_the_samplers_draws(monkeypatch, seed, dims):
         monkeypatch.setattr(scenario, name, record)
     gen, ref = rng(seed), rng(seed)
     scenario.rotation_checks(scenario._sweep_draws(gen, dims, 30))
-    groups = {}
+    by_in = {}
     for _ in range(30):
         d_in, d_out = (dims[int(ref.integers(len(dims)))] for _ in range(2))
-        groups.setdefault((d_in, d_out), []).append(
-            (ginibre(ref, d_in, d_in), ginibre(ref, d_in, d_in), channel_draw(ref, d_in, d_out)))
+        by_in.setdefault(d_in, []).append(
+            (d_out, ginibre(ref, d_in, d_in), ginibre(ref, d_in, d_in),
+             channel_draw(ref, d_in, d_out)))
         ref.uniform(-0.5, 0.5)
     assert str(gen.bit_generator.state) == str(ref.bit_generator.state)
-    for block, seen in enumerate(finished.values()):
-        assert len(seen) == len(groups)
-        for g, group in zip(seen, groups.values()):
-            assert np.array_equal(g, np.array([draws[block] for draws in group]))
+    expected = {name: [] for name in finished}
+    for drawn in by_in.values():
+        expected["finish_density"].append(np.array([draws[1] for draws in drawn]))
+        expected["hermitian_part"].append(np.array([draws[2] for draws in drawn]))
+        for d_out in dict.fromkeys(draws[0] for draws in drawn):
+            expected["finish_channel"].append(
+                np.array([draws[3] for draws in drawn if draws[0] == d_out]))
+    for name, seen in finished.items():
+        assert len(seen) == len(expected[name])
+        for g, want in zip(seen, expected[name]):
+            assert np.array_equal(g, want)
+
+
+def _pair_grouped_checks(problems):
+    """The sweep as one stacked monotonicity_check per (d_in, d_out)."""
+    groups = {}
+    for i, (_, d_in, d_out, _) in enumerate(problems):
+        groups.setdefault((d_in, d_out), []).append(i)
+    rows = np.empty((len(problems), 4))
+    for (d, d_out), idx in groups.items():
+        normals = np.array([problems[i][0] for i in idx])
+        n, cut = len(idx), 2 * d * d
+        g_rho = normals[:, :cut].reshape(n, 2, d, d)
+        g_h = normals[:, cut:2 * cut].reshape(n, 2, d, d)
+        g_k = normals[:, 2 * cut:].reshape(n, 2, -1, d)
+        g_rho, g_h, g_k = (g[:, 0] + 1j * g[:, 1] for g in (g_rho, g_h, g_k))
+        family = fisher.unitary_rotation_family(finish_density(g_rho), core.hermitian_part(g_h))
+        rep = monotonicity_check(family, finish_channel(g_k, d_out),
+                                 np.array([problems[i][3] for i in idx]))
+        rows[idx] = np.column_stack([rep.j_in, rep.j_out, rep.slack, rep.personick_risk])
+    return rows
+
+
+@pytest.mark.parametrize("held", [scenario.HELD_DRAW_BYTES, 1])  # 1: one problem a solve
+@pytest.mark.parametrize("seed, count, dims", [(0, 200, [2, 3, 4]), (9, 60, [4, 2, 3, 2])])
+def test_staged_sweep_matches_one_check_per_dims_pair(monkeypatch, seed, count, dims, held):
+    # each stage runs once per dimension it needs, on stacks cut and joined
+    # differently from one check per (d_in, d_out), and gives the same bits
+    problems = list(scenario._sweep_draws(rng(seed), dims, count))
+    monkeypatch.setattr(scenario, "HELD_DRAW_BYTES", held)
+    assert np.array_equal(scenario.rotation_checks(problems), _pair_grouped_checks(problems))
 
 
 def _sweep_peak(count):
