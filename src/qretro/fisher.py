@@ -17,7 +17,7 @@ sweep over many (d_in, d_out) runs each once per dimension it depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .channels import QuantumChannel, apply_channel
 from .estimators import _personick, _real
 from .operator_core import ValidationError
 
-FD_STEP = 1e-5  # central differences; ~1e-10 error suffices vs 1e-8 checks
-
 
 class RankChangeError(ValidationError):
     """The family's rank changes at the queried point; the SLD is singular there."""
@@ -35,20 +33,16 @@ class RankChangeError(ValidationError):
 
 @dataclass
 class StateFamily:
-    """One-parameter family θ ↦ ρ(θ) with optional analytic derivative."""
+    """One-parameter family θ ↦ ρ(θ) and its derivative ∂ρ/∂θ, both in closed form."""
 
     state_at: Callable[[float], np.ndarray]
-    derivative_at: Optional[Callable[[float], np.ndarray]] = None
+    derivative_at: Callable[[float], np.ndarray]
 
     def density(self, theta: float) -> np.ndarray:
         return core.as_density(self.state_at(theta), name=_rho_name(theta))
 
     def derivative(self, theta: float) -> np.ndarray:
-        if self.derivative_at is not None:
-            return _tangent(self.derivative_at(theta))
-        ahead, behind = (core.as_array(self.state_at(t), complex, _rho_name(t))
-                         for t in (theta + FD_STEP, theta - FD_STEP))
-        return _tangent((ahead - behind) / (2 * FD_STEP))
+        return _tangent(self.derivative_at(theta))
 
 
 def _rho_name(theta) -> str:

@@ -180,8 +180,8 @@ def hermitian_part(m) -> np.ndarray:
 def as_hermitian(m, name: str = "operator") -> np.ndarray:
     """Validate hermiticity and return the symmetrized matrix.
 
-    Asymmetry below HERMITICITY_TOL (scaled by the matrix magnitude) is
-    silently repaired by storing (M + M†)/2; anything larger is an error.
+    An asymmetry max|M − M†| up to HERMITICITY_TOL·max(1, max|M|) is silently
+    repaired by storing (M + M†)/2; anything larger is an error.
     """
     m = as_square(m, name)
     mh = dagger(m)
@@ -243,13 +243,16 @@ def embed(op, dims, factor: int) -> np.ndarray:
 
 
 def as_keep(dims, keep) -> tuple[list[int], list[int]]:
-    """Positive subsystem dimensions, and a non-empty sorted set of indices into them."""
-    try:
-        dims, keep = [operator.index(d) for d in dims], sorted({operator.index(k) for k in keep})
+    """Subsystem dimensions, each a size, and a non-empty sorted set of indices into them."""
+    try:  # a bool is no index: operator.index(None) raises
+        dims, keep = list(dims), {operator.index(None if isinstance(k, bool) else k) for k in keep}
     except TypeError:
         raise ValidationError("dims", "dims and keep must list integers") from None
-    if not dims or min(dims) < 1:
-        raise ValidationError("dims", f"dims must list positive dimensions, got {dims}")
+    if not dims:
+        raise ValidationError("dims", "dims must list at least one dimension")
+    for d in dims:
+        require_size("dims entry", d, 2)
+    dims, keep = [int(d) for d in dims], sorted(keep)
     require_size("prod(dims)", math.prod(dims), 2)
     if not keep:
         raise ValidationError("keep", "empty keep set")

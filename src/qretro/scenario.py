@@ -1,13 +1,13 @@
 """Scenario files, reports, and the dispatch from one to the other.
 
 A scenario is a single JSON document with a `kind` field naming the
-computation.  Complex numbers are two-element [re, im] arrays; matrices are
-row-major nested arrays.  Reports are one line of compact JSON with sorted
-keys: they echo the scenario, each complex matrix as the SHA-256 and shape
-of its decoded array rather than its entries, carry the computed quantities
-with every float in shortest round-trip float form (Python's `repr`,
-lossless for doubles, so serialization is byte-deterministic), and list
-diagnostics.
+computation.  A matrix is a row-major nested array of numbers and [re, im]
+pairs; its numbers, like every other field's, are read by `as_array`.
+Reports are one line of compact JSON with sorted keys: they echo the
+scenario, each complex matrix as the SHA-256 and shape of its decoded array
+rather than its entries, carry the computed quantities with every float in
+shortest round-trip float form (Python's `repr`, lossless for doubles, so
+serialization is byte-deterministic), and list diagnostics.
 """
 
 from __future__ import annotations
@@ -66,23 +66,24 @@ def encode_real_matrix(m):
 
 
 def decode_complex_matrix(obj, name: str = "matrix") -> np.ndarray:
-    try:
-        rows = []
-        for row in obj:
-            entries = []
-            for v in row:
-                if isinstance(v, (int, float)):
-                    entries.append(complex(v))
-                else:
-                    re, im = v
-                    entries.append(complex(re, im))
-            rows.append(entries)
-        m = np.asarray(rows, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("parse", f"field {name!r}: {exc}") from exc
-    if m.ndim != 2:
-        raise ValidationError("parse", f"field {name!r} is not a matrix")
-    return m
+    """Rows of numbers and [re, im] pairs as a complex matrix: each bare number
+    is paired with a zero of its type (bools stay bool-only), `as_array` reads
+    the (r, c, 2) nesting, and each pair is viewed, bitwise, as complex(re, im).
+    Rows without entries make an (r, 0) matrix, for its operator's check."""
+    if isinstance(obj, list):  # most entries are [re, im] lists, taken as they are
+        obj = [[v if type(v) is list else _paired(v) for v in row]
+               if isinstance(row, list) else row for row in obj]
+    m = as_array(obj, float, name)
+    if m.shape[1:] == (0,):
+        m = m.reshape(*m.shape, 2)
+    if m.ndim != 3 or m.shape[2] != 2:
+        raise ValidationError("shape", f"{name} must be a matrix of numbers and [re, im] "
+                                       f"pairs, got shape {m.shape}")
+    return m.view(complex)[..., 0]
+
+
+def _paired(v):
+    return [v, type(v)(0)] if isinstance(v, (int, float)) else v
 
 
 def _require(scenario: dict, field: str):
@@ -144,8 +145,8 @@ def decode_channel(obj) -> tuple[QuantumChannel, dict]:
         raise ValidationError("parse", f"channel spec names {len(forms)} forms {forms}; "
                                        "expected one")
     if "kraus" in obj:
-        kraus = [decode_complex_matrix(k, "kraus")
-                 for k in _list(obj["kraus"], "kraus")]
+        kraus = [decode_complex_matrix(k, f"kraus[{i}]")
+                 for i, k in enumerate(_list(obj["kraus"], "kraus"))]
         return QuantumChannel(kraus), dict(obj, kraus=[_digest(k) for k in kraus])
     if "classical" in obj:
         return channel_from_classical(ClassicalChannel(obj["classical"])), obj
@@ -168,8 +169,8 @@ def decode_channel(obj) -> tuple[QuantumChannel, dict]:
 
 
 def decode_povm(obj) -> tuple[Povm, dict]:
-    effects = [decode_complex_matrix(e, "effect")
-               for e in _list(_require(obj, "effects"), "effects")]
+    effects = [decode_complex_matrix(e, f"effect[{i}]")
+               for i, e in enumerate(_list(_require(obj, "effects"), "effects"))]
     echo = dict(obj, effects=[_digest(e) for e in effects])
     return Povm(effects, labels=obj.get("labels")), echo
 

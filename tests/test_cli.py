@@ -461,14 +461,26 @@ def test_cli_channel_spec_missing_field(tmp_path, capsys, channel, field):
     [[[]]],  # an empty entry
     [[10**400, 0], [0, 1]],  # an integer no float holds
     [[[[0.5, 0.0]]]],  # four levels deep
+    [[True, False], [False, True]],  # bools alone are not numbers
 ])
 def test_cli_matrix_parse_errors(tmp_path, capsys, rho):
     sc = personick_scenario()
     sc["rho"] = rho
     rc = main(["personick", "--input", _write(tmp_path, sc), "--quiet"])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: parse:") and "'rho'" in err
+    # as_array reads the matrix: an integer no float holds is `finite`, the rest `shape`
+    invariant = "finite" if rho == [[10**400, 0], [0, 1]] else "shape"
+    assert capsys.readouterr().err.startswith(f"error: {invariant}: rho ")
+
+
+@pytest.mark.parametrize("channel, message", [
+    ({"kraus": [IDENTITY_2, [[0.5, 0.0], [0.0, "0.5"]]]}, "shape: kraus[1] must be"),
+    ({"povm": {"effects": [[[[0.5, 0.0, 0.0]]], IDENTITY_2]}}, "shape: effect[0] must be"),
+])
+def test_decoded_matrix_errors_name_their_entry(channel, message):
+    with pytest.raises(ValidationError) as caught:
+        decode_channel(channel)
+    assert str(caught.value).startswith(message)
 
 
 def test_decode_real_and_pair_matrices_agree():
@@ -476,7 +488,15 @@ def test_decode_real_and_pair_matrices_agree():
     pairs = [[[0.5, 0.0], [-1.0, 0.0]], [[2, 0], [0.25, 0.0]]]
     np.testing.assert_array_equal(decode_complex_matrix(real), np.array(real, complex))
     np.testing.assert_array_equal(decode_complex_matrix(pairs), np.array(real, complex))
-    assert decode_complex_matrix([[True, False], [False, True]]).dtype == complex
+    # a bool is not a number: bools alone are refused, as in every numeric field
+    with pytest.raises(ValidationError, match=r"^shape: matrix must be a rectangular array"):
+        decode_complex_matrix([[True, False], [False, True]])
+
+
+def _complex_entrywise(rows) -> np.ndarray:
+    """The matrix as Python's `complex` reads it entry by entry."""
+    return np.array([[complex(v) if isinstance(v, (int, float)) else complex(*v) for v in row]
+                     for row in rows], dtype=complex)
 
 
 def test_decode_mixed_and_wide_integer_matrices():
@@ -485,6 +505,16 @@ def test_decode_mixed_and_wide_integer_matrices():
     np.testing.assert_array_equal(decode_complex_matrix(mixed),
                                   np.array([[0.5, -0.5j], [0.5j, 0.5]]))
     assert decode_complex_matrix([[2**70, 0], [0, 1]])[0, 0] == 2.0**70
+    # every value reads bitwise as `complex` reads it, so each zero keeps its sign
+    for rows in ([[0.5, -1.0], [2, 0.25]],
+                 [[[0.5, 0.0], [-1.0, 2.5]], [[2, -3], [0.25, 1e-300]]],
+                 mixed,
+                 [[2**70, [0, -2**70]], [[2**53 + 1, 1], 3]],
+                 [[-0.0, [0.0, -0.0]], [[-0.0, -0.0], 0]],
+                 [[(0.5, -0.5), 1.0], [[1, 0], (-0.0, 2)]],
+                 [[]]):
+        got, want = decode_complex_matrix(rows), _complex_entrywise(rows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_cli_classical_nan_transition():
@@ -617,11 +647,11 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
     # x is checked against the channel like rho
     ({**personick_scenario(), "x": np.eye(3).tolist()}, "shape"),
     ({**personick_scenario(), "channel": {"partial_trace": {"dims": "ab", "keep": [0]}}},
-     "dims"),
+     "size"),
     ({**personick_scenario(), "channel": {"partial_trace": {"dims": [-2, -1],
-                                                            "keep": [0]}}}, "dims"),
+                                                            "keep": [0]}}}, "size"),
     ({**personick_scenario(), "channel": {"partial_trace": {"dims": [2, 0],
-                                                            "keep": [0]}}}, "dims"),
+                                                            "keep": [0]}}}, "size"),
     ({"kind": "qfi-mono", "family": {"type": "diagonal_line", "p0": [0.5, 0.5],
                                      "slope": [0.1, 0.0, -0.1]},
       "channel": {"depolarizing": 2}}, "shape"),
@@ -658,6 +688,11 @@ def test_cli_qfi_sweep_spec_boundary(tmp_path, capsys, sweep, message):
                                      "rho0": (np.eye(3) / 3).tolist(),
                                      "h": np.diag([1.0, -1.0]).tolist()},
       "channel": {"depolarizing": 3}}, "shape"),
+    # a bool is neither a size nor an index
+    ({**personick_scenario(), "channel": {"partial_trace": {"dims": [2, True],
+                                                            "keep": [0]}}}, "size"),
+    ({**personick_scenario(), "channel": {"partial_trace": {"dims": [2, 2],
+                                                            "keep": [True]}}}, "dims"),
 ])
 def test_cli_domain_errors_exit_cleanly(tmp_path, capsys, scenario, invariant):
     rc = main([scenario["kind"], "--input", _write(tmp_path, scenario), "--quiet"])
